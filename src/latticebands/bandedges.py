@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .floquet import Potential, _hopping_structure, zero_potential
+from . import floquet
+from .floquet import Potential, zero_potential
 from .lattice import PeriodVector, Phase
 
 __all__ = [
@@ -203,25 +204,14 @@ def _chunk_size(Q: int) -> int:
 def _chunk_values(q: PeriodVector, V: Potential, grid: GridSpec, start: int, stop: int):
     """Eigenvalues (descending) for grid nodes [start, stop), row-major order."""
     steps = grid.steps(q)
-    idx = np.arange(start, stop)
-    coords = np.unravel_index(idx, grid.m)
+    coords = np.unravel_index(np.arange(start, stop), grid.m)
     thetas = np.stack([coords[i] * steps[i] for i in range(q.d)], axis=1)
-    interior, wraps = _hopping_structure(q.q)
-    n = stop - start
-    Q = q.Q
-    M = np.empty((n, Q, Q), dtype=complex)
-    M[:] = interior
-    for i, qi in enumerate(q.q):
-        p = np.exp(2j * math.pi * qi * thetas[:, i])
-        M += p[:, None, None] * wraps[i]
-        M += np.conj(p)[:, None, None] * wraps[i].T
-    diag = np.arange(Q)
-    M[:, diag, diag] += V.values
-    vals = np.linalg.eigvalsh(M)
-    return thetas, vals[:, ::-1]
+    return thetas, floquet._eigenvalues_desc(floquet._fiber_stack(q, V, thetas), thetas)
 
 
 def _iter_chunks(q: PeriodVector, V: Potential, grid: GridSpec, workers: int):
+    if workers < 1:
+        raise ConfigurationError(f"workers must be at least 1, got {workers}")
     N = grid.n_nodes
     cs = _chunk_size(q.Q)
     ranges = [(s, min(s + cs, N)) for s in range(0, N, cs)]
@@ -295,75 +285,49 @@ def sample_bands(q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1
     )
 
 
-def _band_value(q: PeriodVector, V: Potential, theta: Sequence[float], k: int) -> float:
-    from .floquet import assemble, eigenvalues_sorted_desc
-
-    ev = eigenvalues_sorted_desc(assemble(q, V, theta))
-    return float(ev.values[k - 1])
-
-
-def _refine_extremum(
-    q: PeriodVector,
-    V: Potential,
-    grid: GridSpec,
-    k: int,
-    theta0: Phase,
-    value0: float,
-    maximize: bool,
-) -> tuple[Phase, float]:
-    """Coordinate descent from a grid extremum with geometrically shrinking steps.
-
-    Only strict improvements are accepted, so the sampled extremum can only
-    tighten; phases fold back onto the torus (band functions are periodic
-    with period 1/q_i per coordinate).
-    """
-    th = list(theta0.theta)
-    best = value0
-    steps = list(grid.steps(q))
-    for _ in range(grid.refine_rounds):
-        for i in range(q.d):
-            width = 1.0 / q.q[i]
-            for sgn in (1.0, -1.0):
-                cand = list(th)
-                cand[i] = (cand[i] + sgn * steps[i]) % width
-                v = _band_value(q, V, cand, k)
-                if (maximize and v > best) or (not maximize and v < best):
-                    th = cand
-                    best = v
-        steps = [s * grid.shrink for s in steps]
-    return Phase(tuple(th)), best
-
-
 def certified_edges(q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1) -> BandTable:
     """Grid sweep plus local refinement of every band extremum.
 
-    The slack is inherited from the grid; refinement only moves sampled
-    extrema outward (toward the true edges), never loosens the enclosure.
+    Refinement is coordinate descent with geometrically shrinking steps.  All
+    2Q extrema step together, one batched eigensolve per (round, axis, sign),
+    and each accepts only strict improvements of its own band value, so it
+    follows the path it would follow alone.  Phases fold back onto the torus
+    (band functions are periodic with period 1/q_i per coordinate).  The
+    slack is inherited from the grid; refinement only moves sampled extrema
+    outward (toward the true edges), never loosens the enclosure.
     """
     table = sample_bands(q, V, grid, workers=workers)
     if grid.refine_rounds == 0:
         return table
     Q = q.Q
-    min_vals = table.min_values.copy()
-    max_vals = table.max_values.copy()
-    argmin = list(table.argmin)
-    argmax = list(table.argmax)
-    for k in range(1, Q + 1):
-        argmin[k - 1], min_vals[k - 1] = _refine_extremum(
-            q, V, grid, k, argmin[k - 1], min_vals[k - 1], maximize=False
-        )
-        argmax[k - 1], max_vals[k - 1] = _refine_extremum(
-            q, V, grid, k, argmax[k - 1], max_vals[k - 1], maximize=True
-        )
-    min_vals.flags.writeable = False
-    max_vals.flags.writeable = False
+    # Row e < Q holds the minimum of band e + 1, row Q + e its maximum;
+    # sense turns both into minimization.
+    best = np.concatenate([table.min_values, table.max_values])
+    th = np.array([p.theta for p in table.argmin + table.argmax])
+    sense = np.repeat([1.0, -1.0], Q)
+    rows = np.arange(2 * Q)
+    bands = rows % Q
+    steps = list(grid.steps(q))
+    for _ in range(grid.refine_rounds):
+        for i in range(q.d):
+            for sgn in (1.0, -1.0):
+                cand = th.copy()
+                cand[:, i] = (cand[:, i] + sgn * steps[i]) % (1.0 / q.q[i])
+                ev = floquet.eigenvalues_sorted_desc(floquet.assemble(q, V, cand))
+                v = ev.values[rows, bands]
+                better = sense * v < sense * best
+                th[better] = cand[better]
+                best[better] = v[better]
+        steps = [s * grid.shrink for s in steps]
+    phases = tuple(Phase(row) for row in th)
+    best.flags.writeable = False
     return BandTable(
         q=q,
         grid=grid,
-        min_values=min_vals,
-        max_values=max_vals,
-        argmin=tuple(argmin),
-        argmax=tuple(argmax),
+        min_values=best[:Q],
+        max_values=best[Q:],
+        argmin=phases[:Q],
+        argmax=phases[Q:],
         slack=table.slack,
         refined=True,
     )
@@ -392,6 +356,8 @@ def assemble_spectrum(table: BandTable, merge_tol: float | None = None) -> Spect
     """
     slack = table.slack
     tol = 2.0 * slack if merge_tol is None else float(merge_tol)
+    if not math.isfinite(tol):
+        raise ConfigurationError(f"merge tolerance must be finite, got {tol}")
     if tol < 2.0 * slack:
         raise ConfigurationError(
             f"merge tolerance {tol} below the sound minimum {2.0 * slack}"

@@ -58,18 +58,18 @@ class Potential:
 
 @dataclass(frozen=True, eq=False)
 class FiberMatrix:
-    """Hermitian fiber matrix at a fixed reduced phase."""
+    """Hermitian fiber matrix at a reduced phase, or an (n, Q, Q) stack at (n, d) phases."""
 
     q: PeriodVector
-    theta: Phase
+    theta: Phase | np.ndarray
     matrix: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class EigenList:
-    """Fiber eigenvalues sorted non-increasing, tagged with their phase."""
+    """Fiber eigenvalues sorted non-increasing, tagged with their phase(s)."""
 
-    theta: Phase
+    theta: Phase | np.ndarray
     values: np.ndarray
 
 
@@ -92,8 +92,8 @@ def zero_potential(q: PeriodVector) -> Potential:
 
 def random_potential(q: PeriodVector, amplitude: float, seed: int) -> Potential:
     """Uniform random potential rescaled to sup norm exactly `amplitude`."""
-    if amplitude < 0:
-        raise DomainError(f"amplitude must be nonnegative, got {amplitude}")
+    if not (math.isfinite(amplitude) and amplitude >= 0):
+        raise DomainError(f"amplitude must be finite and nonnegative, got {amplitude}")
     rng = np.random.default_rng(seed)
     vals = rng.uniform(-1.0, 1.0, q.Q)
     peak = np.max(np.abs(vals))
@@ -124,14 +124,15 @@ def load_potential(path: str) -> Potential:
 
 @functools.lru_cache(maxsize=32)
 def _hopping_structure(q_tuple: tuple[int, ...]):
-    """Interior adjacency and per-direction wrap matrices for one cell.
+    """Interior adjacency and per-direction wrap positions for one cell.
 
     Returns (interior, wraps) where interior is the real symmetric matrix of
-    bonds staying inside the cell and wraps[i] marks the directed bonds that
-    leave the cell along direction i (entry 1 at (site, wrapped neighbor)).
-    The fiber matrix is then
+    bonds staying inside the cell and wraps[i] = (rows, cols) lists the
+    directed bonds that leave the cell along direction i, from a site to its
+    wrapped neighbor.  With W_i the 0/1 matrix of those positions the fiber
+    matrix is
 
-        interior + sum_i (p_i * wraps[i] + conj(p_i) * wraps[i].T) + diag(V)
+        interior + sum_i (p_i * W_i + conj(p_i) * W_i.T) + diag(V)
 
     with p_i = exp(2 pi i q_i theta_i).  For q_i = 1 the wrap bond starts and
     ends at the same site, so forward and backward contributions accumulate
@@ -157,11 +158,45 @@ def _hopping_structure(q_tuple: tuple[int, ...]):
             else:
                 b = a - site.n[i] * strides[i]
                 wraps[i][a, b] += 1.0
-    return interior, wraps
+    return interior, tuple(np.nonzero(w) for w in wraps)
 
 
-def assemble(q: PeriodVector, V: Potential, theta: Phase | Sequence[float]) -> FiberMatrix:
-    """Assemble the Q x Q Hermitian fiber matrix at one reduced phase.
+def _fiber_stack(q: PeriodVector, V: Potential, thetas: np.ndarray) -> np.ndarray:
+    """Fiber matrices at the rows of the (n, d) phase array, as an (n, Q, Q) stack.
+
+    The phases are scattered into the wrap positions in the order of the
+    formula in :func:`_hopping_structure`, so every entry is rounded exactly
+    as in the dense sum.
+    """
+    interior, wraps = _hopping_structure(q.q)
+    M = np.empty((thetas.shape[0], q.Q, q.Q), dtype=complex)
+    M[:] = interior
+    for i, qi in enumerate(q.q):
+        p = np.exp(2j * math.pi * qi * thetas[:, i])[:, None]
+        rows, cols = wraps[i]
+        M[:, rows, cols] += p
+        M[:, cols, rows] += np.conj(p)
+    diag = np.arange(q.Q)
+    M[:, diag, diag] += V.values
+    return M
+
+
+def _eigenvalues_desc(M: np.ndarray, theta) -> np.ndarray:
+    """Eigenvalues of a matrix or stack, non-increasing along the last axis; an
+    eigensolver failure names the phase of the first matrix that fails alone."""
+    try:
+        return np.linalg.eigvalsh(M)[..., ::-1]
+    except np.linalg.LinAlgError as exc:
+        if M.ndim == 3:
+            for Mj, tj in zip(M, theta):
+                _eigenvalues_desc(Mj, tj)
+        raise ComputationError(
+            f"eigensolver failed at theta={np.asarray(theta).tolist()}: {exc}"
+        ) from exc
+
+
+def assemble(q: PeriodVector, V: Potential, theta: Phase | Sequence[float] | np.ndarray) -> FiberMatrix:
+    """Assemble the Q x Q Hermitian fiber matrix at one reduced phase, or a stack.
 
     Parameters
     ----------
@@ -169,33 +204,32 @@ def assemble(q: PeriodVector, V: Potential, theta: Phase | Sequence[float]) -> F
         Componentwise periods.
     V : Potential
         On-site potential over the cell; must match q.
-    theta : Phase or sequence of float
-        Reduced phase, coordinate i taken modulo 1/q_i.
+    theta : Phase, sequence of float, or (n, d) array
+        Reduced phase, coordinate i taken modulo 1/q_i; an (n, d) array
+        gives n phases, one per row.
 
     Returns
     -------
     FiberMatrix
         Matrix with interior bonds of weight 1, wrap bonds carrying the
         phase exp(2 pi i q_i theta_i), and V on the diagonal.  Hermiticity
-        is exact by construction.
+        is exact by construction.  For an (n, d) array the matrix is an
+        (n, Q, Q) stack and theta is the array.
     """
     if V.q != q:
         raise DomainError(f"potential periods {V.q.q} do not match {q.q}")
-    th = theta_values(theta)
-    if len(th) != q.d:
-        raise DomainError(f"phase has {len(th)} coordinates, expected {q.d}")
-    interior, wraps = _hopping_structure(q.q)
-    M = interior.astype(complex)
-    for i, qi in enumerate(q.q):
-        p = np.exp(2j * math.pi * qi * th[i])
-        M += p * wraps[i] + np.conj(p) * wraps[i].T
-    M[np.diag_indices_from(M)] += V.values
-    phase_obj = theta if isinstance(theta, Phase) else Phase(th)
-    return FiberMatrix(q, phase_obj, M)
+    stack = isinstance(theta, np.ndarray) and theta.ndim == 2
+    th = np.asarray(theta, dtype=float) if stack else np.array([theta_values(theta)])
+    if th.shape[1] != q.d:
+        raise DomainError(f"phase has {th.shape[1]} coordinates, expected {q.d}")
+    M = _fiber_stack(q, V, th)
+    if stack:
+        return FiberMatrix(q, th, M)
+    return FiberMatrix(q, theta if isinstance(theta, Phase) else Phase(th[0]), M[0])
 
 
 def eigenvalues_sorted_desc(M: FiberMatrix) -> EigenList:
-    """Eigenvalues of a fiber matrix, sorted non-increasing.
+    """Eigenvalues of a fiber matrix (or of each matrix of a stack), sorted non-increasing.
 
     Raises
     ------
@@ -203,13 +237,7 @@ def eigenvalues_sorted_desc(M: FiberMatrix) -> EigenList:
         If the dense Hermitian eigensolver fails to converge; the message
         carries the offending phase.
     """
-    try:
-        vals = np.linalg.eigvalsh(M.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise ComputationError(
-            f"eigensolver failed at theta={M.theta.theta}: {exc}"
-        ) from exc
-    out = vals[::-1].copy()
+    out = _eigenvalues_desc(M.matrix, M.theta.theta if isinstance(M.theta, Phase) else M.theta).copy()
     out.flags.writeable = False
     return EigenList(M.theta, out)
 

@@ -8,11 +8,13 @@ from latticebands import (
     DomainError,
     GridSpec,
     Interval,
+    assemble,
     assemble_spectrum,
     build_dimer,
     certified_edges,
     certified_slack,
     default_grid,
+    eigenvalues_sorted_desc,
     estimate_cq,
     iter_band_rows,
     lipschitz_constant,
@@ -145,6 +147,48 @@ def test_refinement_only_tightens():
     assert refined.slack == raw.slack
 
 
+def sequential_refinement(q, V, grid):
+    """Coordinate descent one extremum at a time, one fiber matrix per probe."""
+    table = sample_bands(q, V, grid)
+    out = []
+    for maximize in (False, True):
+        for k in range(1, q.Q + 1):
+            theta0 = table.theta_max(k) if maximize else table.theta_min(k)
+            best = table.band_max(k) if maximize else table.band_min(k)
+            th = list(theta0.theta)
+            steps = list(grid.steps(q))
+            for _ in range(grid.refine_rounds):
+                for i in range(q.d):
+                    for sgn in (1.0, -1.0):
+                        cand = list(th)
+                        cand[i] = (cand[i] + sgn * steps[i]) % (1.0 / q.q[i])
+                        v = float(eigenvalues_sorted_desc(assemble(q, V, cand)).values[k - 1])
+                        if (v > best) if maximize else (v < best):
+                            th, best = cand, v
+                steps = [s * grid.shrink for s in steps]
+            out.append((best.hex(), tuple(x.hex() for x in th)))
+    return table, out
+
+
+@pytest.mark.parametrize("q_tuple,m", [((2, 3), (11, 13)), ((1, 4), (7, 9)), ((2, 2, 3), (5, 5, 7))])
+def test_batched_refinement_matches_sequential_reference(q_tuple, m):
+    q = period(q_tuple)
+    V = random_potential(q, 0.7, seed=sum(q_tuple))
+    grid = GridSpec(m)
+    sampled, ref = sequential_refinement(q, V, grid)
+    table = certified_edges(q, V, grid)
+    got = [
+        (float(v).hex(), tuple(x.hex() for x in th.theta))
+        for v, th in zip(
+            np.concatenate([table.min_values, table.max_values]), table.argmin + table.argmax
+        )
+    ]
+    assert got == ref
+    # refinement moved some extrema, so the comparison covers accepted steps
+    assert np.any(table.min_values != sampled.min_values)
+    assert np.any(table.max_values != sampled.max_values)
+
+
 def test_nested_grids_are_monotone():
     q = period((2, 2))
     V = random_potential(q, 0.6, seed=5)
@@ -192,6 +236,17 @@ def test_parallel_sweep_matches_serial():
     assert serial.argmax == parallel.argmax
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweeps_reject_nonpositive_workers(workers):
+    q = period((2, 2))
+    V = zero_potential(q)
+    grid = GridSpec((8, 8))
+    with pytest.raises(ConfigurationError, match="workers"):
+        sample_bands(q, V, grid, workers=workers)
+    with pytest.raises(ConfigurationError, match="workers"):
+        min_abs_eigenvalue(q, V, grid, workers=workers)
+
+
 def test_iter_band_rows_row_major():
     q = period((2, 2))
     grid = GridSpec((4, 4), refine_rounds=0)
@@ -235,6 +290,9 @@ def test_merge_tolerance_floor():
         assemble_spectrum(table, merge_tol=table.slack)  # below 2 * slack
     report = assemble_spectrum(table, merge_tol=4 * table.slack)
     assert report.merge_tol == pytest.approx(4 * table.slack)
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="merge tolerance must be finite"):
+            assemble_spectrum(table, merge_tol=tol)
 
 
 def test_overlaps_definition():

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from latticebands.cli import main
@@ -168,6 +169,36 @@ def test_config_errors_exit_2(capsys, tmp_path):
     rc, _, err = run(capsys, "spectrum", "--q", "2,3", "--grid", "16,16",
                      "--potential", str(pot))
     assert rc == 2 and "do not match" in err
+
+
+def test_nan_delta_for_random_potential_exits_2(capsys):
+    rc, out, err = run(capsys, "spectrum", "--q", "2,2", "--grid", "8,8",
+                       "--potential", "random", "--delta", "nan", "--json")
+    assert rc == 2 and out == "" and "amplitude" in err
+
+
+def test_non_finite_merge_tolerance_exits_2(capsys):
+    for tol in ("nan", "inf"):
+        rc, _, err = run(capsys, "spectrum", "--q", "2,2", "--grid", "8,8", "--merge-tol", tol)
+        assert rc == 2 and "merge tolerance must be finite" in err
+
+
+@pytest.mark.parametrize("command,extra", [("spectrum", ()), ("counterexample", ("--delta", "0.1"))])
+def test_nonpositive_workers_exit_2(capsys, command, extra):
+    for workers in ("0", "-3"):
+        rc, out, err = run(capsys, command, "--q", "2,2", "--grid", "8,8", "--workers", workers, *extra)
+        assert rc == 2 and out == "" and "workers" in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_eigensolver_failure_exits_1(capsys, monkeypatch, workers):
+    def eigvalsh(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    rc, out, err = run(capsys, "spectrum", "--q", "2,2", "--grid", "8,8", "--workers", workers)
+    assert rc == 1 and out == ""
+    assert "eigensolver failed at theta=[0.0, 0.0]" in err
 
 
 def test_potential_file_accepted(capsys, tmp_path):

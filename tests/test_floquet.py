@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from latticebands import (
+    ComputationError,
     DomainError,
     assemble,
     build_dimer,
@@ -21,7 +22,57 @@ from latticebands import (
     zero_potential,
 )
 
+from latticebands.floquet import _fiber_stack
+
 from conftest import ref_fiber, ref_levels, random_periods
+
+
+def dense_fiber_stack(q, V, thetas):
+    """Dense sum interior + sum_i (p_i W_i + conj(p_i) W_i^T) + diag(V) over
+    n x Q x Q temporaries, with loop-built 0/1 matrices."""
+    Q = int(np.prod(q))
+    sites = list(np.ndindex(*q))
+    interior = np.zeros((Q, Q))
+    wraps = [np.zeros((Q, Q)) for _ in q]
+    for a, s in enumerate(sites):
+        for i, qi in enumerate(q):
+            nb = list(s)
+            nb[i] = (s[i] + 1) % qi
+            b = sites.index(tuple(nb))
+            if s[i] + 1 < qi:
+                interior[a, b] += 1.0
+                interior[b, a] += 1.0
+            else:
+                wraps[i][a, b] += 1.0
+    M = np.empty((len(thetas), Q, Q), dtype=complex)
+    M[:] = interior
+    for i, qi in enumerate(q):
+        p = np.exp(2j * math.pi * qi * thetas[:, i])
+        M += p[:, None, None] * wraps[i]
+        M += np.conj(p)[:, None, None] * wraps[i].T
+    diag = np.arange(Q)
+    M[:, diag, diag] += V
+    return M
+
+
+@pytest.mark.parametrize("q_tuple", [(2, 3), (1, 4), (2, 2, 3)])
+def test_scatter_builder_equals_dense_sum_bit_for_bit(rng, q_tuple):
+    # q_i = 1 puts the wrap on the diagonal, q_i = 2 stacks it on an interior
+    # bond; zero and quarter phases give exactly zero real or imaginary parts
+    q = period(q_tuple)
+    V = random_potential(q, 0.8, seed=int(rng.integers(1 << 30)))
+    special = np.array([[0.0] * q.d, [0.25 / qi for qi in q_tuple], [0.5 / qi for qi in q_tuple]])
+    thetas = np.vstack([special, rng.uniform(0, 1, size=(40, q.d)) / np.array(q_tuple)])
+    got = _fiber_stack(q, V, thetas)
+    assert got.tobytes() == dense_fiber_stack(q_tuple, V.values, thetas).tobytes()
+    stack = assemble(q, V, thetas)
+    assert stack.matrix.tobytes() == got.tobytes()
+    assert stack.theta.shape == thetas.shape
+    vals = eigenvalues_sorted_desc(stack).values
+    for j in (0, 1, 7, 42):
+        single = assemble(q, V, tuple(thetas[j]))
+        assert single.matrix.tobytes() == got[j].tobytes()
+        assert eigenvalues_sorted_desc(single).values.tobytes() == vals[j].tobytes()
 
 
 def test_fiber_at_zero_phase_2x2():
@@ -178,6 +229,12 @@ def test_random_potential_exact_sup_norm(rng):
     assert random_potential(period((2, 2)), 0.0, seed=1).sup_norm == 0.0
 
 
+@pytest.mark.parametrize("amp", [float("nan"), float("inf"), -0.5])
+def test_random_potential_rejects_bad_amplitude(amp):
+    with pytest.raises(DomainError, match="amplitude"):
+        random_potential(period((2, 2)), amp, seed=1)
+
+
 def test_random_potential_is_seeded():
     q = period((2, 3))
     a = random_potential(q, 1.0, seed=42)
@@ -194,6 +251,25 @@ def test_assemble_rejects_mismatched_potential():
         assemble(q, V, (0.0, 0.0))
     with pytest.raises(DomainError):
         assemble(q, zero_potential(q), (0.0, 0.0, 0.0))
+
+
+def test_eigensolver_failure_names_the_failing_phase(monkeypatch):
+    q = period((2, 3))
+    V = random_potential(q, 0.5, seed=2)
+    thetas = np.array([[0.0, 0.0], [0.125, 0.0625], [0.25, 0.125]])
+    bad = assemble(q, V, thetas[1]).matrix
+    solve = np.linalg.eigvalsh
+
+    def eigvalsh(a, *args, **kwargs):
+        if a.ndim == 3 or np.array_equal(a, bad):
+            raise np.linalg.LinAlgError("no convergence")
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    with pytest.raises(ComputationError, match=r"theta=\[0\.125, 0\.0625\]"):
+        eigenvalues_sorted_desc(assemble(q, V, thetas))
+    with pytest.raises(ComputationError, match=r"theta=\[0\.125, 0\.0625\]"):
+        eigenvalues_sorted_desc(assemble(q, V, thetas[1]))
 
 
 def test_potential_json_roundtrip(tmp_path):
