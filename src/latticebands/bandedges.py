@@ -38,6 +38,7 @@ __all__ = [
     "overlap_after_potential",
     "estimate_cq",
     "min_abs_eigenvalue",
+    "check_workers",
 ]
 
 
@@ -198,7 +199,10 @@ def default_grid(q: PeriodVector, budget: int = 1 << 16, refine_rounds: int = 10
 
 
 def _chunk_size(Q: int) -> int:
-    return max(32, min(4096, (1 << 22) // (Q * Q)))
+    """Fiber matrices per sweep chunk: a stack of at most 2^18 complex entries
+    (4 MiB) for Q <= 90, which bounds the memory a sweep holds per worker.
+    Results do not depend on the chunking."""
+    return max(32, min(4096, (1 << 18) // (Q * Q)))
 
 
 def _chunk_values(q: PeriodVector, V: Potential, grid: GridSpec, start: int, stop: int):
@@ -209,9 +213,14 @@ def _chunk_values(q: PeriodVector, V: Potential, grid: GridSpec, start: int, sto
     return thetas, floquet._eigenvalues_desc(floquet._fiber_stack(q, V, thetas), thetas)
 
 
-def _iter_chunks(q: PeriodVector, V: Potential, grid: GridSpec, workers: int):
+def check_workers(workers: int) -> None:
+    """Reject a worker count below 1 with a ConfigurationError."""
     if workers < 1:
         raise ConfigurationError(f"workers must be at least 1, got {workers}")
+
+
+def _iter_chunks(q: PeriodVector, V: Potential, grid: GridSpec, workers: int):
+    check_workers(workers)
     N = grid.n_nodes
     cs = _chunk_size(q.Q)
     ranges = [(s, min(s + cs, N)) for s in range(0, N, cs)]
@@ -336,8 +345,8 @@ def certified_edges(q: PeriodVector, V: Potential, grid: GridSpec, workers: int 
 def iter_band_rows(q: PeriodVector, V: Potential, grid: GridSpec) -> Iterator[tuple[tuple[float, ...], np.ndarray]]:
     """Yield (theta, descending eigenvalues) per grid node in row-major order."""
     for _, (thetas, vals) in _iter_chunks(q, V, grid, workers=1):
-        for j in range(vals.shape[0]):
-            yield tuple(float(x) for x in thetas[j]), vals[j]
+        for theta, row in zip(thetas.tolist(), vals):
+            yield tuple(theta), row
 
 
 def overlaps(table: BandTable) -> tuple[float, ...]:

@@ -185,9 +185,10 @@ def cmd_bands(args) -> int:
 def _write_csv(fh, q: PeriodVector, V: Potential, grid: bandedges.GridSpec) -> None:
     header = [f"theta_{i + 1}" for i in range(q.d)] + [f"E_{k}" for k in range(1, q.Q + 1)]
     fh.write(",".join(header) + "\n")
+    # "%.17g" % x is the same string as _fmt_float(x) for every float.
+    fmt = ",".join(["%.17g"] * (q.d + q.Q)) + "\n"
     for theta, vals in bandedges.iter_band_rows(q, V, grid):
-        row = [_fmt_float(x) for x in theta] + [_fmt_float(v) for v in vals]
-        fh.write(",".join(row) + "\n")
+        fh.write(fmt % (*theta, *vals.tolist()))
 
 
 def cmd_spectrum(args) -> int:
@@ -421,6 +422,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        bandedges.check_workers(args.workers)
         return args.func(args)
     except (DomainError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 
 from .errors import DegenerateBeyondSecondOrder, DomainError
-from .freebands import free_gradient, free_level, second_order_coeff
+from .freebands import free_gradient, free_level, second_order_coeff, unit_direction
 from .lattice import (
     FourierIndex,
     PeriodVector,
@@ -159,15 +159,6 @@ def coincident_group(
     return DegeneracyGroup(phase_obj, level, members, above)
 
 
-def _unit(beta: Sequence[float], d: int) -> np.ndarray:
-    b = np.asarray(beta, dtype=float)
-    if b.size != d:
-        raise DomainError(f"direction has {b.size} coordinates, expected {d}")
-    if abs(float(np.linalg.norm(b)) - 1.0) > 1e-9:
-        raise DomainError(f"direction must be a unit vector, got norm {np.linalg.norm(b)}")
-    return b
-
-
 def classify(
     q: PeriodVector,
     g: DegeneracyGroup,
@@ -178,7 +169,7 @@ def classify(
 
     Every member lands in exactly one bucket, so the counts always sum to r.
     """
-    b = _unit(beta, q.d)
+    b = unit_direction(beta, q.d)
     labels = []
     for member in g.members:
         grad = free_gradient(q, g.theta, member)
@@ -216,7 +207,7 @@ def count_moves(
     t = float(t)
     if not 0.0 < abs(t) <= MAX_STEP:
         raise DomainError(f"step must satisfy 0 < |t| <= {MAX_STEP}, got {t}")
-    b = _unit(beta, q.d)
+    b = unit_direction(beta, q.d)
     shifted = tuple(x + t * bi for x, bi in zip(theta_values(g.theta), b))
     guard = abs(t) ** 3
     n_up = 0
@@ -255,7 +246,7 @@ def predict_moves(
     """
     if sign_of_t not in (1, -1):
         raise DomainError(f"sign_of_t must be +1 or -1, got {sign_of_t!r}")
-    b = _unit(beta, q.d)
+    b = unit_direction(beta, q.d)
     cls = classification if classification is not None else classify(q, g, b, zero_tol)
     if len(cls.labels) != g.r:
         raise DomainError("classification does not match the group")

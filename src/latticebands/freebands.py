@@ -75,8 +75,11 @@ def free_gradient(q: PeriodVector, theta: Phase | Sequence[float], l: FourierInd
     return np.array([-4.0 * math.pi * math.sin(2.0 * math.pi * x) for x in _full_angles(q, theta, l)])
 
 
-def _check_unit(beta: Sequence[float]) -> np.ndarray:
+def unit_direction(beta: Sequence[float], d: int) -> np.ndarray:
+    """beta as an array, checked to have d coordinates and unit norm."""
     b = np.asarray(beta, dtype=float)
+    if b.size != d:
+        raise DomainError(f"direction has {b.size} coordinates, expected {d}")
     if abs(float(np.linalg.norm(b)) - 1.0) > _UNIT_TOL:
         raise DomainError(f"direction must be a unit vector, got norm {np.linalg.norm(b)}")
     return b
@@ -93,9 +96,7 @@ def second_order_coeff(
     Returns the coefficient S of t^2/2 in e(theta + t beta), namely
     -4 pi^2 sum_i 2 cos(2 pi x_i) beta_i^2.
     """
-    b = _check_unit(beta)
-    if b.size != q.d:
-        raise DomainError(f"direction has {b.size} coordinates, expected {q.d}")
+    b = unit_direction(beta, q.d)
     xs = _full_angles(q, theta, l)
     return float(
         -4.0 * math.pi**2 * sum(2.0 * math.cos(2.0 * math.pi * x) * bi**2 for x, bi in zip(xs, b))
@@ -161,7 +162,7 @@ def interior_witness(
         raise DomainError(f"energy must satisfy |E| < {2 * q.d}, got {E}")
     if table is None:
         if grid is None:
-            grid = _default_witness_grid(q)
+            grid = bandedges.default_grid(q, budget=4096)
         table = bandedges.certified_edges(q, zero_potential(q), grid, workers=workers)
     if E == 0.0 and q.all_even:
         k = q.Q // 2
@@ -177,12 +178,3 @@ def interior_witness(
     down = E - table.band_min(best_k)
     theta = table.theta_max(best_k) if up <= down else table.theta_min(best_k)
     return WitnessResult(best_k, theta, float(best_margin), touching_at_zero=False)
-
-
-def _default_witness_grid(q: PeriodVector, budget: int = 4096) -> bandedges.GridSpec:
-    m = int(budget ** (1.0 / q.d))
-    m -= m % 2
-    m = max(2, m)
-    while m**q.d > budget:
-        m = max(2, m - 2)
-    return bandedges.GridSpec((m,) * q.d, budget=budget)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from latticebands import bandedges
 from latticebands import (
     ConfigurationError,
     DomainError,
@@ -234,6 +235,35 @@ def test_parallel_sweep_matches_serial():
     assert np.array_equal(serial.max_values, parallel.max_values)
     assert serial.argmin == parallel.argmin
     assert serial.argmax == parallel.argmax
+
+
+def _sweep_results(q, V, grid, workers):
+    table = sample_bands(q, V, grid, workers=workers)
+    refined = certified_edges(q, V, grid, workers=workers)
+    value, theta = min_abs_eigenvalue(q, V, grid, workers=workers)
+    return [
+        (t.min_values.tolist(), t.max_values.tolist(), t.argmin, t.argmax) for t in (table, refined)
+    ] + [(value, theta)]
+
+
+@pytest.mark.parametrize("chunk", [32, 100, 4096])  # 100 does not divide the 4608 nodes
+def test_sweep_results_do_not_depend_on_chunk_size(monkeypatch, chunk):
+    q = period((2, 3))
+    V = random_potential(q, 0.4, seed=13)
+    grid = GridSpec((64, 72), refine_rounds=2)
+    expected = _sweep_results(q, V, grid, workers=1)
+    expected_rows = list(iter_band_rows(q, V, grid))
+    monkeypatch.setattr(bandedges, "_chunk_size", lambda Q: chunk)
+    for workers in (1, 2):
+        assert _sweep_results(q, V, grid, workers) == expected
+    rows = list(iter_band_rows(q, V, grid))
+    assert [theta for theta, _ in rows] == [theta for theta, _ in expected_rows]
+    assert np.array_equal(np.array([v for _, v in rows]), np.array([v for _, v in expected_rows]))
+
+
+def test_chunk_stack_is_at_most_4_mib():
+    for Q in range(1, 91):
+        assert bandedges._chunk_size(Q) * Q * Q * 16 <= 4 << 20
 
 
 @pytest.mark.parametrize("workers", [0, -3])

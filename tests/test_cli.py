@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from latticebands.cli import main
+from latticebands import GridSpec, iter_band_rows, period, random_potential
+from latticebands.cli import _fmt_float, main
 
 
 def run(capsys, *argv):
@@ -183,11 +184,38 @@ def test_non_finite_merge_tolerance_exits_2(capsys):
         assert rc == 2 and "merge tolerance must be finite" in err
 
 
-@pytest.mark.parametrize("command,extra", [("spectrum", ()), ("counterexample", ("--delta", "0.1"))])
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("spectrum", ()),
+        ("counterexample", ("--delta", "0.1")),
+        ("degeneracy", ("--theta", "0,0", "--l", "0,0", "--beta", "1,0")),
+        ("bands", ()),
+        ("witness", ("--energy", "1")),
+        ("cq", ()),
+    ],
+)
 def test_nonpositive_workers_exit_2(capsys, command, extra):
     for workers in ("0", "-3"):
         rc, out, err = run(capsys, command, "--q", "2,2", "--grid", "8,8", "--workers", workers, *extra)
-        assert rc == 2 and out == "" and "workers" in err
+        assert rc == 2 and out == "" and "workers must be at least 1" in err
+
+
+@pytest.mark.parametrize("x", [-0.0, 5e-324, 1e16, 0.1, -4.0000000000000009])
+def test_percent_format_matches_fmt_float(x):
+    assert "%.17g" % x == format(x, ".17g") == _fmt_float(x)
+
+
+def test_bands_csv_matches_per_value_formatter(tmp_path, capsys):
+    target = tmp_path / "bands.csv"
+    rc, _, _ = run(capsys, "bands", "--q", "2,3", "--grid", "16,12", "--potential", "random",
+                   "--delta", "0.3", "--seed", "11", "--out", str(target))
+    assert rc == 0
+    q = period((2, 3))
+    lines = ["theta_1,theta_2," + ",".join(f"E_{k}" for k in range(1, 7))]
+    for theta, vals in iter_band_rows(q, random_potential(q, 0.3, 11), GridSpec((16, 12))):
+        lines.append(",".join(format(float(x), ".17g") for x in (*theta, *vals)))
+    assert target.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
