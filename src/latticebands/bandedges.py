@@ -42,13 +42,16 @@ __all__ = [
 ]
 
 
+# Refinement halves its coordinate steps after every round.
+SHRINK = 0.5
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Per-direction sample counts over the reduced torus plus refinement knobs."""
 
     m: tuple[int, ...]
     refine_rounds: int = 10
-    shrink: float = 0.5
     budget: int = 1 << 16
 
     def __post_init__(self) -> None:
@@ -58,8 +61,6 @@ class GridSpec:
             raise ConfigurationError(f"need at least 2 samples per direction, got {vals}")
         if self.refine_rounds < 0:
             raise ConfigurationError("refine_rounds must be nonnegative")
-        if not 0.0 < self.shrink < 1.0:
-            raise ConfigurationError(f"shrink factor must be in (0, 1), got {self.shrink}")
         if self.n_nodes > self.budget:
             raise ConfigurationError(
                 f"grid has {self.n_nodes} nodes, over the budget of {self.budget}"
@@ -165,28 +166,29 @@ class CqEstimate:
     slack: float
 
 
-def lipschitz_constant(q: PeriodVector, axis: int, free: bool = False) -> float:
-    """Per-coordinate Lipschitz bound for every band function.
+def lipschitz_constant(q: PeriodVector, axis: int) -> float:
+    """Per-coordinate Lipschitz bound 4 pi for every band function and potential.
 
-    The general bound 4 pi q_i follows from a norm estimate on the phase
-    derivative of the fiber matrix.  With zero potential every band is a
-    pointwise sort of smooth explicit levels, each 4 pi Lipschitz per
-    coordinate, so the tighter constant applies.
+    Conjugating the fiber matrix H(theta) by the diagonal unitary
+    diag(exp(2 pi i n . theta)) over the cell sites n leaves its spectrum
+    unchanged and puts the phase exp(2 pi i theta_i) on every bond of
+    direction i: that part of H is exp(2 pi i theta_i) S_i + h.c. with S_i a
+    cyclic shift, and the potential carries no phase.  So
+    ||dH/dtheta_i|| <= 4 pi, and by Weyl's inequality every sorted
+    eigenvalue moves by at most 4 pi |dtheta_i|.
     """
     if not 0 <= axis < q.d:
         raise DomainError(f"axis {axis} out of range for d={q.d}")
-    if free:
-        return 4.0 * math.pi
-    return 4.0 * math.pi * q.q[axis]
+    return 4.0 * math.pi
 
 
-def certified_slack(q: PeriodVector, grid: GridSpec, free: bool = False) -> float:
-    """Enclosure radius: sum over directions of L_i times half the grid step."""
+def certified_slack(q: PeriodVector, grid: GridSpec) -> float:
+    """Enclosure radius sum_i L_i h_i / 2 = 2 pi sum_i h_i, h_i the grid step."""
     steps = grid.steps(q)
-    return sum(lipschitz_constant(q, i, free=free) * h / 2.0 for i, h in enumerate(steps))
+    return sum(lipschitz_constant(q, i) * h / 2.0 for i, h in enumerate(steps))
 
 
-def default_grid(q: PeriodVector, budget: int = 1 << 16, refine_rounds: int = 10) -> GridSpec:
+def default_grid(q: PeriodVector, budget: int = 1 << 16) -> GridSpec:
     """Largest even per-direction sample count that fits the node budget."""
     if budget < 2**q.d:
         raise ConfigurationError(f"budget {budget} too small for d={q.d}")
@@ -195,7 +197,7 @@ def default_grid(q: PeriodVector, budget: int = 1 << 16, refine_rounds: int = 10
     m = max(2, m)
     while m**q.d > budget:
         m = max(2, m - 2)
-    return GridSpec((m,) * q.d, refine_rounds=refine_rounds, budget=budget)
+    return GridSpec((m,) * q.d, budget=budget)
 
 
 def _chunk_size(Q: int) -> int:
@@ -225,10 +227,14 @@ def _iter_chunks(q: PeriodVector, V: Potential, grid: GridSpec, workers: int):
     cs = _chunk_size(q.Q)
     ranges = [(s, min(s + cs, N)) for s in range(0, N, cs)]
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
+        ex = ThreadPoolExecutor(max_workers=workers)
+        try:
             futures = [ex.submit(_chunk_values, q, V, grid, a, b) for a, b in ranges]
             for (a, b), fut in zip(ranges, futures):
                 yield a, fut.result()
+        finally:
+            # On an error or an early close, drop the chunks not yet started.
+            ex.shutdown(cancel_futures=True)
     else:
         for a, b in ranges:
             yield a, _chunk_values(q, V, grid, a, b)
@@ -279,8 +285,7 @@ def sample_bands(q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1
         better = cand > max_vals
         max_vals[better] = cand[better]
         max_idx[better] = start + loc[better]
-    free = V.sup_norm == 0.0
-    slack = certified_slack(q, grid, free=free)
+    slack = certified_slack(q, grid)
     min_vals.flags.writeable = False
     max_vals.flags.writeable = False
     return BandTable(
@@ -322,12 +327,11 @@ def certified_edges(q: PeriodVector, V: Potential, grid: GridSpec, workers: int 
             for sgn in (1.0, -1.0):
                 cand = th.copy()
                 cand[:, i] = (cand[:, i] + sgn * steps[i]) % (1.0 / q.q[i])
-                ev = floquet.eigenvalues_sorted_desc(floquet.assemble(q, V, cand))
-                v = ev.values[rows, bands]
+                v = floquet.eigenvalues_sorted_desc(q, V, cand)[rows, bands]
                 better = sense * v < sense * best
                 th[better] = cand[better]
                 best[better] = v[better]
-        steps = [s * grid.shrink for s in steps]
+        steps = [s * SHRINK for s in steps]
     phases = tuple(Phase(row) for row in th)
     best.flags.writeable = False
     return BandTable(

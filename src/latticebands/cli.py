@@ -411,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample", help="build the gap-opening potential and verify it")
     _add_common(p, potential=False)
     p.add_argument("--delta", type=float, default=None, help="coupling of the construction")
-    p.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
     p.add_argument("--force", action="store_true", help="allow couplings above the default cap")
     p.set_defaults(func=cmd_counterexample)
 

@@ -180,7 +180,7 @@ def verify_gap_at_zero(
         grid = bandedges.default_grid(q)
     V = build_vq(spec)
     margin, _ = bandedges.min_abs_eigenvalue(q, V, grid, workers=workers)
-    slack = bandedges.certified_slack(q, grid, free=False)
+    slack = bandedges.certified_slack(q, grid)
     passes = margin > spec.delta / 2.0
     inconclusive = margin - slack <= spec.delta / 2.0
     return GapCheck(

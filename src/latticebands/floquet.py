@@ -28,8 +28,6 @@ from .lattice import (
 
 __all__ = [
     "Potential",
-    "FiberMatrix",
-    "EigenList",
     "potential",
     "zero_potential",
     "random_potential",
@@ -54,23 +52,6 @@ class Potential:
 
     def value_at(self, linear: int) -> float:
         return float(self.values[linear])
-
-
-@dataclass(frozen=True, eq=False)
-class FiberMatrix:
-    """Hermitian fiber matrix at a reduced phase, or an (n, Q, Q) stack at (n, d) phases."""
-
-    q: PeriodVector
-    theta: Phase | np.ndarray
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class EigenList:
-    """Fiber eigenvalues sorted non-increasing, tagged with their phase(s)."""
-
-    theta: Phase | np.ndarray
-    values: np.ndarray
 
 
 def potential(q: PeriodVector, values: Sequence[float]) -> Potential:
@@ -195,7 +176,7 @@ def _eigenvalues_desc(M: np.ndarray, theta) -> np.ndarray:
         ) from exc
 
 
-def assemble(q: PeriodVector, V: Potential, theta: Phase | Sequence[float] | np.ndarray) -> FiberMatrix:
+def assemble(q: PeriodVector, V: Potential, theta: Phase | Sequence[float] | np.ndarray) -> np.ndarray:
     """Assemble the Q x Q Hermitian fiber matrix at one reduced phase, or a stack.
 
     Parameters
@@ -210,11 +191,11 @@ def assemble(q: PeriodVector, V: Potential, theta: Phase | Sequence[float] | np.
 
     Returns
     -------
-    FiberMatrix
-        Matrix with interior bonds of weight 1, wrap bonds carrying the
-        phase exp(2 pi i q_i theta_i), and V on the diagonal.  Hermiticity
-        is exact by construction.  For an (n, d) array the matrix is an
-        (n, Q, Q) stack and theta is the array.
+    np.ndarray
+        The (Q, Q) matrix with interior bonds of weight 1, wrap bonds
+        carrying the phase exp(2 pi i q_i theta_i), and V on the diagonal,
+        or the (n, Q, Q) stack for an (n, d) array.  Hermiticity is exact
+        by construction.
     """
     if V.q != q:
         raise DomainError(f"potential periods {V.q.q} do not match {q.q}")
@@ -223,13 +204,15 @@ def assemble(q: PeriodVector, V: Potential, theta: Phase | Sequence[float] | np.
     if th.shape[1] != q.d:
         raise DomainError(f"phase has {th.shape[1]} coordinates, expected {q.d}")
     M = _fiber_stack(q, V, th)
-    if stack:
-        return FiberMatrix(q, th, M)
-    return FiberMatrix(q, theta if isinstance(theta, Phase) else Phase(th[0]), M[0])
+    return M if stack else M[0]
 
 
-def eigenvalues_sorted_desc(M: FiberMatrix) -> EigenList:
-    """Eigenvalues of a fiber matrix (or of each matrix of a stack), sorted non-increasing.
+def eigenvalues_sorted_desc(
+    q: PeriodVector, V: Potential, theta: Phase | Sequence[float] | np.ndarray
+) -> np.ndarray:
+    """Fiber eigenvalues at one phase, sorted non-increasing, as a read-only array.
+
+    An (n, d) phase array gives an (n, Q) array, one row per phase.
 
     Raises
     ------
@@ -237,9 +220,10 @@ def eigenvalues_sorted_desc(M: FiberMatrix) -> EigenList:
         If the dense Hermitian eigensolver fails to converge; the message
         carries the offending phase.
     """
-    out = _eigenvalues_desc(M.matrix, M.theta.theta if isinstance(M.theta, Phase) else M.theta).copy()
+    M = assemble(q, V, theta)
+    out = _eigenvalues_desc(M, theta if M.ndim == 3 else theta_values(theta)).copy()
     out.flags.writeable = False
-    return EigenList(M.theta, out)
+    return out
 
 
 def _divisors(n: int) -> list[int]:

@@ -14,7 +14,6 @@ import pytest
 from latticebands import (
     GridSpec,
     CounterexampleSpec,
-    assemble,
     assemble_spectrum,
     build_dimer,
     build_vq,
@@ -67,7 +66,7 @@ def test_02_fiber_spectrum_matches_closed_form():
         q_tuple = random_periods(rng, cell_max=36)
         q = period(q_tuple)
         th = phase(q, tuple(float(x) for x in rng.uniform(0, 1, size=q.d)))
-        vals = eigenvalues_sorted_desc(assemble(q, zero_potential(q), th)).values
+        vals = eigenvalues_sorted_desc(q, zero_potential(q), th)
         ref = ref_levels(q_tuple, th.theta)
         worst = max(worst, float(np.max(np.abs(vals - ref))))
     assert worst <= 1e-9
@@ -187,7 +186,7 @@ def test_08_overlaps_shrink_at_most_weyl_plus_slack():
         amp = est.c_q / 2.0
         free_table = certified_edges(q, zero_potential(q), grid)
         free_overlaps = overlaps(free_table)
-        slack = 2.0 * math.pi / grid.m[0] + 2.0 * math.pi / grid.m[1]
+        slack = 2.0 * math.pi / (q.q[0] * grid.m[0]) + 2.0 * math.pi / (q.q[1] * grid.m[1])
         for seed in range(20):
             V = random_potential(q, amp, seed=seed)
             table = certified_edges(q, V, grid)

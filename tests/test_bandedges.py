@@ -1,15 +1,16 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from latticebands import bandedges
 from latticebands import (
+    ComputationError,
     ConfigurationError,
     DomainError,
     GridSpec,
     Interval,
-    assemble,
     assemble_spectrum,
     build_dimer,
     certified_edges,
@@ -49,8 +50,6 @@ def test_grid_spec_validation():
         GridSpec((300, 300))  # 90000 nodes over the default budget
     with pytest.raises(ConfigurationError):
         GridSpec((8, 8), refine_rounds=-1)
-    with pytest.raises(ConfigurationError):
-        GridSpec((8, 8), shrink=1.0)
     g = GridSpec((300, 300), budget=1 << 17)
     assert g.n_nodes == 90000
 
@@ -64,22 +63,23 @@ def test_grid_steps():
 
 
 def test_lipschitz_constants():
+    # the gauge bound 4 pi holds on every axis, whatever the period
     q = period((2, 3))
-    assert lipschitz_constant(q, 0) == pytest.approx(8 * math.pi)
-    assert lipschitz_constant(q, 1) == pytest.approx(12 * math.pi)
-    assert lipschitz_constant(q, 1, free=True) == pytest.approx(4 * math.pi)
+    assert lipschitz_constant(q, 0) == 4 * math.pi
+    assert lipschitz_constant(q, 1) == 4 * math.pi
     with pytest.raises(DomainError):
         lipschitz_constant(q, 2)
+    with pytest.raises(DomainError):
+        lipschitz_constant(q, -1)
 
 
 def test_certified_slack_closed_form():
+    # sum of 2 pi / (q_i m_i), with or without a potential
     q = period((2, 3))
     g = GridSpec((64, 64))
-    # general: sum of 2 pi / m_i, the periods cancel
-    assert certified_slack(q, g) == pytest.approx(2 * math.pi / 64 + 2 * math.pi / 64)
-    # free: sum of 2 pi / (q_i m_i)
-    assert certified_slack(q, g, free=True) == pytest.approx(
-        math.pi / 64 + math.pi / 96
+    assert certified_slack(q, g) == pytest.approx(math.pi / 64 + math.pi / 96)
+    assert certified_slack(period((1, 4, 2)), GridSpec((8, 6, 10))) == pytest.approx(
+        2 * math.pi * (1 / 8 + 1 / 24 + 1 / 20)
     )
 
 
@@ -163,10 +163,10 @@ def sequential_refinement(q, V, grid):
                     for sgn in (1.0, -1.0):
                         cand = list(th)
                         cand[i] = (cand[i] + sgn * steps[i]) % (1.0 / q.q[i])
-                        v = float(eigenvalues_sorted_desc(assemble(q, V, cand)).values[k - 1])
+                        v = float(eigenvalues_sorted_desc(q, V, cand)[k - 1])
                         if (v > best) if maximize else (v < best):
                             th, best = cand, v
-                steps = [s * grid.shrink for s in steps]
+                steps = [s * bandedges.SHRINK for s in steps]
             out.append((best.hex(), tuple(x.hex() for x in th)))
     return table, out
 
@@ -259,6 +259,30 @@ def test_sweep_results_do_not_depend_on_chunk_size(monkeypatch, chunk):
     rows = list(iter_band_rows(q, V, grid))
     assert [theta for theta, _ in rows] == [theta for theta, _ in expected_rows]
     assert np.array_equal(np.array([v for _, v in rows]), np.array([v for _, v in expected_rows]))
+
+
+def test_threaded_sweep_cancels_pending_chunks_after_a_failure(monkeypatch):
+    # 128 chunks of 32 nodes; chunk 0 fails at once, every other chunk takes
+    # 5 ms, so a sweep that waited for the rest would solve about 127 chunks
+    q = period((2, 2))
+    grid = GridSpec((64, 64))
+    solved = []
+    chunk_values = bandedges._chunk_values
+
+    def slow_chunk(q, V, grid, start, stop):
+        if start == 0:
+            raise ComputationError("eigensolver failed at theta=[0.0, 0.0]")
+        time.sleep(0.005)
+        out = chunk_values(q, V, grid, start, stop)
+        solved.append(start)
+        return out
+
+    monkeypatch.setattr(bandedges, "_chunk_size", lambda Q: 32)
+    monkeypatch.setattr(bandedges, "_chunk_values", slow_chunk)
+    assert grid.n_nodes // 32 >= 100
+    with pytest.raises(ComputationError):
+        sample_bands(q, zero_potential(q), grid, workers=2)
+    assert len(solved) < 10
 
 
 def test_chunk_stack_is_at_most_4_mib():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -144,6 +145,27 @@ def test_counterexample_inconclusive_on_coarse_grid(capsys):
     )
     assert rc == 3
     assert json.loads(out)["gap_inconclusive"] is True
+
+
+def test_counterexample_certified_by_the_gauge_slack(capsys):
+    # slack 2 pi (1/256 + 1/256) = 0.049 leaves margin - slack > delta/2
+    rc, out, _ = run(
+        capsys,
+        "counterexample", "--q", "4,4", "--delta", "0.15",
+        "--grid", "64,64", "--json",
+    )
+    assert rc == 0
+    report = json.loads(out)
+    assert report["slack"] == pytest.approx(math.pi / 64, rel=1e-15)
+    assert report["gap_inconclusive"] is False
+    assert report["certified"] is True
+
+
+def test_counterexample_rejects_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["counterexample", "--q", "2,2", "--delta", "0.1", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_counterexample_odd_period_rejected(capsys):

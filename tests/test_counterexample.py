@@ -7,7 +7,6 @@ from latticebands import (
     CounterexampleSpec,
     DomainError,
     GridSpec,
-    assemble,
     assemble_spectrum,
     build_dimer,
     build_vq,
@@ -101,12 +100,12 @@ def test_staggered_fiber_matches_oracle(rng):
     neg, pos = dimer_oracle_spectrum(q.d, delta)
     for _ in range(100):
         th = phase(q, tuple(float(x) for x in rng.uniform(0, 1, size=2)))
-        vals = eigenvalues_sorted_desc(assemble(q, V, th)).values
+        vals = eigenvalues_sorted_desc(q, V, th)
         for v in vals:
             assert neg.lo - 1e-9 <= v <= pos.hi + 1e-9
             assert abs(v) >= delta - 1e-9
     # at theta = 0 both oracle endpoints are attained
-    at0 = eigenvalues_sorted_desc(assemble(q, V, phase(q, (0.0, 0.0)))).values
+    at0 = eigenvalues_sorted_desc(q, V, phase(q, (0.0, 0.0)))
     np.testing.assert_allclose(
         at0, [pos.hi, delta, -delta, neg.lo], atol=1e-12
     )
@@ -127,7 +126,7 @@ def test_gap_check_on_fine_grid():
     spec = CounterexampleSpec(period((2, 2)), 0.1)
     check = verify_gap_at_zero(spec, GridSpec((256, 256)))
     assert check.margin == pytest.approx(0.0995, abs=1e-4)
-    assert check.slack == pytest.approx(math.pi / 64, abs=1e-12)
+    assert check.slack == pytest.approx(math.pi / 128, abs=1e-12)
     assert check.passes
     assert not check.inconclusive
     assert check.certified_margin == pytest.approx(check.margin - check.slack, abs=0.0)

@@ -66,21 +66,22 @@ def test_scatter_builder_equals_dense_sum_bit_for_bit(rng, q_tuple):
     got = _fiber_stack(q, V, thetas)
     assert got.tobytes() == dense_fiber_stack(q_tuple, V.values, thetas).tobytes()
     stack = assemble(q, V, thetas)
-    assert stack.matrix.tobytes() == got.tobytes()
-    assert stack.theta.shape == thetas.shape
-    vals = eigenvalues_sorted_desc(stack).values
+    assert stack.shape == (len(thetas), q.Q, q.Q)
+    assert stack.tobytes() == got.tobytes()
+    vals = eigenvalues_sorted_desc(q, V, thetas)
+    assert vals.shape == (len(thetas), q.Q) and not vals.flags.writeable
     for j in (0, 1, 7, 42):
         single = assemble(q, V, tuple(thetas[j]))
-        assert single.matrix.tobytes() == got[j].tobytes()
-        assert eigenvalues_sorted_desc(single).values.tobytes() == vals[j].tobytes()
+        assert single.shape == (q.Q, q.Q)
+        assert single.tobytes() == got[j].tobytes()
+        assert eigenvalues_sorted_desc(q, V, tuple(thetas[j])).tobytes() == vals[j].tobytes()
 
 
 def test_fiber_at_zero_phase_2x2():
     q = period((2, 2))
-    F = assemble(q, zero_potential(q), phase(q, (0.0, 0.0)))
     # the periodic 2x2 cell at theta=0 is the complete bipartite graph K_{2,2}
     # doubled: eigenvalues 4, 0, 0, -4
-    vals = eigenvalues_sorted_desc(F).values
+    vals = eigenvalues_sorted_desc(q, zero_potential(q), phase(q, (0.0, 0.0)))
     np.testing.assert_allclose(vals, [4.0, 0.0, 0.0, -4.0], atol=1e-12)
 
 
@@ -88,7 +89,7 @@ def test_fiber_matrix_entries_2x2():
     # q_i = 2 stacks the wrap bond on the interior bond: entries 1 + e^{+-i phi}
     q = period((2, 2))
     th = (0.1, 0.05)
-    F = assemble(q, zero_potential(q), phase(q, th)).matrix
+    F = assemble(q, zero_potential(q), phase(q, th))
     p0 = np.exp(2j * np.pi * 2 * th[0])
     p1 = np.exp(2j * np.pi * 2 * th[1])
     # sites in row-major order: (0,0), (0,1), (1,0), (1,1)
@@ -102,7 +103,7 @@ def test_period_one_direction_contributes_diagonal():
     # q_i = 1 wraps a site to itself: 2 cos(2 pi theta_i) on the diagonal
     q = period((1, 2))
     th = (0.3, 0.0)
-    F = assemble(q, zero_potential(q), th).matrix
+    F = assemble(q, zero_potential(q), th)
     assert F.shape == (2, 2)
     diag = 2.0 * math.cos(2.0 * math.pi * th[0])
     assert F[0, 0] == pytest.approx(diag, abs=1e-14)
@@ -115,7 +116,7 @@ def test_hermitian_exactly(rng):
         q = period(q_tuple)
         V = random_potential(q, 0.7, seed=int(rng.integers(1 << 30)))
         th = tuple(float(x) for x in rng.uniform(0, 1, size=q.d))
-        M = assemble(q, V, phase(q, th)).matrix
+        M = assemble(q, V, phase(q, th))
         assert np.array_equal(M, M.conj().T)
 
 
@@ -124,7 +125,7 @@ def test_trace_equals_sum_of_potential(rng):
         q = period(random_periods(rng))
         V = random_potential(q, 1.3, seed=int(rng.integers(1 << 30)))
         th = phase(q, tuple(float(x) for x in rng.uniform(0, 1, size=q.d)))
-        M = assemble(q, V, th).matrix
+        M = assemble(q, V, th)
         # hopping is traceless unless some q_i = 1 adds 2 cos terms
         diag_hop = sum(
             2.0 * math.cos(2.0 * math.pi * qi * t) * (q.Q if qi == 1 else 0)
@@ -140,7 +141,7 @@ def test_matches_loop_reference(rng):
         q = period(q_tuple)
         V = random_potential(q, 0.9, seed=int(rng.integers(1 << 30)))
         th = tuple(float(x) for x in rng.uniform(0, 1, size=q.d))
-        got = eigenvalues_sorted_desc(assemble(q, V, phase(q, th))).values
+        got = eigenvalues_sorted_desc(q, V, phase(q, th))
         ref = np.sort(np.linalg.eigvalsh(ref_fiber(q_tuple, V.values, phase(q, th).theta)))[::-1]
         np.testing.assert_allclose(got, ref, atol=1e-9)
 
@@ -150,7 +151,7 @@ def test_matches_closed_form_free_levels(rng):
         q_tuple = random_periods(rng)
         q = period(q_tuple)
         th = phase(q, tuple(float(x) for x in rng.uniform(0, 1, size=q.d)))
-        got = eigenvalues_sorted_desc(assemble(q, zero_potential(q), th)).values
+        got = eigenvalues_sorted_desc(q, zero_potential(q), th)
         np.testing.assert_allclose(got, ref_levels(q_tuple, th.theta), atol=1e-9)
 
 
@@ -160,7 +161,7 @@ def test_eigenvalues_sorted_and_bounded(rng):
         amp = float(rng.uniform(0, 2))
         V = random_potential(q, amp, seed=int(rng.integers(1 << 30)))
         th = phase(q, tuple(float(x) for x in rng.uniform(0, 1, size=q.d)))
-        vals = eigenvalues_sorted_desc(assemble(q, V, th)).values
+        vals = eigenvalues_sorted_desc(q, V, th)
         assert np.all(np.diff(vals) <= 1e-12)
         assert np.max(np.abs(vals)) <= 2 * q.d + amp + 1e-9
 
@@ -168,7 +169,7 @@ def test_eigenvalues_sorted_and_bounded(rng):
 def test_dimer_fiber_at_zero_phase():
     q = period((2, 2))
     V = build_dimer(q, 1.0)
-    vals = eigenvalues_sorted_desc(assemble(q, V, phase(q, (0.0, 0.0)))).values
+    vals = eigenvalues_sorted_desc(q, V, phase(q, (0.0, 0.0)))
     s = math.sqrt(17.0)
     np.testing.assert_allclose(vals, [s, 1.0, -1.0, -s], atol=1e-12)
 
@@ -177,7 +178,7 @@ def test_all_levels_vanish_at_quarter_phase():
     # with q = (2, 2) every full-circle coordinate at theta = 1/4 has zero
     # cosine, so the whole fiber spectrum collapses to zero
     q = period((2, 2))
-    vals = eigenvalues_sorted_desc(assemble(q, zero_potential(q), (0.25, 0.25))).values
+    vals = eigenvalues_sorted_desc(q, zero_potential(q), (0.25, 0.25))
     np.testing.assert_allclose(vals, np.zeros(4), atol=1e-12)
 
 
@@ -187,23 +188,49 @@ def test_weyl_shift_under_potential(rng):
         q = period(random_periods(rng))
         V = random_potential(q, float(rng.uniform(0.1, 1.5)), seed=int(rng.integers(1 << 30)))
         th = phase(q, tuple(float(x) for x in rng.uniform(0, 1, size=q.d)))
-        free = eigenvalues_sorted_desc(assemble(q, zero_potential(q), th)).values
-        pert = eigenvalues_sorted_desc(assemble(q, V, th)).values
+        free = eigenvalues_sorted_desc(q, zero_potential(q), th)
+        pert = eigenvalues_sorted_desc(q, V, th)
         assert np.max(np.abs(free - pert)) <= V.sup_norm + 1e-9
 
 
 def test_band_functions_lipschitz_sampled(rng):
-    # |E_k(theta) - E_k(theta')| <= sum_i 4 pi q_i |theta_i - theta'_i|
+    # |E_k(theta) - E_k(theta')| <= sum_i 4 pi |theta_i - theta'_i|
     q = period((2, 3))
     V = random_potential(q, 0.5, seed=7)
     for _ in range(200):
         a = tuple(float(x) for x in rng.uniform(0, 1, size=2))
         step = rng.uniform(-0.02, 0.02, size=2)
         b = tuple(float(x) for x in np.asarray(a) + step)
-        va = eigenvalues_sorted_desc(assemble(q, V, phase(q, a))).values
-        vb = eigenvalues_sorted_desc(assemble(q, V, phase(q, b))).values
-        bound = sum(4.0 * math.pi * qi * abs(s) for qi, s in zip(q.q, step))
+        va = eigenvalues_sorted_desc(q, V, phase(q, a))
+        vb = eigenvalues_sorted_desc(q, V, phase(q, b))
+        bound = sum(4.0 * math.pi * abs(s) for s in step)
         assert np.max(np.abs(va - vb)) <= bound + 1e-9
+
+
+def test_gauge_lipschitz_bound_holds_on_random_cells():
+    # per axis, no finite difference of a band function exceeds 4 pi |dtheta_i|,
+    # for any potential and any period, q_i = 1 included
+    rng = np.random.default_rng(1707)
+    worst = 0.0
+    for trial in range(300):
+        d = int(rng.integers(2, 4))
+        q_tuple = tuple(int(rng.integers(1, 7)) for _ in range(d))
+        if trial % 10 == 0:
+            q_tuple = (1,) + q_tuple[1:]
+        while math.prod(q_tuple) > 36:
+            q_tuple = q_tuple[:-1]
+        q = period(q_tuple)
+        V = random_potential(q, float(rng.uniform(0.0, 3.0)), seed=int(rng.integers(1 << 30)))
+        axis = int(rng.integers(q.d))
+        a = rng.uniform(0, 1, size=q.d) / np.array(q_tuple)
+        step = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-4, -1))
+        b = a.copy()
+        b[axis] += step
+        va, vb = eigenvalues_sorted_desc(q, V, np.stack([a, b]))
+        diff = float(np.max(np.abs(va - vb)))
+        assert diff <= 4.0 * math.pi * abs(step) + 1e-9
+        worst = max(worst, diff / (4.0 * math.pi * abs(step)))
+    assert worst > 0.9  # the draws come close to the bound (0.9992), so it is tested
 
 
 def test_potential_validation():
@@ -257,7 +284,7 @@ def test_eigensolver_failure_names_the_failing_phase(monkeypatch):
     q = period((2, 3))
     V = random_potential(q, 0.5, seed=2)
     thetas = np.array([[0.0, 0.0], [0.125, 0.0625], [0.25, 0.125]])
-    bad = assemble(q, V, thetas[1]).matrix
+    bad = assemble(q, V, thetas[1])
     solve = np.linalg.eigvalsh
 
     def eigvalsh(a, *args, **kwargs):
@@ -267,9 +294,11 @@ def test_eigensolver_failure_names_the_failing_phase(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     with pytest.raises(ComputationError, match=r"theta=\[0\.125, 0\.0625\]"):
-        eigenvalues_sorted_desc(assemble(q, V, thetas))
+        eigenvalues_sorted_desc(q, V, thetas)
     with pytest.raises(ComputationError, match=r"theta=\[0\.125, 0\.0625\]"):
-        eigenvalues_sorted_desc(assemble(q, V, thetas[1]))
+        eigenvalues_sorted_desc(q, V, thetas[1])
+    with pytest.raises(ComputationError, match=r"theta=\[0\.125, 0\.0625\]"):
+        eigenvalues_sorted_desc(q, V, phase(q, thetas[1]))
 
 
 def test_potential_json_roundtrip(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from latticebands import (
     DomainError,
     GridSpec,
-    assemble,
     certified_edges,
     construct_theta_for_energy,
     eigenvalues_sorted_desc,
@@ -47,7 +46,7 @@ def test_free_levels_match_fiber_spectrum(rng):
         from latticebands import enumerate_lambda
 
         levels = sorted((free_level(q, th, m) for m in enumerate_lambda(q)), reverse=True)
-        vals = eigenvalues_sorted_desc(assemble(q, zero_potential(q), th)).values
+        vals = eigenvalues_sorted_desc(q, zero_potential(q), th)
         np.testing.assert_allclose(vals, levels, atol=1e-9)
 
 
