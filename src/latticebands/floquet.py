@@ -23,7 +23,6 @@ from .lattice import (
     enumerate_lambda,
     period,
     site_from_linear,
-    theta_values,
 )
 
 __all__ = [
@@ -52,6 +51,17 @@ class Potential:
 
     def value_at(self, linear: int) -> float:
         return float(self.values[linear])
+
+    @functools.cached_property
+    def _cell(self) -> tuple[PeriodVector, Potential, np.ndarray]:
+        """The minimal period cell p = minimal_period(self), the potential
+        restricted to it, and the (K, d) offsets l/q with 0 <= l_i < q_i/p_i,
+        K = Q/P, in row-major order."""
+        p = period(minimal_period(self))
+        values = self.values.reshape(self.q.q)[tuple(slice(pi) for pi in p.q)]
+        folds = enumerate_lambda(period(qi // pi for qi, pi in zip(self.q.q, p.q)))
+        shifts = np.array([l.l for l in folds]) / np.array(self.q.q)
+        return p, potential(p, values), shifts
 
 
 def potential(q: PeriodVector, values: Sequence[float]) -> Potential:
@@ -164,16 +174,67 @@ def _fiber_stack(q: PeriodVector, V: Potential, thetas: np.ndarray) -> np.ndarra
 
 def _eigenvalues_desc(M: np.ndarray, theta) -> np.ndarray:
     """Eigenvalues of a matrix or stack, non-increasing along the last axis; an
-    eigensolver failure names the phase of the first matrix that fails alone."""
+    eigensolver failure names the phase of the first matrix that fails alone.
+
+    For a stack, theta holds one phase per run of len(M) // len(theta)
+    consecutive matrices."""
     try:
         return np.linalg.eigvalsh(M)[..., ::-1]
     except np.linalg.LinAlgError as exc:
         if M.ndim == 3:
-            for Mj, tj in zip(M, theta):
+            for Mj, tj in zip(M, np.repeat(theta, len(M) // len(theta), axis=0)):
                 _eigenvalues_desc(Mj, tj)
         raise ComputationError(
             f"eigensolver failed at theta={np.asarray(theta).tolist()}: {exc}"
         ) from exc
+
+
+def _fiber_eigenvalues(q: PeriodVector, V: Potential, thetas: np.ndarray, build=_fiber_stack) -> np.ndarray:
+    """Descending fiber eigenvalues at the rows of the (n, d) phase array, (n, Q).
+
+    Solved on the minimal period cell p of V (Floquet-Bloch folding):
+
+        spec H_q(theta) = union over l of spec H_p(theta + l/q),
+        0 <= l_i < q_i / p_i,
+
+    so the n fibers of size Q become n K fibers of size P = Q/K, whose
+    values are merged per phase.  When p = q the stack is solved as it is.
+    build(p, V_p, kappa) makes the fiber stack.  The public
+    eigenvalues_sorted_desc passes the public assemble, so a wrapper of
+    assemble sees every stack it solves; the threaded sweep keeps the
+    private builder and calls no public name from a worker thread.
+    """
+    p, Vp, shifts = V._cell
+    if len(shifts) == 1:
+        return _eigenvalues_desc(build(q, V, thetas), thetas)
+    kappa = (thetas[:, None, :] + shifts).reshape(-1, q.d)
+    vals = _eigenvalues_desc(build(p, Vp, kappa), thetas).reshape(len(thetas), q.Q)
+    return np.sort(vals, axis=1)[:, ::-1]
+
+
+def _checked_phases(q: PeriodVector, V: Potential, theta) -> tuple[np.ndarray, bool]:
+    """A phase argument as an (n, d) array of finite coordinates, and whether
+    it was a single phase (a Phase or a d-vector) rather than a stack; V must
+    match q."""
+    if V.q != q:
+        raise DomainError(f"potential periods {V.q.q} do not match {q.q}")
+    if isinstance(theta, Phase):
+        theta = theta.theta
+    try:
+        th = np.asarray(theta, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"phase must be a d-vector or an (n, d) stack of them: {exc}") from None
+    single = th.ndim == 1
+    if single:
+        th = th[None, :]
+    if th.ndim != 2:
+        raise DomainError(f"phase must be a d-vector or an (n, d) stack of them, got shape {th.shape}")
+    if th.shape[1] != q.d:
+        raise DomainError(f"phase has {th.shape[1]} coordinates, expected {q.d}")
+    bad = ~np.isfinite(th).all(axis=1)
+    if bad.any():
+        raise DomainError(f"phase coordinates must be finite, got {th[bad][0].tolist()}")
+    return th, single
 
 
 def assemble(q: PeriodVector, V: Potential, theta: Phase | Sequence[float] | np.ndarray) -> np.ndarray:
@@ -185,26 +246,27 @@ def assemble(q: PeriodVector, V: Potential, theta: Phase | Sequence[float] | np.
         Componentwise periods.
     V : Potential
         On-site potential over the cell; must match q.
-    theta : Phase, sequence of float, or (n, d) array
-        Reduced phase, coordinate i taken modulo 1/q_i; an (n, d) array
-        gives n phases, one per row.
+    theta : Phase, sequence of float, or (n, d) array-like
+        Reduced phase, coordinate i taken modulo 1/q_i; an (n, d) array or
+        a nested list of n d-vectors gives n phases, one per row.
 
     Returns
     -------
     np.ndarray
         The (Q, Q) matrix with interior bonds of weight 1, wrap bonds
         carrying the phase exp(2 pi i q_i theta_i), and V on the diagonal,
-        or the (n, Q, Q) stack for an (n, d) array.  Hermiticity is exact
-        by construction.
+        or the (n, Q, Q) stack for n phases.  Hermiticity is exact by
+        construction.
+
+    Raises
+    ------
+    DomainError
+        If V does not match q, or a phase has the wrong number of
+        coordinates or a non-finite one.
     """
-    if V.q != q:
-        raise DomainError(f"potential periods {V.q.q} do not match {q.q}")
-    stack = isinstance(theta, np.ndarray) and theta.ndim == 2
-    th = np.asarray(theta, dtype=float) if stack else np.array([theta_values(theta)])
-    if th.shape[1] != q.d:
-        raise DomainError(f"phase has {th.shape[1]} coordinates, expected {q.d}")
+    th, single = _checked_phases(q, V, theta)
     M = _fiber_stack(q, V, th)
-    return M if stack else M[0]
+    return M[0] if single else M
 
 
 def eigenvalues_sorted_desc(
@@ -212,18 +274,25 @@ def eigenvalues_sorted_desc(
 ) -> np.ndarray:
     """Fiber eigenvalues at one phase, sorted non-increasing, as a read-only array.
 
-    An (n, d) phase array gives an (n, Q) array, one row per phase.
+    n phases (an (n, d) array or nested list) give an (n, Q) array, one row
+    per phase.  The fibers are solved on the minimal period cell of V and
+    merged (see _fiber_eigenvalues), so for a V with a smaller period than
+    q (the zero potential has period 1 in every direction) the values agree
+    with eigvalsh(assemble(q, V, theta)) to rounding, not bit for bit; when
+    the minimal period is q they are that solve exactly.
 
     Raises
     ------
+    DomainError
+        On the same inputs as assemble.
     ComputationError
         If the dense Hermitian eigensolver fails to converge; the message
-        carries the offending phase.
+        carries the offending phase theta.
     """
-    M = assemble(q, V, theta)
-    out = _eigenvalues_desc(M, theta if M.ndim == 3 else theta_values(theta)).copy()
+    th, single = _checked_phases(q, V, theta)
+    out = _fiber_eigenvalues(q, V, th, assemble).copy()
     out.flags.writeable = False
-    return out
+    return out[0] if single else out
 
 
 def _divisors(n: int) -> list[int]:

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from latticebands import bandedges
+from latticebands import bandedges, floquet
 from latticebands import (
     ComputationError,
     ConfigurationError,
@@ -171,10 +171,21 @@ def sequential_refinement(q, V, grid):
     return table, out
 
 
-@pytest.mark.parametrize("q_tuple,m", [((2, 3), (11, 13)), ((1, 4), (7, 9)), ((2, 2, 3), (5, 5, 7))])
-def test_batched_refinement_matches_sequential_reference(q_tuple, m):
+@pytest.mark.parametrize(
+    "q_tuple,m,free",
+    [
+        ((2, 3), (11, 13), False),
+        ((1, 4), (7, 9), False),
+        ((2, 2, 3), (5, 5, 7), False),
+        ((2, 3), (11, 13), True),
+        ((2, 2, 3), (5, 5, 7), True),
+    ],
+    ids=["q_tuple0-m0", "q_tuple1-m1", "q_tuple2-m2", "free-2,3", "free-2,2,3"],
+)
+def test_batched_refinement_matches_sequential_reference(q_tuple, m, free):
     q = period(q_tuple)
-    V = random_potential(q, 0.7, seed=sum(q_tuple))
+    # V = 0 solves 1 x 1 fibers on the minimal cell
+    V = zero_potential(q) if free else random_potential(q, 0.7, seed=sum(q_tuple))
     grid = GridSpec(m)
     sampled, ref = sequential_refinement(q, V, grid)
     table = certified_edges(q, V, grid)
@@ -246,10 +257,14 @@ def _sweep_results(q, V, grid, workers):
     ] + [(value, theta)]
 
 
-@pytest.mark.parametrize("chunk", [32, 100, 4096])  # 100 does not divide the 4608 nodes
-def test_sweep_results_do_not_depend_on_chunk_size(monkeypatch, chunk):
+@pytest.mark.parametrize(  # 100 does not divide the 4608 nodes
+    "chunk,free",
+    [(32, False), (100, False), (4096, False), (32, True), (100, True)],
+    ids=["32", "100", "4096", "free-32", "free-100"],
+)
+def test_sweep_results_do_not_depend_on_chunk_size(monkeypatch, chunk, free):
     q = period((2, 3))
-    V = random_potential(q, 0.4, seed=13)
+    V = zero_potential(q) if free else random_potential(q, 0.4, seed=13)
     grid = GridSpec((64, 72), refine_rounds=2)
     expected = _sweep_results(q, V, grid, workers=1)
     expected_rows = list(iter_band_rows(q, V, grid))
@@ -411,3 +426,63 @@ def test_min_abs_eigenvalue_with_gap():
     # the staggered spectrum stays exactly delta away from zero
     assert value >= delta - 1e-12
     assert value == pytest.approx(delta, abs=2e-2)
+
+
+@pytest.mark.parametrize("free", [True, False], ids=["free", "random"])
+def test_refinement_solves_each_distinct_probe_once(monkeypatch, free):
+    q = period((3, 3))
+    V = zero_potential(q) if free else random_potential(q, 0.5, seed=21)
+    grid = GridSpec((16, 16), refine_rounds=4)
+    expected = certified_edges(q, V, grid)
+    calls = []
+    solved = []
+    public = floquet.eigenvalues_sorted_desc
+    kernel = floquet._fiber_eigenvalues
+
+    def spy_public(q_, V_, theta):
+        calls.append(np.array(theta))
+        return public(q_, V_, theta)
+
+    def spy_kernel(q_, V_, thetas, *args):
+        if calls:
+            solved.append(len(thetas))
+        return kernel(q_, V_, thetas, *args)
+
+    monkeypatch.setattr(floquet, "eigenvalues_sorted_desc", spy_public)
+    monkeypatch.setattr(floquet, "_fiber_eigenvalues", spy_kernel)
+    table = certified_edges(q, V, grid)
+    # one solve per (round, axis, sign), each of distinct phases only
+    assert len(calls) == len(solved) == grid.refine_rounds * q.d * 2
+    for theta, rows in zip(calls, solved):
+        assert rows == len(np.unique(theta, axis=0)) <= 2 * q.Q
+    assert sum(solved) < 2 * q.Q * len(solved)
+    assert table.min_values.tobytes() == expected.min_values.tobytes()
+    assert table.max_values.tobytes() == expected.max_values.tobytes()
+    assert (table.argmin, table.argmax) == (expected.argmin, expected.argmax)
+
+
+POTENTIALS = {
+    "zero": zero_potential,
+    "dimer": lambda q: build_dimer(q, 0.2),
+    "random": lambda q: random_potential(q, 0.3, seed=1),
+}
+
+
+@pytest.mark.parametrize("q_tuple,kind", [
+    ((2, 3), "zero"), ((6, 6), "zero"), ((4, 4), "dimer"), ((3, 3, 2), "zero"), ((4, 4), "random"),
+])
+def test_minimal_cell_sweep_stack_is_at_most_4_mib(monkeypatch, q_tuple, kind):
+    # a chunk of n nodes solves n K fibers of size P = Q/K, and K P^2 <= Q^2
+    q = period(q_tuple)
+    V = POTENTIALS[kind](q)
+    grid = GridSpec((48,) * q.d if q.d == 2 else (16,) * q.d)
+    sizes = []
+    solve = np.linalg.eigvalsh
+
+    def eigvalsh(a, *args, **kwargs):
+        sizes.append(a.nbytes)
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    sample_bands(q, V, grid)
+    assert sizes and max(sizes) <= min(bandedges._chunk_size(q.Q) * q.Q * q.Q * 16, 4 << 20)

@@ -22,7 +22,8 @@ from latticebands import (
     zero_potential,
 )
 
-from latticebands.floquet import _fiber_stack
+from latticebands.lattice import Phase
+from latticebands.floquet import _eigenvalues_desc, _fiber_eigenvalues, _fiber_stack
 
 from conftest import ref_fiber, ref_levels, random_periods
 
@@ -327,3 +328,105 @@ def test_minimal_period_examples():
     q24 = period((2, 4))
     V = build_vq(CounterexampleSpec(q24, 0.1))
     assert minimal_period(V) == (2, 4)
+
+
+def _potential_cases():
+    q = period((2, 3))
+    return [("free", q, zero_potential(q)), ("random", q, random_potential(q, 0.5, seed=4))]
+
+
+@pytest.mark.parametrize("name,q,V", _potential_cases(), ids=["free", "random"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_phase_raises_domain_error(name, q, V, bad):
+    stack = np.array([[0.0, 0.0], [0.1, bad], [0.2, 0.1]])
+    for theta in ((0.1, bad), Phase((bad, 0.0)), stack, stack.tolist()):
+        with pytest.raises(DomainError, match="finite"):
+            assemble(q, V, theta)
+        with pytest.raises(DomainError, match="finite"):
+            eigenvalues_sorted_desc(q, V, theta)
+
+
+@pytest.mark.parametrize("name,q,V", _potential_cases(), ids=["free", "random"])
+def test_nested_list_of_phases_is_a_stack(name, q, V):
+    rows = [[0.0, 0.0], [0.1, 0.05], [0.3, 0.2]]
+    arr = np.array(rows)
+    assert assemble(q, V, rows).tobytes() == assemble(q, V, arr).tobytes()
+    vals = eigenvalues_sorted_desc(q, V, rows)
+    assert vals.shape == (3, 6) and not vals.flags.writeable
+    assert vals.tobytes() == eigenvalues_sorted_desc(q, V, arr).tobytes()
+    assert vals[1].tobytes() == eigenvalues_sorted_desc(q, V, rows[1]).tobytes()
+    for bad in ([[0.0, 0.0], [0.1]], [[[0.0, 0.0]]], "0.1,0.2", [[0.0, 0.0, 0.0]]):
+        with pytest.raises(DomainError, match="phase"):
+            assemble(q, V, bad)
+        with pytest.raises(DomainError, match="phase"):
+            eigenvalues_sorted_desc(q, V, bad)
+
+
+def _sub_periodic_case(rng):
+    """q with q_i in 1..6 (Q <= 48), p | q, and a p-periodic V: zero every
+    fifth draw, otherwise random on the p-cell and tiled over q."""
+    while True:
+        q_tuple = tuple(int(x) for x in rng.integers(1, 7, size=int(rng.integers(2, 4))))
+        if np.prod(q_tuple) <= 48:
+            break
+    p_tuple = tuple(int(rng.choice([k for k in range(1, qi + 1) if qi % k == 0])) for qi in q_tuple)
+    cell = rng.uniform(-2.0, 2.0, size=p_tuple)
+    values = np.tile(cell, [qi // pi for qi, pi in zip(q_tuple, p_tuple)])
+    return period(q_tuple), p_tuple, values
+
+
+def test_minimal_cell_solve_matches_full_cell_solve(rng):
+    # Floquet-Bloch folding: spec H_q(theta) is the union over l of
+    # spec H_p(theta + l/q); the minimal-cell solve must agree with the
+    # dense Q x Q solve to rounding for every p | q, V = 0 and p = q included
+    kinds = {"zero": 0, "sub": 0, "full": 0}
+    for case in range(200):
+        q, p_tuple, values = _sub_periodic_case(rng)
+        if case % 5 == 0:
+            values = np.zeros(q.Q)
+        elif case % 5 == 1:
+            p_tuple = q.q
+            values = rng.uniform(-2.0, 2.0, size=q.Q)
+        V = potential(q, values.reshape(-1))
+        assert all(pi % mi == 0 for pi, mi in zip(p_tuple, minimal_period(V)))
+        kinds["zero" if case % 5 == 0 else "full" if minimal_period(V) == q.q else "sub"] += 1
+        thetas = rng.uniform(0, 1, size=(5, q.d)) / np.array(q.q)
+        got = eigenvalues_sorted_desc(q, V, thetas)
+        want = np.linalg.eigvalsh(assemble(q, V, thetas))[:, ::-1]
+        assert got.shape == (5, q.Q)
+        assert np.all(np.diff(got, axis=1) <= 0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert min(kinds.values()) >= 20, kinds
+
+
+@pytest.mark.parametrize("q_tuple", [(2, 3), (2, 2, 3)])
+def test_full_period_solve_is_the_plain_stack_solve(rng, q_tuple):
+    q = period(q_tuple)
+    V = random_potential(q, 0.6, seed=7)
+    assert minimal_period(V) == q_tuple
+    thetas = rng.uniform(0, 1, size=(30, q.d)) / np.array(q_tuple)
+    want = _eigenvalues_desc(_fiber_stack(q, V, thetas), thetas)
+    assert _fiber_eigenvalues(q, V, thetas).tobytes() == want.tobytes()
+    assert eigenvalues_sorted_desc(q, V, thetas).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_eigensolver_failure_on_the_minimal_cell_names_theta(monkeypatch):
+    # free (2, 3): every fiber splits into six 1 x 1 fibers at
+    # kappa = theta + l/q; the failing one belongs to theta row 1
+    q = period((2, 3))
+    V = zero_potential(q)
+    thetas = np.array([[0.0, 0.0], [0.125, 0.0625], [0.25, 0.125]])
+    kappa = thetas[1] + np.array([1 / 2, 2 / 3])
+    p, Vp, _ = V._cell
+    bad = _fiber_stack(p, Vp, kappa[None, :])[0]
+    solve = np.linalg.eigvalsh
+
+    def eigvalsh(a, *args, **kwargs):
+        if a.ndim == 3 or np.array_equal(a, bad):
+            raise np.linalg.LinAlgError("no convergence")
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    for theta in (thetas, thetas[1], phase(q, thetas[1])):
+        with pytest.raises(ComputationError, match=r"theta=\[0\.125, 0\.0625\]"):
+            eigenvalues_sorted_desc(q, V, theta)
