@@ -198,15 +198,15 @@ def _fiber_eigenvalues(q: PeriodVector, V: Potential, thetas: np.ndarray, build=
         0 <= l_i < q_i / p_i,
 
     so the n fibers of size Q become n K fibers of size P = Q/K, whose
-    values are merged per phase.  When p = q the stack is solved as it is.
+    values are merged per phase.  When p = q (K = 1), kappa = theta + 0 and the
+    merge only re-sorts rows the eigensolver returned sorted, so the values
+    equal those of the plain stack solve.
     build(p, V_p, kappa) makes the fiber stack.  The public
     eigenvalues_sorted_desc passes the public assemble, so a wrapper of
     assemble sees every stack it solves; the threaded sweep keeps the
     private builder and calls no public name from a worker thread.
     """
     p, Vp, shifts = V._cell
-    if len(shifts) == 1:
-        return _eigenvalues_desc(build(q, V, thetas), thetas)
     kappa = (thetas[:, None, :] + shifts).reshape(-1, q.d)
     vals = _eigenvalues_desc(build(p, Vp, kappa), thetas).reshape(len(thetas), q.Q)
     return np.sort(vals, axis=1)[:, ::-1]
