@@ -176,6 +176,11 @@ def lipschitz_constant(q: PeriodVector, axis: int) -> float:
     cyclic shift, and the potential carries no phase.  So
     ||dH/dtheta_i|| <= 4 pi, and by Weyl's inequality every sorted
     eigenvalue moves by at most 4 pi |dtheta_i|.
+
+    For a real V, H(-theta) = conj H(theta), so every band function is also
+    even in theta.  The sweeps solve one node of each mirror pair; its
+    values are attained at both nodes and the mirrored grid is the grid
+    itself, so the slack from this bound covers the whole torus.
     """
     if not 0 <= axis < q.d:
         raise DomainError(f"axis {axis} out of range for d={q.d}")
@@ -207,12 +212,37 @@ def _chunk_size(Q: int) -> int:
     return max(32, min(4096, (1 << 18) // (Q * Q)))
 
 
-def _chunk_values(q: PeriodVector, V: Potential, grid: GridSpec, start: int, stop: int):
-    """Eigenvalues (descending) for grid nodes [start, stop), row-major order."""
+def _mirror(nodes: np.ndarray, m: tuple[int, ...]) -> np.ndarray:
+    """Row-major index of each node's time-reversed node, j_i -> -j_i mod m_i.
+
+    Node j sits at theta_i = j_i/(q_i m_i), and its mirror at -theta_i
+    modulo 1/q_i, where the fiber matrix is the same as at -theta.
+    """
+    coords = np.unravel_index(nodes, m)
+    return np.ravel_multi_index(tuple(-c % mi for c, mi in zip(coords, m)), m)
+
+
+def _representatives(m: tuple[int, ...]) -> np.ndarray:
+    """Grid nodes j with j <= mirror(j), ascending: one per time-reversal pair,
+    (N + F)/2 of the N nodes, F = prod(2 if m_i is even else 1) fixed points."""
+    nodes = np.arange(math.prod(m))
+    return nodes[nodes <= _mirror(nodes, m)]
+
+
+def _chunk_values(q: PeriodVector, V: Potential, grid: GridSpec, nodes: np.ndarray):
+    """Phases of the given grid nodes and their descending eigenvalues.
+
+    Each node is solved at its representative min(j, mirror(j)): for real V,
+    H(-theta) = conj H(theta) has the same spectrum, so a node and its
+    mirror share the same eigenvalues, bit for bit."""
     steps = grid.steps(q)
-    coords = np.unravel_index(np.arange(start, stop), grid.m)
-    thetas = np.stack([coords[i] * steps[i] for i in range(q.d)], axis=1)
-    return thetas, floquet._fiber_eigenvalues(q, V, thetas)
+
+    def phases(idx):
+        coords = np.unravel_index(idx, grid.m)
+        return np.stack([coords[i] * steps[i] for i in range(q.d)], axis=1)
+
+    reps = np.minimum(nodes, _mirror(nodes, grid.m))
+    return phases(nodes), floquet._fiber_eigenvalues(q, V, phases(reps))
 
 
 def check_workers(workers: int) -> None:
@@ -221,28 +251,29 @@ def check_workers(workers: int) -> None:
         raise ConfigurationError(f"workers must be at least 1, got {workers}")
 
 
-def _iter_chunks(q: PeriodVector, V: Potential, grid: GridSpec, workers: int):
+def _iter_chunks(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, nodes: np.ndarray):
+    """Yield (chunk nodes, (phases, eigenvalues)) for the given ascending
+    grid nodes, in order."""
     check_workers(workers)
     # Resolve V's minimal cell (cached on V) before the first chunk: worker
     # threads then only read it, and its small arrays are not allocated
     # between chunk stacks, which raised peak RSS by about 2 MB on a
     # sweep of 36-site cells.
     V._cell
-    N = grid.n_nodes
     cs = _chunk_size(q.Q)
-    ranges = [(s, min(s + cs, N)) for s in range(0, N, cs)]
+    chunks = [nodes[s:s + cs] for s in range(0, len(nodes), cs)]
     if workers > 1:
         ex = ThreadPoolExecutor(max_workers=workers)
         try:
-            futures = [ex.submit(_chunk_values, q, V, grid, a, b) for a, b in ranges]
-            for (a, b), fut in zip(ranges, futures):
-                yield a, fut.result()
+            futures = [ex.submit(_chunk_values, q, V, grid, c) for c in chunks]
+            for c, fut in zip(chunks, futures):
+                yield c, fut.result()
         finally:
             # On an error or an early close, drop the chunks not yet started.
             ex.shutdown(cancel_futures=True)
     else:
-        for a, b in ranges:
-            yield a, _chunk_values(q, V, grid, a, b)
+        for c in chunks:
+            yield c, _chunk_values(q, V, grid, c)
 
 
 def _node_phase(q: PeriodVector, grid: GridSpec, node: int) -> Phase:
@@ -259,7 +290,12 @@ def sample_bands(q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1
     q, V : periods and potential (V must match q).
     grid : GridSpec
         Node j of direction i sits at j/(q_i m_i), so the nodes tile the
-        reduced torus with spacing h_i = 1/(q_i m_i).
+        reduced torus with spacing h_i = 1/(q_i m_i).  For a real V (every
+        Potential is real) H(-theta) = conj H(theta), so every band
+        function is even in theta: only the (N + F)/2 representatives
+        j <= mirror(j) are solved (mirror(j)_i = -j_i mod m_i, F the
+        number of self-mirrored nodes), and each value is attained at both
+        nodes of its pair.
     workers : int
         Worker threads for the sweep.  The reduction orders ties by the
         row-major node index, so the result is independent of scheduling.
@@ -267,7 +303,8 @@ def sample_bands(q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1
     Returns
     -------
     BandTable
-        Extrema, their phases (lexicographically smallest on ties), and the
+        Extrema, their phases (lexicographically smallest on ties; the
+        smallest node attaining a value is a representative), and the
         Lipschitz slack for this grid.
     """
     if V.q != q:
@@ -279,17 +316,17 @@ def sample_bands(q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1
     min_idx = np.zeros(Q, dtype=int)
     max_idx = np.zeros(Q, dtype=int)
     cols = np.arange(Q)
-    for start, (_, vals) in _iter_chunks(q, V, grid, workers):
+    for nodes, (_, vals) in _iter_chunks(q, V, grid, workers, _representatives(grid.m)):
         loc = vals.argmin(axis=0)
         cand = vals[loc, cols]
         better = cand < min_vals
         min_vals[better] = cand[better]
-        min_idx[better] = start + loc[better]
+        min_idx[better] = nodes[loc[better]]
         loc = vals.argmax(axis=0)
         cand = vals[loc, cols]
         better = cand > max_vals
         max_vals[better] = cand[better]
-        max_idx[better] = start + loc[better]
+        max_idx[better] = nodes[loc[better]]
     slack = certified_slack(q, grid)
     min_vals.flags.writeable = False
     max_vals.flags.writeable = False
@@ -355,8 +392,11 @@ def certified_edges(q: PeriodVector, V: Potential, grid: GridSpec, workers: int 
 
 
 def iter_band_rows(q: PeriodVector, V: Potential, grid: GridSpec) -> Iterator[tuple[tuple[float, ...], np.ndarray]]:
-    """Yield (theta, descending eigenvalues) per grid node in row-major order."""
-    for _, (thetas, vals) in _iter_chunks(q, V, grid, workers=1):
+    """Yield (theta, descending eigenvalues) per grid node in row-major order.
+
+    Every node is yielded, solved at its time-reversal representative (see
+    sample_bands), so the rows at j and mirror(j) hold the same bits."""
+    for _, (thetas, vals) in _iter_chunks(q, V, grid, 1, np.arange(grid.n_nodes)):
         for theta, row in zip(thetas.tolist(), vals):
             yield tuple(theta), row
 
@@ -475,15 +515,16 @@ def estimate_cq(
 def min_abs_eigenvalue(
     q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1
 ) -> tuple[float, Phase]:
-    """Smallest |eigenvalue| over the grid with the phase attaining it."""
+    """Smallest |eigenvalue| over the grid with the first node attaining it;
+    only the time-reversal representatives are solved (see sample_bands)."""
     if V.q != q:
         raise DomainError(f"potential periods {V.q.q} do not match {q.q}")
     best = math.inf
     best_idx = 0
-    for start, (_, vals) in _iter_chunks(q, V, grid, workers):
+    for nodes, (_, vals) in _iter_chunks(q, V, grid, workers, _representatives(grid.m)):
         a = np.abs(vals).min(axis=1)
         j = int(a.argmin())
         if a[j] < best:
             best = float(a[j])
-            best_idx = start + j
+            best_idx = int(nodes[j])
     return best, _node_phase(q, grid, best_idx)

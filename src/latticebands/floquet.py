@@ -11,12 +11,13 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ComputationError, DomainError
+from .errors import ComputationError, ConfigurationError, DomainError
 from .lattice import (
     PeriodVector,
     Phase,
@@ -82,9 +83,13 @@ def zero_potential(q: PeriodVector) -> Potential:
 
 
 def random_potential(q: PeriodVector, amplitude: float, seed: int) -> Potential:
-    """Uniform random potential rescaled to sup norm exactly `amplitude`."""
+    """Uniform random potential rescaled to sup norm exactly `amplitude`.
+
+    The seed must be a nonnegative integer."""
     if not (math.isfinite(amplitude) and amplitude >= 0):
         raise DomainError(f"amplitude must be finite and nonnegative, got {amplitude}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     vals = rng.uniform(-1.0, 1.0, q.Q)
     peak = np.max(np.abs(vals))
@@ -99,8 +104,15 @@ def parse_potential(payload: dict) -> Potential:
     """Build a potential from the JSON payload {"q": [...], "values": [...]}."""
     if not isinstance(payload, dict) or "q" not in payload or "values" not in payload:
         raise DomainError('potential payload must be an object with "q" and "values"')
-    q = period(payload["q"])
-    values = payload["values"]
+    q, values = payload["q"], payload["values"]
+    if not isinstance(q, (list, tuple)):
+        raise DomainError(f'potential "q" must be a list of periods, got {q!r}')
+    q = period(q)
+    if not isinstance(values, (list, tuple)):
+        raise DomainError(f'potential "values" must be a list of {q.Q} numbers, got {values!r}')
+    bad = [v for v in values if isinstance(v, bool) or not isinstance(v, numbers.Real)]
+    if bad:
+        raise DomainError(f'potential "values" must be numbers, got {bad[0]!r}')
     if len(values) != q.Q:
         raise DomainError(
             f"potential file has {len(values)} values, expected Q={q.Q} for periods {q.q}"
@@ -109,8 +121,18 @@ def parse_potential(payload: dict) -> Potential:
 
 
 def load_potential(path: str) -> Potential:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_potential(json.load(fh))
+    """Read a potential file (see parse_potential).
+
+    Raises ConfigurationError if the file cannot be read and DomainError if
+    it is not JSON or not a valid potential."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read potential file {path!r}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise DomainError(f"potential file {path!r} is not valid JSON: {exc}") from None
+    return parse_potential(payload)
 
 
 @functools.lru_cache(maxsize=32)

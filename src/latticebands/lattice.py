@@ -41,8 +41,11 @@ class PeriodVector:
     q: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(int(x) for x in self.q)
-        if any(v != x for v, x in zip(vals, self.q)):
+        try:
+            vals = tuple(int(x) for x in self.q)
+        except (TypeError, ValueError):
+            vals = None
+        if vals is None or any(v != x for v, x in zip(vals, self.q)):
             raise DomainError(f"periods must be integers, got {self.q!r}")
         if len(vals) < 2:
             raise DomainError(f"need at least two lattice directions, got {vals!r}")

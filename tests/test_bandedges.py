@@ -8,11 +8,13 @@ from latticebands import bandedges, floquet
 from latticebands import (
     ComputationError,
     ConfigurationError,
+    CounterexampleSpec,
     DomainError,
     GridSpec,
     Interval,
     assemble_spectrum,
     build_dimer,
+    build_vq,
     certified_edges,
     certified_slack,
     default_grid,
@@ -277,26 +279,35 @@ def test_sweep_results_do_not_depend_on_chunk_size(monkeypatch, chunk, free):
 
 
 def test_threaded_sweep_cancels_pending_chunks_after_a_failure(monkeypatch):
-    # 128 chunks of 32 nodes; chunk 0 fails at once, every other chunk takes
-    # 5 ms, so a sweep that waited for the rest would solve about 127 chunks
+    # the 2050 time-reversal representatives of 64 x 64 make 65 chunks of 32
+    # nodes; the chunk holding node 0 fails at once, every other chunk takes
+    # 5 ms, so a sweep that waited for the rest would solve about 64 chunks
     q = period((2, 2))
     grid = GridSpec((64, 64))
     solved = []
     chunk_values = bandedges._chunk_values
 
-    def slow_chunk(q, V, grid, start, stop):
-        if start == 0:
+    def slow_chunk(q, V, grid, nodes):
+        if nodes[0] == 0:
             raise ComputationError("eigensolver failed at theta=[0.0, 0.0]")
         time.sleep(0.005)
-        out = chunk_values(q, V, grid, start, stop)
-        solved.append(start)
+        out = chunk_values(q, V, grid, nodes)
+        solved.append(int(nodes[0]))
         return out
 
     monkeypatch.setattr(bandedges, "_chunk_size", lambda Q: 32)
     monkeypatch.setattr(bandedges, "_chunk_values", slow_chunk)
-    assert grid.n_nodes // 32 >= 100
+    submitted = []
+    submit = bandedges.ThreadPoolExecutor.submit
+
+    def spy_submit(self, fn, *args):
+        submitted.append(args[-1])
+        return submit(self, fn, *args)
+
+    monkeypatch.setattr(bandedges.ThreadPoolExecutor, "submit", spy_submit)
     with pytest.raises(ComputationError):
         sample_bands(q, zero_potential(q), grid, workers=2)
+    assert len(submitted) >= 64 and submitted[0][0] == 0
     assert len(solved) < 10
 
 
@@ -486,3 +497,104 @@ def test_minimal_cell_sweep_stack_is_at_most_4_mib(monkeypatch, q_tuple, kind):
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     sample_bands(q, V, grid)
     assert sizes and max(sizes) <= min(bandedges._chunk_size(q.Q) * q.Q * q.Q * 16, 4 << 20)
+
+
+def test_mirror_pairs_every_grid_node():
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        d = int(rng.integers(1, 5))
+        m = tuple(int(x) for x in rng.integers(2, 10 if d < 4 else 6, size=d))
+        N = math.prod(m)
+        nodes = np.arange(N)
+        mirror = bandedges._mirror(nodes, m)
+        assert np.array_equal(bandedges._mirror(mirror, m), nodes)
+        assert np.array_equal(np.sort(mirror), nodes)  # onto the grid itself
+        reps = bandedges._representatives(m)
+        F = math.prod(2 if mi % 2 == 0 else 1 for mi in m)
+        assert len(reps) == (N + F) // 2
+        fixed = bandedges._mirror(reps, m) == reps
+        assert np.count_nonzero(fixed) == F
+        covered = np.concatenate([reps, bandedges._mirror(reps[~fixed], m)])
+        assert np.array_equal(np.sort(covered), nodes)
+
+
+def _full_grid_reference(q, V, grid):
+    """Every grid node solved at its own phase, row-major."""
+    coords = np.unravel_index(np.arange(grid.n_nodes), grid.m)
+    thetas = np.stack([c * h for c, h in zip(coords, grid.steps(q))], axis=1)
+    return thetas, eigenvalues_sorted_desc(q, V, thetas)
+
+
+def _random_case(rng, kind):
+    d = int(rng.integers(2, 4))
+    choices = [2, 4] if kind in ("dimer", "vq") else [1, 2, 3, 4]
+    q = period(tuple(int(x) for x in rng.choice(choices, size=d)))
+    while q.Q > 16:  # keeps the full-grid reference small
+        q = period(tuple(int(x) for x in rng.choice(choices, size=d)))
+    V = {
+        "free": zero_potential,
+        "dimer": lambda q: build_dimer(q, 0.2),
+        "vq": lambda q: build_vq(CounterexampleSpec(q, 0.15)),
+        "random": lambda q: random_potential(q, 0.5, seed=int(rng.integers(1 << 30))),
+    }[kind](q)
+    # odd and even sample counts, so some axes have no self-mirrored node
+    hi = 12 if d == 2 else 6
+    grid = GridSpec(tuple(int(x) for x in rng.integers(2, hi, size=d)), refine_rounds=0)
+    return q, V, grid
+
+
+@pytest.mark.parametrize("kind", ["free", "dimer", "vq", "random"])
+def test_half_grid_sweep_matches_full_grid_reference(kind):
+    rng = np.random.default_rng({"free": 1, "dimer": 2, "vq": 3, "random": 4}[kind])
+    for _ in range(12):
+        q, V, grid = _random_case(rng, kind)
+        thetas, ref = _full_grid_reference(q, V, grid)
+        table = sample_bands(q, V, grid)
+        np.testing.assert_allclose(table.min_values, ref.min(axis=0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(table.max_values, ref.max(axis=0), rtol=0, atol=1e-12)
+        value, theta = min_abs_eigenvalue(q, V, grid)
+        assert abs(value - np.abs(ref).min()) <= 1e-12
+        # every reported phase is the smallest row-major node whose swept
+        # value equals the reported one bit for bit
+        rows = np.array([vals for _, vals in iter_band_rows(q, V, grid)])
+        for k in range(q.Q):
+            for want, got in ((table.min_values[k], table.argmin[k]), (table.max_values[k], table.argmax[k])):
+                first = int(np.flatnonzero(rows[:, k] == want)[0])
+                assert tuple(thetas[first]) == got.theta
+        first = int(np.flatnonzero(np.abs(rows).min(axis=1) == value)[0])
+        assert tuple(thetas[first]) == theta.theta
+
+
+@pytest.mark.parametrize("m", [(64, 64), (7, 9), (6, 5, 4)], ids=["64x64", "7x9", "6x5x4"])
+def test_reducing_sweeps_solve_only_representatives(monkeypatch, m):
+    q = period((2, 2) if len(m) == 2 else (2, 2, 2))
+    V = random_potential(q, 0.3, seed=5)
+    grid = GridSpec(m, refine_rounds=0)
+    F = math.prod(2 if mi % 2 == 0 else 1 for mi in m)
+    solved = []
+    kernel = floquet._fiber_eigenvalues
+
+    def spy_kernel(q_, V_, thetas, *args):
+        solved.append(len(thetas))
+        return kernel(q_, V_, thetas, *args)
+
+    monkeypatch.setattr(floquet, "_fiber_eigenvalues", spy_kernel)
+    for workers in (1, 2):
+        for sweep in (sample_bands, min_abs_eigenvalue):
+            solved.clear()
+            sweep(q, V, grid, workers=workers)
+            assert sum(solved) == (grid.n_nodes + F) // 2
+    if m == (64, 64):
+        assert sum(solved) == 2050
+
+
+@pytest.mark.parametrize("m", [(16, 12), (9, 7)])
+def test_band_rows_at_mirrored_nodes_are_bit_identical(m):
+    q = period((2, 3))
+    V = random_potential(q, 0.4, seed=17)
+    grid = GridSpec(m)
+    rows = list(iter_band_rows(q, V, grid))
+    assert len(rows) == grid.n_nodes
+    mirror = bandedges._mirror(np.arange(grid.n_nodes), grid.m)
+    for j, mj in enumerate(mirror):
+        assert rows[j][1].tobytes() == rows[mj][1].tobytes()

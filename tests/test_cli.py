@@ -200,6 +200,29 @@ def test_nan_delta_for_random_potential_exits_2(capsys):
     assert rc == 2 and out == "" and "amplitude" in err
 
 
+def test_negative_seed_for_random_potential_exits_2(capsys):
+    rc, out, err = run(capsys, "spectrum", "--q", "2,2", "--grid", "8,8",
+                       "--potential", "random", "--delta", "0.1", "--seed", "-1")
+    assert rc == 2 and out == ""
+    assert err == "error: seed must be a nonnegative integer, got -1\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"q": [2, 2], "values": 5}', '"values" must be a list of 4 numbers'),
+    ('{"q": [2, 2], "values": ["a", 1, 2, 3]}', '"values" must be numbers'),
+    ('{"q": "2,2", "values": [1, 2, 3, 4]}', '"q" must be a list of periods'),
+    ("not json", "is not valid JSON"),
+    (None, "cannot read potential file"),
+], ids=["values-int", "values-str", "q-str", "not-json", "missing"])
+def test_malformed_potential_file_exits_2(capsys, tmp_path, text, message):
+    pot = tmp_path / "pot.json"
+    if text is not None:
+        pot.write_text(text)
+    rc, out, err = run(capsys, "spectrum", "--q", "2,2", "--grid", "8,8", "--potential", str(pot))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_non_finite_merge_tolerance_exits_2(capsys):
     for tol in ("nan", "inf"):
         rc, _, err = run(capsys, "spectrum", "--q", "2,2", "--grid", "8,8", "--merge-tol", tol)
@@ -238,6 +261,28 @@ def test_bands_csv_matches_per_value_formatter(tmp_path, capsys):
     for theta, vals in iter_band_rows(q, random_potential(q, 0.3, 11), GridSpec((16, 12))):
         lines.append(",".join(format(float(x), ".17g") for x in (*theta, *vals)))
     assert target.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("q_arg,grid_arg,extra", [
+    ("4,4", "16,16", ("--potential", "random", "--delta", "0.2", "--seed", "3")),
+    ("2,2", "8,8", ()),
+    ("2,3", "15,9", ()),
+    ("2,2", "12,11", ("--potential", "dimer", "--delta", "0.1")),
+])
+def test_bands_csv_values_lie_inside_the_certified_band_ranges(tmp_path, capsys, q_arg, grid_arg, extra):
+    # rows are solved at time-reversal representatives, the reduction visits
+    # only those, so every exported value lies inside the sampled band range
+    target = tmp_path / "bands.csv"
+    rc, out, _ = run(capsys, "bands", "--q", q_arg, "--grid", grid_arg, *extra,
+                     "--out", str(target), "--json")
+    assert rc == 0
+    bands = json.loads(out)["bands"]
+    body = target.read_text().splitlines()[1:]
+    d = len(q_arg.split(","))
+    values = np.array([[float(x) for x in line.split(",")[d:]] for line in body])
+    assert len(values) == math.prod(int(m) for m in grid_arg.split(","))
+    for k, band in enumerate(bands):
+        assert band["min"] <= values[:, k].min() and values[:, k].max() <= band["max"]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

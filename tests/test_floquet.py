@@ -263,6 +263,12 @@ def test_random_potential_rejects_bad_amplitude(amp):
         random_potential(period((2, 2)), amp, seed=1)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_random_potential_rejects_bad_seed(seed):
+    with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
+        random_potential(period((2, 2)), 0.5, seed=seed)
+
+
 def test_random_potential_is_seeded():
     q = period((2, 3))
     a = random_potential(q, 1.0, seed=42)
@@ -316,6 +322,19 @@ def test_parse_potential_errors_name_expected_count():
         parse_potential({"q": [2, 2], "values": [1.0, 2.0]})
     with pytest.raises(DomainError):
         parse_potential({"values": [1.0]})
+
+
+@pytest.mark.parametrize("payload,message", [
+    ({"q": [2, 2], "values": 5}, '"values" must be a list'),
+    ({"q": [2, 2], "values": ["a", 1.0, 2.0, 3.0]}, '"values" must be numbers'),
+    ({"q": [2, 2], "values": [True, 1.0, 2.0, 3.0]}, '"values" must be numbers'),
+    ({"q": "2,2", "values": [1.0, 2.0, 3.0, 4.0]}, '"q" must be a list'),
+    ({"q": ["a", 2], "values": [1.0, 2.0, 3.0, 4.0]}, "periods must be integers"),
+    ({"q": [None, 2], "values": [1.0, 2.0]}, "periods must be integers"),
+])
+def test_parse_potential_rejects_malformed_payload(payload, message):
+    with pytest.raises(DomainError, match=message):
+        parse_potential(payload)
 
 
 def test_minimal_period_examples():
