@@ -229,20 +229,16 @@ def _representatives(m: tuple[int, ...]) -> np.ndarray:
     return nodes[nodes <= _mirror(nodes, m)]
 
 
-def _chunk_values(q: PeriodVector, V: Potential, grid: GridSpec, nodes: np.ndarray):
-    """Phases of the given grid nodes and their descending eigenvalues.
-
-    Each node is solved at its representative min(j, mirror(j)): for real V,
-    H(-theta) = conj H(theta) has the same spectrum, so a node and its
-    mirror share the same eigenvalues, bit for bit."""
+def _node_phases(q: PeriodVector, grid: GridSpec, nodes: np.ndarray) -> np.ndarray:
+    """(n, d) phases of the given grid nodes: theta_i = j_i h_i."""
     steps = grid.steps(q)
+    coords = np.unravel_index(nodes, grid.m)
+    return np.stack([coords[i] * steps[i] for i in range(q.d)], axis=1)
 
-    def phases(idx):
-        coords = np.unravel_index(idx, grid.m)
-        return np.stack([coords[i] * steps[i] for i in range(q.d)], axis=1)
 
-    reps = np.minimum(nodes, _mirror(nodes, grid.m))
-    return phases(nodes), floquet._fiber_eigenvalues(q, V, phases(reps))
+def _chunk_values(q: PeriodVector, V: Potential, grid: GridSpec, nodes: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues at the given grid nodes, (n, Q)."""
+    return floquet._fiber_eigenvalues(q, V, _node_phases(q, grid, nodes))
 
 
 def check_workers(workers: int) -> None:
@@ -252,8 +248,10 @@ def check_workers(workers: int) -> None:
 
 
 def _iter_chunks(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, nodes: np.ndarray):
-    """Yield (chunk nodes, (phases, eigenvalues)) for the given ascending
-    grid nodes, in order."""
+    """Yield (chunk nodes, eigenvalues) for the given ascending grid nodes,
+    in order.  Every sweep passes the time-reversal representatives: for
+    real V, H(-theta) = conj H(theta) has the same spectrum, so a node and
+    its mirror share the eigenvalues solved at the representative."""
     check_workers(workers)
     # Resolve V's minimal cell (cached on V) before the first chunk: worker
     # threads then only read it, and its small arrays are not allocated
@@ -277,9 +275,7 @@ def _iter_chunks(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, no
 
 
 def _node_phase(q: PeriodVector, grid: GridSpec, node: int) -> Phase:
-    steps = grid.steps(q)
-    coords = np.unravel_index(node, grid.m)
-    return Phase(tuple(float(coords[i]) * steps[i] for i in range(q.d)))
+    return Phase(tuple(_node_phases(q, grid, np.array([node]))[0].tolist()))
 
 
 def sample_bands(q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1) -> BandTable:
@@ -316,7 +312,7 @@ def sample_bands(q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1
     min_idx = np.zeros(Q, dtype=int)
     max_idx = np.zeros(Q, dtype=int)
     cols = np.arange(Q)
-    for nodes, (_, vals) in _iter_chunks(q, V, grid, workers, _representatives(grid.m)):
+    for nodes, vals in _iter_chunks(q, V, grid, workers, _representatives(grid.m)):
         loc = vals.argmin(axis=0)
         cand = vals[loc, cols]
         better = cand < min_vals
@@ -394,11 +390,25 @@ def certified_edges(q: PeriodVector, V: Potential, grid: GridSpec, workers: int 
 def iter_band_rows(q: PeriodVector, V: Potential, grid: GridSpec) -> Iterator[tuple[tuple[float, ...], np.ndarray]]:
     """Yield (theta, descending eigenvalues) per grid node in row-major order.
 
-    Every node is yielded, solved at its time-reversal representative (see
-    sample_bands), so the rows at j and mirror(j) hold the same bits."""
-    for _, (thetas, vals) in _iter_chunks(q, V, grid, 1, np.arange(grid.n_nodes)):
-        for theta, row in zip(thetas.tolist(), vals):
-            yield tuple(theta), row
+    Only the time-reversal representatives are solved, in one ascending
+    pass (see sample_bands).  Their rows are held in one (reps, Q) array,
+    and a node j > mirror(j) gets the row of its representative, solved
+    before j is reached, so the rows at j and mirror(j) hold the same bits."""
+    reps = _representatives(grid.m)
+    held = np.empty((len(reps), q.Q))
+    chunks = _iter_chunks(q, V, grid, 1, reps)
+    solved = 0
+    block = _chunk_size(q.Q)
+    for start in range(0, grid.n_nodes, block):
+        nodes = np.arange(start, min(start + block, grid.n_nodes))
+        # Solve every representative up to the block's last node: the
+        # block's own and those of its mirrored nodes.
+        while solved < len(reps) and reps[solved] <= nodes[-1]:
+            c, vals = next(chunks)
+            held[solved:solved + len(c)] = vals
+            solved += len(c)
+        src = np.searchsorted(reps, np.minimum(nodes, _mirror(nodes, grid.m)))
+        yield from zip(map(tuple, _node_phases(q, grid, nodes).tolist()), held[src])
 
 
 def overlaps(table: BandTable) -> tuple[float, ...]:
@@ -521,7 +531,7 @@ def min_abs_eigenvalue(
         raise DomainError(f"potential periods {V.q.q} do not match {q.q}")
     best = math.inf
     best_idx = 0
-    for nodes, (_, vals) in _iter_chunks(q, V, grid, workers, _representatives(grid.m)):
+    for nodes, vals in _iter_chunks(q, V, grid, workers, _representatives(grid.m)):
         a = np.abs(vals).min(axis=1)
         j = int(a.argmin())
         if a[j] < best:

@@ -9,6 +9,8 @@ Exit codes: 0 success, 1 computation failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import sys
@@ -154,41 +156,69 @@ def cmd_bands(args) -> int:
     q = _resolve_q(args)
     grid = _resolve_grid(args, q)
     V, pinfo = _resolve_potential(args, q)
-    table = bandedges.certified_edges(q, V, grid, workers=args.workers)
-    report = _base_config(args, q, grid)
-    report["potential"] = pinfo
-    report["slack"] = table.slack
-    report["bands"] = [
-        {
-            "band": k,
-            "min": table.band_min(k),
-            "max": table.band_max(k),
-            "theta_min": list(table.theta_min(k).theta),
-            "theta_max": list(table.theta_max(k).theta),
-        }
-        for k in range(1, table.Q + 1)
-    ]
+    if args.json:
+        table = bandedges.certified_edges(q, V, grid, workers=args.workers)
+        report = _base_config(args, q, grid)
+        report["potential"] = pinfo
+        report["slack"] = table.slack
+        report["bands"] = [
+            {
+                "band": k,
+                "min": table.band_min(k),
+                "max": table.band_max(k),
+                "theta_min": list(table.theta_min(k).theta),
+                "theta_max": list(table.theta_max(k).theta),
+            }
+            for k in range(1, table.Q + 1)
+        ]
+    # Without --json no report needs the certified table: the CSV comes
+    # from its own row pass and the summary line only needs the slack.
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             _write_csv(fh, q, V, grid)
-        if args.json:
-            print(canonical_json(report))
-        else:
-            print(f"bands: wrote {grid.n_nodes} rows to {args.out} (slack {table.slack:.6g})")
-    elif args.json:
-        print(canonical_json(report))
-    else:
+    elif not args.json:
         _write_csv(sys.stdout, q, V, grid)
+    if args.json:
+        print(canonical_json(report))
+    elif args.out:
+        slack = bandedges.certified_slack(q, grid)
+        print(f"bands: wrote {grid.n_nodes} rows to {args.out} (slack {slack:.6g})")
     return EXIT_OK
 
 
+# Rows of CSV text gathered per write.
+_CSV_ROWS_PER_WRITE = 4096
+
+
 def _write_csv(fh, q: PeriodVector, V: Potential, grid: bandedges.GridSpec) -> None:
+    """Write the header and one "%.17g" row per grid node, row-major.
+
+    Each piece of text is made once: the theta columns come from per-axis
+    tables (node j_i sits at j_i h_i), and a row's eigenvalue text is kept
+    until a later row with the same bits (the mirrored node, which
+    iter_band_rows serves from the same solve) reuses it, so at most one
+    entry per time-reversal representative is held.  "%.17g" % x is the
+    same string as _fmt_float(x) for every float.
+    """
     header = [f"theta_{i + 1}" for i in range(q.d)] + [f"E_{k}" for k in range(1, q.Q + 1)]
-    fh.write(",".join(header) + "\n")
-    # "%.17g" % x is the same string as _fmt_float(x) for every float.
-    fmt = ",".join(["%.17g"] * (q.d + q.Q)) + "\n"
-    for theta, vals in bandedges.iter_band_rows(q, V, grid):
-        fh.write(fmt % (*theta, *vals.tolist()))
+    axes = [
+        ["%.17g," % x for x in (np.arange(mi) * h).tolist()]
+        for mi, h in zip(grid.m, grid.steps(q))
+    ]
+    fmt = ",".join(["%.17g"] * q.Q) + "\n"
+    pending: dict[bytes, str] = {}
+    lines = [",".join(header) + "\n"]
+    rows = bandedges.iter_band_rows(q, V, grid)
+    for prefix, (_, vals) in zip(map("".join, itertools.product(*axes)), rows):
+        key = vals.tobytes()
+        text = pending.pop(key, None)
+        if text is None:
+            text = pending[key] = fmt % tuple(vals.tolist())
+        lines.append(prefix + text)
+        if len(lines) == _CSV_ROWS_PER_WRITE:
+            fh.write("".join(lines))
+            lines.clear()
+    fh.write("".join(lines))
 
 
 def cmd_spectrum(args) -> int:
@@ -384,21 +414,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bands", help="sample every band over a phase grid (CSV/JSON)")
     _add_common(p)
-    p.set_defaults(func=cmd_bands)
 
     p = sub.add_parser("spectrum", help="certified spectrum intervals and gaps")
     _add_common(p)
     p.add_argument("--merge-tol", dest="merge_tol", type=float, default=None)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("witness", help="certify an energy strictly inside a free band")
     _add_common(p, potential=False)
     p.add_argument("--energy", type=float, required=True)
-    p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("cq", help="certified coupling threshold from free overlaps")
     _add_common(p, potential=False)
-    p.set_defaults(func=cmd_cq)
 
     p = sub.add_parser("degeneracy", help="classify and split a coincident level group")
     _add_common(p, potential=False)
@@ -406,23 +432,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", required=True, help="comma separated target frequency offset")
     p.add_argument("--beta", required=True, help="comma separated direction (normalized)")
     p.add_argument("--t", type=float, default=1e-3, help="finite step for counting")
-    p.set_defaults(func=cmd_degeneracy)
 
     p = sub.add_parser("counterexample", help="build the gap-opening potential and verify it")
     _add_common(p, potential=False)
     p.add_argument("--delta", type=float, default=None, help="coupling of the construction")
     p.add_argument("--force", action="store_true", help="allow couplings above the default cap")
-    p.set_defaults(func=cmd_counterexample)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         bandedges.check_workers(args.workers)
-        return args.func(args)
+        # Looked up at call time, so a replaced cmd_<command> is the one run.
+        return globals()[f"cmd_{args.command}"](args)
     except (DomainError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -101,7 +101,11 @@ class Phase:
 
 def period(values: Iterable[int]) -> PeriodVector:
     """Build a :class:`PeriodVector` from any integer iterable."""
-    return PeriodVector(tuple(values))
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise DomainError(f"periods must be an iterable of integers, got {values!r}") from None
+    return PeriodVector(values)
 
 
 def theta_values(theta: Phase | Sequence[float]) -> tuple[float, ...]:

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from latticebands import GridSpec, iter_band_rows, period, random_potential
+import latticebands
+from latticebands import GridSpec, bandedges, cli, floquet, iter_band_rows, period, random_potential
 from latticebands.cli import _fmt_float, main
 
 
@@ -261,6 +266,117 @@ def test_bands_csv_matches_per_value_formatter(tmp_path, capsys):
     for theta, vals in iter_band_rows(q, random_potential(q, 0.3, 11), GridSpec((16, 12))):
         lines.append(",".join(format(float(x), ".17g") for x in (*theta, *vals)))
     assert target.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def _reference_csv(q_arg, grid_arg, extra):
+    """The bands CSV written plainly: every node solved at the smaller
+    row-major index of the pair (j, -j mod m), "%.17g" on every value."""
+    args = cli._parser().parse_args(["bands", "--q", q_arg, "--grid", grid_arg, *extra])
+    q = cli._resolve_q(args)
+    V, _ = cli._resolve_potential(args, q)
+    m = tuple(int(x) for x in grid_arg.split(","))
+    steps = [1.0 / (qi * mi) for qi, mi in zip(q.q, m)]
+
+    def phases(idx):
+        coords = np.unravel_index(idx, m)
+        return np.stack([coords[i] * steps[i] for i in range(q.d)], axis=1)
+
+    nodes = np.arange(math.prod(m))
+    coords = np.unravel_index(nodes, m)
+    mirror = np.ravel_multi_index(tuple(-c % mi for c, mi in zip(coords, m)), m)
+    vals = floquet._fiber_eigenvalues(q, V, phases(np.minimum(nodes, mirror)))
+    lines = [",".join([f"theta_{i + 1}" for i in range(q.d)] + [f"E_{k}" for k in range(1, q.Q + 1)])]
+    for theta, row in zip(phases(nodes).tolist(), vals.tolist()):
+        lines.append(",".join("%.17g" % x for x in (*theta, *row)))
+    return ("\n".join(lines) + "\n").encode()
+
+
+# Even axes hold self-mirrored lines j_i in {0, m_i/2} and the grids with
+# every axis even hold 2^d fixed points; odd axes have only j_i = 0.
+@pytest.mark.parametrize("q_arg,grid_arg,extra", [
+    ("2,2", "4,4", ()),
+    ("3,5", "7,9", ("--potential", "random", "--delta", "0.2", "--seed", "4")),
+    ("2,3", "6,5", ("--potential", "random", "--delta", "0.3", "--seed", "8")),
+    ("2,3,2", "5,6,3", ("--potential", "random", "--delta", "0.2", "--seed", "4")),
+    ("2,2,2", "4,6,2", ("--potential", "vq", "--delta", "0.1")),
+])
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_bands_csv_matches_plain_reference_writer(tmp_path, capsys, q_arg, grid_arg, extra, to_file):
+    argv = ["bands", "--q", q_arg, "--grid", grid_arg, *extra]
+    target = tmp_path / "bands.csv"
+    rc, out, _ = run(capsys, *argv, *(("--out", str(target)) if to_file else ()))
+    assert rc == 0
+    got = target.read_bytes() if to_file else out.encode()
+    assert got == _reference_csv(q_arg, grid_arg, extra)
+
+
+def test_bands_export_solves_each_representative_once_per_pass(tmp_path, capsys, monkeypatch):
+    # 64 x 64 has 2050 time-reversal representatives: the sweep and the row
+    # pass solve 2050 phases each, refinement the phases it probes
+    solved, probed = [], []
+    kernel = floquet._fiber_eigenvalues
+    public = floquet.eigenvalues_sorted_desc
+
+    def spy_kernel(q, V, thetas, *args):
+        solved.append(len(thetas))
+        return kernel(q, V, thetas, *args)
+
+    def spy_public(q, V, theta):
+        probed.append(len(np.atleast_2d(theta)))
+        return public(q, V, theta)
+
+    monkeypatch.setattr(floquet, "_fiber_eigenvalues", spy_kernel)
+    monkeypatch.setattr(floquet, "eigenvalues_sorted_desc", spy_public)
+    rc, _, _ = run(capsys, "bands", "--q", "4,4", "--grid", "64,64", "--potential", "random",
+                   "--delta", "0.1", "--out", str(tmp_path / "x.csv"), "--json")
+    assert rc == 0
+    assert sum(probed) > 0
+    assert sum(solved) == 2050 + 2050 + sum(probed) < 6686
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_bands_without_json_runs_only_the_row_pass(tmp_path, capsys, monkeypatch, to_file):
+    argv = ["bands", "--q", "2,3", "--grid", "12,9", "--potential", "random", "--delta", "0.2", "--seed", "3"]
+    reference = tmp_path / "reference.csv"
+    assert run(capsys, *argv, "--out", str(reference), "--json")[0] == 0
+    sweeps = []
+    for name in ("certified_edges", "sample_bands", "iter_band_rows"):
+        def spy(*args, _name=name, _orig=getattr(bandedges, name), **kwargs):
+            sweeps.append(_name)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(bandedges, name, spy)
+    target = tmp_path / "bands.csv"
+    rc, out, _ = run(capsys, *argv, *(("--out", str(target)) if to_file else ()))
+    assert rc == 0 and sweeps == ["iter_band_rows"]
+    if to_file:
+        assert target.read_bytes() == reference.read_bytes()
+        slack = bandedges.certified_slack(period((2, 3)), GridSpec((12, 9)))
+        assert out == f"bands: wrote 108 rows to {target} (slack {slack:.6g})\n"
+    else:
+        assert out.encode() == reference.read_bytes()
+
+
+def test_commands_are_looked_up_at_call_time(capsys, monkeypatch):
+    assert run(capsys, "cq", "--q", "2,2", "--grid", "8,8", "--json")[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_spectrum", lambda args: seen.append(args.q) or 7)
+    assert main(["spectrum", "--q", "2,3"]) == 7 and seen == ["2,3"]
+    assert cli._parser() is cli._parser()
+
+
+def test_consecutive_calls_match_separate_processes(capsys):
+    cases = [
+        ("spectrum", "--q", "2,3", "--grid", "16,16", "--json"),
+        ("bands", "--q", "2,2", "--grid", "4,4"),
+        ("witness", "--q", "2,3", "--grid", "16,16", "--energy", "1.1", "--json"),
+        ("spectrum", "--q", "2,2", "--grid", "8,8"),
+    ]
+    in_process = [run(capsys, *argv)[:2] for argv in cases]
+    env = {**os.environ, "PYTHONPATH": str(Path(latticebands.__file__).parents[1])}
+    for argv, (rc, out) in zip(cases, in_process):
+        proc = subprocess.run([sys.executable, "-m", "latticebands.cli", *argv],
+                              capture_output=True, text=True, env=env, check=False)
+        assert (proc.returncode, proc.stdout) == (rc, out)
 
 
 @pytest.mark.parametrize("q_arg,grid_arg,extra", [

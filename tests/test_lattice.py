@@ -30,6 +30,12 @@ def test_period_vector_rejects_bad_input():
         period((2, -3))
 
 
+@pytest.mark.parametrize("values", [5, None, 2.5])
+def test_period_rejects_a_non_iterable(values):
+    with pytest.raises(DomainError, match="iterable"):
+        period(values)
+
+
 def test_enumerate_lambda_row_major():
     q = period((2, 3))
     ls = [m.l for m in enumerate_lambda(q)]
