@@ -252,7 +252,6 @@ def _iter_chunks(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, no
     in order.  Every sweep passes the time-reversal representatives: for
     real V, H(-theta) = conj H(theta) has the same spectrum, so a node and
     its mirror share the eigenvalues solved at the representative."""
-    check_workers(workers)
     # Resolve V's minimal cell (cached on V) before the first chunk: worker
     # threads then only read it, and its small arrays are not allocated
     # between chunk stacks, which raised peak RSS by about 2 MB on a
@@ -278,6 +277,59 @@ def _node_phase(q: PeriodVector, grid: GridSpec, node: int) -> Phase:
     return Phase(tuple(_node_phases(q, grid, np.array([node]))[0].tolist()))
 
 
+def _sweep(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, held: np.ndarray | None = None):
+    """One pass over the time-reversal representatives of the grid, reduced
+    to (band minima, their nodes, band maxima, their nodes, smallest |E|,
+    its node); each node is the smallest row-major one attaining the value.
+
+    The reductions are kept on V per grid (Potential._sweeps), so a later
+    sweep of the same V and grid solves nothing.  held, an (reps, Q) array,
+    receives every representative's row; it is always solved."""
+    if V.q != q:
+        raise DomainError(f"potential periods {V.q.q} do not match {q.q}")
+    grid.steps(q)  # validates dimension match
+    check_workers(workers)
+    if held is None and grid.m in V._sweeps:
+        return V._sweeps[grid.m]
+    Q = q.Q
+    min_vals = np.full(Q, np.inf)
+    max_vals = np.full(Q, -np.inf)
+    min_idx = np.zeros(Q, dtype=int)
+    max_idx = np.zeros(Q, dtype=int)
+    abs_val, abs_idx = math.inf, 0
+    cols = np.arange(Q)
+    solved = 0
+    for nodes, vals in _iter_chunks(q, V, grid, workers, _representatives(grid.m)):
+        if held is not None:
+            held[solved:solved + len(nodes)] = vals
+            solved += len(nodes)
+        loc = vals.argmin(axis=0)
+        cand = vals[loc, cols]
+        better = cand < min_vals
+        min_vals[better] = cand[better]
+        min_idx[better] = nodes[loc[better]]
+        loc = vals.argmax(axis=0)
+        cand = vals[loc, cols]
+        better = cand > max_vals
+        max_vals[better] = cand[better]
+        max_idx[better] = nodes[loc[better]]
+        # The first flat index of the smallest |E| lies in the first row
+        # attaining it, whatever the column order: a flat argmin is many
+        # times faster than a min over each row of Q values.  vals is the
+        # column-reversed view of an ascending solve and is not read again:
+        # undoing the reversal hands np.abs a contiguous array (twice as
+        # fast), and taking it in place allocates no second array of the
+        # chunk's eigenvalues (which raised peak RSS by 0.4 MB on 9-site cells).
+        a = np.abs(vals[:, ::-1], out=vals[:, ::-1]).ravel()
+        j = int(a.argmin())
+        if a[j] < abs_val:
+            abs_val, abs_idx = float(a[j]), int(nodes[j // Q])
+    min_vals.flags.writeable = False
+    max_vals.flags.writeable = False
+    V._sweeps[grid.m] = (min_vals, min_idx, max_vals, max_idx, abs_val, abs_idx)
+    return V._sweeps[grid.m]
+
+
 def sample_bands(q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1) -> BandTable:
     """Sweep the grid and record per-band extrema.
 
@@ -291,7 +343,8 @@ def sample_bands(q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1
         function is even in theta: only the (N + F)/2 representatives
         j <= mirror(j) are solved (mirror(j)_i = -j_i mod m_i, F the
         number of self-mirrored nodes), and each value is attained at both
-        nodes of its pair.
+        nodes of its pair.  A V already swept on this grid (by any sweep)
+        is not solved again.
     workers : int
         Worker threads for the sweep.  The reduction orders ties by the
         row-major node index, so the result is independent of scheduling.
@@ -303,29 +356,7 @@ def sample_bands(q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1
         smallest node attaining a value is a representative), and the
         Lipschitz slack for this grid.
     """
-    if V.q != q:
-        raise DomainError(f"potential periods {V.q.q} do not match {q.q}")
-    grid.steps(q)  # validates dimension match
-    Q = q.Q
-    min_vals = np.full(Q, np.inf)
-    max_vals = np.full(Q, -np.inf)
-    min_idx = np.zeros(Q, dtype=int)
-    max_idx = np.zeros(Q, dtype=int)
-    cols = np.arange(Q)
-    for nodes, vals in _iter_chunks(q, V, grid, workers, _representatives(grid.m)):
-        loc = vals.argmin(axis=0)
-        cand = vals[loc, cols]
-        better = cand < min_vals
-        min_vals[better] = cand[better]
-        min_idx[better] = nodes[loc[better]]
-        loc = vals.argmax(axis=0)
-        cand = vals[loc, cols]
-        better = cand > max_vals
-        max_vals[better] = cand[better]
-        max_idx[better] = nodes[loc[better]]
-    slack = certified_slack(q, grid)
-    min_vals.flags.writeable = False
-    max_vals.flags.writeable = False
+    min_vals, min_idx, max_vals, max_idx, _, _ = _sweep(q, V, grid, workers)
     return BandTable(
         q=q,
         grid=grid,
@@ -333,7 +364,7 @@ def sample_bands(q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1
         max_values=max_vals,
         argmin=tuple(_node_phase(q, grid, int(i)) for i in min_idx),
         argmax=tuple(_node_phase(q, grid, int(i)) for i in max_idx),
-        slack=slack,
+        slack=certified_slack(q, grid),
     )
 
 
@@ -390,23 +421,17 @@ def certified_edges(q: PeriodVector, V: Potential, grid: GridSpec, workers: int 
 def iter_band_rows(q: PeriodVector, V: Potential, grid: GridSpec) -> Iterator[tuple[tuple[float, ...], np.ndarray]]:
     """Yield (theta, descending eigenvalues) per grid node in row-major order.
 
-    Only the time-reversal representatives are solved, in one ascending
-    pass (see sample_bands).  Their rows are held in one (reps, Q) array,
-    and a node j > mirror(j) gets the row of its representative, solved
-    before j is reached, so the rows at j and mirror(j) hold the same bits."""
+    Taking the first row solves every time-reversal representative, in one
+    pass that also keeps the band reductions on V (see sample_bands), so an
+    eigensolver failure comes before any row.  Their rows are held in one
+    (reps, Q) array, and a node j > mirror(j) gets the row of its
+    representative, so the rows at j and mirror(j) hold the same bits."""
     reps = _representatives(grid.m)
     held = np.empty((len(reps), q.Q))
-    chunks = _iter_chunks(q, V, grid, 1, reps)
-    solved = 0
+    _sweep(q, V, grid, 1, held)
     block = _chunk_size(q.Q)
     for start in range(0, grid.n_nodes, block):
         nodes = np.arange(start, min(start + block, grid.n_nodes))
-        # Solve every representative up to the block's last node: the
-        # block's own and those of its mirrored nodes.
-        while solved < len(reps) and reps[solved] <= nodes[-1]:
-            c, vals = next(chunks)
-            held[solved:solved + len(c)] = vals
-            solved += len(c)
         src = np.searchsorted(reps, np.minimum(nodes, _mirror(nodes, grid.m)))
         yield from zip(map(tuple, _node_phases(q, grid, nodes).tolist()), held[src])
 
@@ -526,15 +551,7 @@ def min_abs_eigenvalue(
     q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1
 ) -> tuple[float, Phase]:
     """Smallest |eigenvalue| over the grid with the first node attaining it;
-    only the time-reversal representatives are solved (see sample_bands)."""
-    if V.q != q:
-        raise DomainError(f"potential periods {V.q.q} do not match {q.q}")
-    best = math.inf
-    best_idx = 0
-    for nodes, vals in _iter_chunks(q, V, grid, workers, _representatives(grid.m)):
-        a = np.abs(vals).min(axis=1)
-        j = int(a.argmin())
-        if a[j] < best:
-            best = float(a[j])
-            best_idx = int(nodes[j])
+    only the time-reversal representatives are solved, and none for a V
+    already swept on this grid (see sample_bands)."""
+    *_, best, best_idx = _sweep(q, V, grid, workers)
     return best, _node_phase(q, grid, best_idx)

@@ -156,6 +156,13 @@ def cmd_bands(args) -> int:
     q = _resolve_q(args)
     grid = _resolve_grid(args, q)
     V, pinfo = _resolve_potential(args, q)
+    # Without --json no report needs the certified table: the CSV comes
+    # from its own row pass and the summary line only needs the slack.
+    # Taking the first row solves every representative, before --out is
+    # opened, and keeps the band reductions on V for certified_edges.
+    if args.out or not args.json:
+        rows = bandedges.iter_band_rows(q, V, grid)
+        rows = itertools.chain([next(rows)], rows)
     if args.json:
         table = bandedges.certified_edges(q, V, grid, workers=args.workers)
         report = _base_config(args, q, grid)
@@ -171,13 +178,11 @@ def cmd_bands(args) -> int:
             }
             for k in range(1, table.Q + 1)
         ]
-    # Without --json no report needs the certified table: the CSV comes
-    # from its own row pass and the summary line only needs the slack.
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write_csv(fh, q, V, grid)
+            _write_csv(fh, q, grid, rows)
     elif not args.json:
-        _write_csv(sys.stdout, q, V, grid)
+        _write_csv(sys.stdout, q, grid, rows)
     if args.json:
         print(canonical_json(report))
     elif args.out:
@@ -190,8 +195,9 @@ def cmd_bands(args) -> int:
 _CSV_ROWS_PER_WRITE = 4096
 
 
-def _write_csv(fh, q: PeriodVector, V: Potential, grid: bandedges.GridSpec) -> None:
-    """Write the header and one "%.17g" row per grid node, row-major.
+def _write_csv(fh, q: PeriodVector, grid: bandedges.GridSpec, rows) -> None:
+    """Write the header and one "%.17g" row per grid node, row-major, from
+    the (theta, values) rows of iter_band_rows.
 
     Each piece of text is made once: the theta columns come from per-axis
     tables (node j_i sits at j_i h_i), and a row's eigenvalue text is kept
@@ -208,7 +214,6 @@ def _write_csv(fh, q: PeriodVector, V: Potential, grid: bandedges.GridSpec) -> N
     fmt = ",".join(["%.17g"] * q.Q) + "\n"
     pending: dict[bytes, str] = {}
     lines = [",".join(header) + "\n"]
-    rows = bandedges.iter_band_rows(q, V, grid)
     for prefix, (_, vals) in zip(map("".join, itertools.product(*axes)), rows):
         key = vals.tobytes()
         text = pending.pop(key, None)

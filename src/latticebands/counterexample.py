@@ -9,6 +9,7 @@ the linear-size gap the staggered part opens.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,6 +64,20 @@ class CounterexampleSpec:
                 "pass force=True to build anyway"
             )
 
+    @functools.cached_property
+    def _vq(self) -> Potential:
+        """The potential of build_vq, built once per spec, so every sweep of
+        it shares the reductions kept on the Potential."""
+        q, delta = self.q, self.delta
+        values = np.empty(q.Q)
+        for a in range(q.Q):
+            n = site_from_linear(q, a).n
+            if all(c == 0 for c in n):
+                values[a] = (1.0 - delta**2 / q.d) * delta
+            else:
+                values[a] = delta * _parity(n)
+        return potential(q, values)
+
 
 @dataclass(frozen=True, eq=False)
 class NeighborSumReport:
@@ -104,18 +119,10 @@ def build_vq(spec: CounterexampleSpec) -> Potential:
 
     V(n) = (1 - delta^2/d) delta at the origin of each cell and
     delta (-1)^{n_1 + ... + n_d} elsewhere.  The origin defect breaks every
-    proper sub-period, so the minimal period is exactly q.
+    proper sub-period, so the minimal period is exactly q.  Each spec
+    instance gives one Potential object, whatever the number of calls.
     """
-    q = spec.q
-    delta = spec.delta
-    values = np.empty(q.Q)
-    for a in range(q.Q):
-        n = site_from_linear(q, a).n
-        if all(c == 0 for c in n):
-            values[a] = (1.0 - delta**2 / q.d) * delta
-        else:
-            values[a] = delta * _parity(n)
-    return potential(q, values)
+    return spec._vq
 
 
 def build_dimer(q: PeriodVector, delta: float) -> Potential:

@@ -64,6 +64,13 @@ class Potential:
         shifts = np.array([l.l for l in folds]) / np.array(self.q.q)
         return p, potential(p, values), shifts
 
+    @functools.cached_property
+    def _sweeps(self) -> dict:
+        """Reductions of the grid sweeps of this potential, keyed by the grid's
+        sample counts m (see bandedges._sweep): O(Q) numbers per grid, so a
+        later sweep of the same grid solves nothing."""
+        return {}
+
 
 def potential(q: PeriodVector, values: Sequence[float]) -> Potential:
     """Validate and freeze a potential given as Q reals in row-major order."""

@@ -240,20 +240,21 @@ def test_argmin_is_first_node_attaining_the_minimum():
 
 def test_parallel_sweep_matches_serial():
     q = period((2, 3))
-    V = random_potential(q, 0.4, seed=9)
     grid = GridSpec((96, 48), refine_rounds=0)  # several chunks of work
-    serial = sample_bands(q, V, grid, workers=1)
-    parallel = sample_bands(q, V, grid, workers=4)
+    # a fresh V per sweep: a second sweep of one V reuses the first's reductions
+    serial = sample_bands(q, random_potential(q, 0.4, seed=9), grid, workers=1)
+    parallel = sample_bands(q, random_potential(q, 0.4, seed=9), grid, workers=4)
     assert np.array_equal(serial.min_values, parallel.min_values)
     assert np.array_equal(serial.max_values, parallel.max_values)
     assert serial.argmin == parallel.argmin
     assert serial.argmax == parallel.argmax
 
 
-def _sweep_results(q, V, grid, workers):
-    table = sample_bands(q, V, grid, workers=workers)
-    refined = certified_edges(q, V, grid, workers=workers)
-    value, theta = min_abs_eigenvalue(q, V, grid, workers=workers)
+def _sweep_results(q, make_V, grid, workers):
+    # each sweep gets a fresh V, so each one solves its grid
+    table = sample_bands(q, make_V(), grid, workers=workers)
+    refined = certified_edges(q, make_V(), grid, workers=workers)
+    value, theta = min_abs_eigenvalue(q, make_V(), grid, workers=workers)
     return [
         (t.min_values.tolist(), t.max_values.tolist(), t.argmin, t.argmax) for t in (table, refined)
     ] + [(value, theta)]
@@ -266,14 +267,17 @@ def _sweep_results(q, V, grid, workers):
 )
 def test_sweep_results_do_not_depend_on_chunk_size(monkeypatch, chunk, free):
     q = period((2, 3))
-    V = zero_potential(q) if free else random_potential(q, 0.4, seed=13)
+
+    def make_V():
+        return zero_potential(q) if free else random_potential(q, 0.4, seed=13)
+
     grid = GridSpec((64, 72), refine_rounds=2)
-    expected = _sweep_results(q, V, grid, workers=1)
-    expected_rows = list(iter_band_rows(q, V, grid))
+    expected = _sweep_results(q, make_V, grid, workers=1)
+    expected_rows = list(iter_band_rows(q, make_V(), grid))
     monkeypatch.setattr(bandedges, "_chunk_size", lambda Q: chunk)
     for workers in (1, 2):
-        assert _sweep_results(q, V, grid, workers) == expected
-    rows = list(iter_band_rows(q, V, grid))
+        assert _sweep_results(q, make_V, grid, workers) == expected
+    rows = list(iter_band_rows(q, make_V(), grid))
     assert [theta for theta, _ in rows] == [theta for theta, _ in expected_rows]
     assert np.array_equal(np.array([v for _, v in rows]), np.array([v for _, v in expected_rows]))
 
@@ -567,10 +571,13 @@ def test_half_grid_sweep_matches_full_grid_reference(kind):
 
 @pytest.mark.parametrize("m", [(64, 64), (7, 9), (6, 5, 4)], ids=["64x64", "7x9", "6x5x4"])
 def test_reducing_sweeps_solve_only_representatives(monkeypatch, m):
+    # a fresh V solves the (N + F)/2 representatives once, whichever sweep
+    # comes first; a later reducing sweep of the same V and grid solves
+    # nothing, and the row pass, whose rows are not kept, solves them again
     q = period((2, 2) if len(m) == 2 else (2, 2, 2))
-    V = random_potential(q, 0.3, seed=5)
     grid = GridSpec(m, refine_rounds=0)
     F = math.prod(2 if mi % 2 == 0 else 1 for mi in m)
+    reps = (grid.n_nodes + F) // 2
     solved = []
     kernel = floquet._fiber_eigenvalues
 
@@ -578,14 +585,51 @@ def test_reducing_sweeps_solve_only_representatives(monkeypatch, m):
         solved.append(len(thetas))
         return kernel(q_, V_, thetas, *args)
 
+    def rows(q_, V_, grid_, workers):
+        return list(iter_band_rows(q_, V_, grid_))
+
     monkeypatch.setattr(floquet, "_fiber_eigenvalues", spy_kernel)
     for workers in (1, 2):
-        for sweep in (sample_bands, min_abs_eigenvalue):
+        for first in (sample_bands, min_abs_eigenvalue, rows):
+            V = random_potential(q, 0.3, seed=5)
             solved.clear()
-            sweep(q, V, grid, workers=workers)
-            assert sum(solved) == (grid.n_nodes + F) // 2
+            first(q, V, grid, workers=workers)
+            assert sum(solved) == reps
+            solved.clear()
+            sample_bands(q, V, grid, workers=workers)
+            min_abs_eigenvalue(q, V, grid, workers=workers)
+            assert solved == []
+            rows(q, V, grid, workers)
+            assert sum(solved) == reps
     if m == (64, 64):
-        assert sum(solved) == 2050
+        assert reps == 2050
+
+
+def test_one_potential_on_two_grids_matches_a_fresh_potential_per_grid():
+    q = period((2, 3))
+    shared = random_potential(q, 0.4, seed=21)
+    grids = [GridSpec((12, 9), refine_rounds=0), GridSpec((8, 8), refine_rounds=0)]
+    for _ in range(2):  # the second round is served from the kept reductions
+        for grid in grids:
+            fresh = random_potential(q, 0.4, seed=21)
+            for sweep in (sample_bands, certified_edges):
+                a, b = sweep(q, shared, grid), sweep(q, fresh, grid)
+                assert a.min_values.tolist() == b.min_values.tolist()
+                assert a.max_values.tolist() == b.max_values.tolist()
+                assert (a.argmin, a.argmax) == (b.argmin, b.argmax)
+            assert min_abs_eigenvalue(q, shared, grid) == min_abs_eigenvalue(q, random_potential(q, 0.4, seed=21), grid)
+    assert sorted(shared._sweeps) == [(8, 8), (12, 9)]
+
+
+@pytest.mark.parametrize("q_tuple", [(3, 2), (2, 2)])
+def test_every_sweep_rejects_a_potential_of_other_periods(q_tuple):
+    q = period(q_tuple)
+    V = random_potential(period((2, 3)), 0.3, seed=2)
+    grid = GridSpec((4, 4))
+    for sweep in (sample_bands, min_abs_eigenvalue, lambda *a: list(iter_band_rows(*a))):
+        with pytest.raises(DomainError, match="do not match"):
+            sweep(q, V, grid)
+    assert V._sweeps == {}  # nothing kept under a wrong cell
 
 
 @pytest.mark.parametrize("m", [(16, 12), (9, 7)])

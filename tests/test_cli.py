@@ -310,9 +310,9 @@ def test_bands_csv_matches_plain_reference_writer(tmp_path, capsys, q_arg, grid_
     assert got == _reference_csv(q_arg, grid_arg, extra)
 
 
-def test_bands_export_solves_each_representative_once_per_pass(tmp_path, capsys, monkeypatch):
-    # 64 x 64 has 2050 time-reversal representatives: the sweep and the row
-    # pass solve 2050 phases each, refinement the phases it probes
+def _spy_solves(monkeypatch):
+    """Record the phases each kernel call solves and, separately, the
+    phases refinement probes through the public eigenvalue function."""
     solved, probed = [], []
     kernel = floquet._fiber_eigenvalues
     public = floquet.eigenvalues_sorted_desc
@@ -327,11 +327,71 @@ def test_bands_export_solves_each_representative_once_per_pass(tmp_path, capsys,
 
     monkeypatch.setattr(floquet, "_fiber_eigenvalues", spy_kernel)
     monkeypatch.setattr(floquet, "eigenvalues_sorted_desc", spy_public)
+    return solved, probed
+
+
+def test_bands_export_solves_each_representative_once_per_pass(tmp_path, capsys, monkeypatch):
+    # 64 x 64 has 2050 time-reversal representatives: the row pass solves
+    # them and keeps the band reductions, so the certified table's sweep
+    # solves nothing and refinement only the phases it probes, at most 2Q
+    # per (round, axis, sign)
+    solved, probed = _spy_solves(monkeypatch)
     rc, _, _ = run(capsys, "bands", "--q", "4,4", "--grid", "64,64", "--potential", "random",
                    "--delta", "0.1", "--out", str(tmp_path / "x.csv"), "--json")
     assert rc == 0
-    assert sum(probed) > 0
-    assert sum(solved) == 2050 + 2050 + sum(probed) < 6686
+    assert 0 < sum(probed) <= 10 * 2 * 2 * 32
+    assert sum(solved) == 2050 + sum(probed)
+
+
+def test_counterexample_solves_each_representative_once(capsys, monkeypatch):
+    # the gap check and the band table sweep one potential object on one grid
+    solved, probed = _spy_solves(monkeypatch)
+    rc, _, _ = run(capsys, "counterexample", "--q", "4,4", "--grid", "64,64", "--delta", "0.15", "--json")
+    assert rc == 0
+    assert 0 < sum(probed) <= 10 * 2 * 2 * 32
+    assert sum(solved) == 2050 + sum(probed)
+
+
+@pytest.mark.parametrize("argv", [
+    ("counterexample", "--q", "2,2", "--grid", "16,16", "--delta", "0.15", "--json"),
+    ("bands", "--q", "2,3", "--grid", "16,16", "--potential", "random",
+     "--delta", "0.2", "--json", "--out", "{out}"),
+])
+def test_identical_calls_in_one_process_each_solve_the_grid(tmp_path, capsys, monkeypatch, argv):
+    # the kept reductions live on the potential a command builds, so a
+    # repeated command solves its 130 representatives of 16 x 16 again
+    argv = [a.format(out=tmp_path / "x.csv") for a in argv]
+    solved, probed = _spy_solves(monkeypatch)
+    outputs = []
+    for _ in range(2):
+        solved.clear()
+        probed.clear()
+        outputs.append(run(capsys, *argv)[:2])
+        assert sum(solved) - sum(probed) == 130
+    assert outputs[0] == outputs[1]
+
+
+def test_bands_json_report_does_not_depend_on_out(tmp_path, capsys):
+    argv = ("bands", "--q", "2,3", "--grid", "12,10", "--potential", "random", "--delta", "0.3",
+            "--seed", "5", "--workers", "2", "--json")
+    rc_out, with_out, _ = run(capsys, *argv, "--out", str(tmp_path / "x.csv"))
+    rc, without, _ = run(capsys, *argv)
+    assert rc_out == rc == 0 and with_out == without
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["csv", "json"])
+def test_bands_eigensolver_failure_keeps_the_out_file(tmp_path, capsys, monkeypatch, json_flag):
+    target = tmp_path / "bands.csv"
+    target.write_bytes(b"earlier,contents\n")
+
+    def eigvalsh(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    rc, out, err = run(capsys, "bands", "--q", "2,2", "--grid", "8,8", "--out", str(target), *json_flag)
+    assert rc == 1 and out == ""
+    assert "eigensolver failed at theta=[0.0, 0.0]" in err
+    assert target.read_bytes() == b"earlier,contents\n"
 
 
 @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])

@@ -46,6 +46,15 @@ def test_build_vq_values():
     assert V.sup_norm == 0.1
 
 
+def test_build_vq_gives_one_potential_per_spec_instance():
+    spec = CounterexampleSpec(period((2, 2)), 0.1)
+    assert build_vq(spec) is build_vq(spec)
+    # an equal spec is another command's: it shares no potential, so no
+    # kept sweep reductions either
+    twin = CounterexampleSpec(period((2, 2)), 0.1)
+    assert twin == spec and build_vq(twin) is not build_vq(spec)
+
+
 def test_build_dimer_values():
     V = build_dimer(period((2, 2)), 0.2)
     np.testing.assert_array_equal(V.values, [0.2, -0.2, -0.2, 0.2])
