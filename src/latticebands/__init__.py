@@ -1,4 +1,13 @@
-"""Certified band structure for periodic Schrödinger operators on Z^d."""
+"""Certified band structure for periodic Schrödinger operators on Z^d.
+
+The core modules (errors, lattice, floquet, bandedges) load with the
+package.  counterexample, degeneracy and freebands load on the first use of
+one of their names (PEP 562 module ``__getattr__``), and so does mpmath,
+which only degeneracy uses.  Each CLI subcommand imports only the modules it
+runs, so ``spectrum``, ``bands`` and ``cq`` never load those three.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
@@ -20,25 +29,6 @@ from .bandedges import (
     overlaps,
     sample_bands,
 )
-from .counterexample import (
-    CounterexampleSpec,
-    GapCheck,
-    NeighborSumReport,
-    build_dimer,
-    build_vq,
-    dimer_oracle_spectrum,
-    neighbor_sum_check,
-    verify_gap_at_zero,
-)
-from .degeneracy import (
-    DegeneracyGroup,
-    DirectionClassification,
-    MoveCounts,
-    classify,
-    coincident_group,
-    count_moves,
-    predict_moves,
-)
 from .errors import (
     ComputationError,
     ConfigurationError,
@@ -56,14 +46,6 @@ from .floquet import (
     random_potential,
     zero_potential,
 )
-from .freebands import (
-    WitnessResult,
-    construct_theta_for_energy,
-    free_gradient,
-    free_level,
-    interior_witness,
-    second_order_coeff,
-)
 from .lattice import (
     FourierIndex,
     Phase,
@@ -77,6 +59,38 @@ from .lattice import (
     site_from_linear,
     torus_distance,
 )
+
+# Exported names of the modules loaded on first use, by module.
+_LAZY = {
+    "counterexample": (
+        "CounterexampleSpec",
+        "GapCheck",
+        "NeighborSumReport",
+        "build_dimer",
+        "build_vq",
+        "dimer_oracle_spectrum",
+        "neighbor_sum_check",
+        "verify_gap_at_zero",
+    ),
+    "degeneracy": (
+        "DegeneracyGroup",
+        "DirectionClassification",
+        "MoveCounts",
+        "classify",
+        "coincident_group",
+        "count_moves",
+        "predict_moves",
+    ),
+    "freebands": (
+        "WitnessResult",
+        "construct_theta_for_energy",
+        "free_gradient",
+        "free_level",
+        "interior_witness",
+        "second_order_coeff",
+    ),
+}
+_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
     "__version__",
@@ -141,3 +155,15 @@ __all__ = [
     "verify_gap_at_zero",
     "zero_potential",
 ]
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _LAZY_OWNER:
+        return getattr(importlib.import_module(f".{_LAZY_OWNER[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY_OWNER})

@@ -10,6 +10,7 @@ so results do not depend on evaluation order or worker count.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
@@ -46,6 +47,11 @@ __all__ = [
 SHRINK = 0.5
 
 
+def _is_int(x) -> bool:
+    """True for Python and numpy integers, False for bools and floats."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Per-direction sample counts over the reduced torus plus refinement knobs."""
@@ -55,12 +61,18 @@ class GridSpec:
     budget: int = 1 << 16
 
     def __post_init__(self) -> None:
-        vals = tuple(int(x) for x in self.m)
+        vals = tuple(self.m)
+        if not all(map(_is_int, vals)):
+            raise ConfigurationError(f"sample counts must be integers, got {vals!r}")
+        vals = tuple(map(int, vals))
         object.__setattr__(self, "m", vals)
         if any(mi < 2 for mi in vals):
             raise ConfigurationError(f"need at least 2 samples per direction, got {vals}")
-        if self.refine_rounds < 0:
-            raise ConfigurationError("refine_rounds must be nonnegative")
+        if not _is_int(self.refine_rounds) or self.refine_rounds < 0:
+            raise ConfigurationError(
+                f"refine_rounds must be a nonnegative integer, got {self.refine_rounds!r}"
+            )
+        object.__setattr__(self, "refine_rounds", int(self.refine_rounds))
         if self.n_nodes > self.budget:
             raise ConfigurationError(
                 f"grid has {self.n_nodes} nodes, over the budget of {self.budget}"

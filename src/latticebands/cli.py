@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import __version__, bandedges, counterexample, degeneracy, freebands
+from . import __version__, bandedges
 from .errors import ComputationError, ConfigurationError, DomainError
 from .floquet import (
     Potential,
@@ -102,13 +102,15 @@ def _resolve_potential(args, q: PeriodVector) -> tuple[Potential, dict]:
         if args.delta is None:
             raise ConfigurationError(f"--potential {name} requires --delta")
         info["delta"] = args.delta
+        if name == "random":
+            info["seed"] = args.seed
+            return random_potential(q, args.delta, args.seed), info
+        from . import counterexample
+
         if name == "dimer":
             return counterexample.build_dimer(q, args.delta), info
-        if name == "vq":
-            spec = counterexample.CounterexampleSpec(q, args.delta)
-            return counterexample.build_vq(spec), info
-        info["seed"] = args.seed
-        return random_potential(q, args.delta, args.seed), info
+        spec = counterexample.CounterexampleSpec(q, args.delta)
+        return counterexample.build_vq(spec), info
     V = load_potential(name)
     if V.q != q:
         raise ConfigurationError(
@@ -255,6 +257,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    from . import freebands
+
     q = _resolve_q(args)
     grid = _resolve_grid(args, q) if args.grid else None
     result = freebands.interior_witness(q, args.energy, grid=grid, workers=args.workers)
@@ -306,13 +310,15 @@ def cmd_cq(args) -> int:
 
 
 def cmd_degeneracy(args) -> int:
+    from . import degeneracy
+
     q = _resolve_q(args)
     theta = phase(q, _parse_floats(args.theta, "--theta"))
     target = _parse_ints(args.l, "--l")
     beta = np.asarray(_parse_floats(args.beta, "--beta"))
     norm = float(np.linalg.norm(beta))
-    if norm == 0:
-        raise ConfigurationError("--beta must be a nonzero vector")
+    if not math.isfinite(norm) or norm == 0:
+        raise ConfigurationError(f"--beta must be a finite nonzero vector, got {args.beta!r}")
     beta = beta / norm
     group = degeneracy.coincident_group(q, theta, target)
     cls = degeneracy.classify(q, group, beta)
@@ -356,6 +362,8 @@ def cmd_degeneracy(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    from . import counterexample
+
     q = _resolve_q(args)
     if args.delta is None:
         raise ConfigurationError("counterexample requires --delta")

@@ -76,10 +76,12 @@ def free_gradient(q: PeriodVector, theta: Phase | Sequence[float], l: FourierInd
 
 
 def unit_direction(beta: Sequence[float], d: int) -> np.ndarray:
-    """beta as an array, checked to have d coordinates and unit norm."""
+    """beta as an array, checked to have d finite coordinates and unit norm."""
     b = np.asarray(beta, dtype=float)
     if b.size != d:
         raise DomainError(f"direction has {b.size} coordinates, expected {d}")
+    if not np.all(np.isfinite(b)):
+        raise DomainError(f"direction coordinates must be finite, got {b.tolist()}")
     if abs(float(np.linalg.norm(b)) - 1.0) > _UNIT_TOL:
         raise DomainError(f"direction must be a unit vector, got norm {np.linalg.norm(b)}")
     return b

@@ -204,6 +204,8 @@ def phase(q: PeriodVector, values: Sequence[float]) -> Phase:
     """Wrap arbitrary real coordinates onto the reduced torus."""
     vals = tuple(float(v) for v in values)
     _check_dims(q, vals, "phase")
+    if not all(map(math.isfinite, vals)):
+        raise DomainError(f"phase coordinates must be finite, got {vals!r}")
     out = []
     for v, qi in zip(vals, q.q):
         w = 1.0 / qi

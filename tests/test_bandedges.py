@@ -56,6 +56,23 @@ def test_grid_spec_validation():
     assert g.n_nodes == 90000
 
 
+@pytest.mark.parametrize("m,rounds", [
+    ((4.7, 4), 10), ((4.0, 4), 10), (("4", 4), 10), ((True, 4), 10),
+    ((4, 4), 1.5), ((4, 4), 2.0), ((4, 4), True),
+])
+def test_grid_spec_rejects_non_integer_counts(m, rounds):
+    # a float sample count was truncated, a float refine_rounds failed
+    # inside certified_edges with a TypeError
+    with pytest.raises(ConfigurationError):
+        GridSpec(m, refine_rounds=rounds)
+
+
+def test_grid_spec_accepts_numpy_integers():
+    g = GridSpec(np.array([6, 4]), refine_rounds=np.int32(2))
+    assert g == GridSpec((6, 4), refine_rounds=2)
+    assert all(type(x) is int for x in (*g.m, g.refine_rounds))
+
+
 def test_grid_steps():
     q = period((2, 3))
     g = GridSpec((8, 4))

@@ -205,6 +205,20 @@ def test_nan_delta_for_random_potential_exits_2(capsys):
     assert rc == 2 and out == "" and "amplitude" in err
 
 
+@pytest.mark.parametrize("theta,beta,message", [
+    ("0.16666666666666666,0", "nan,1", "--beta must be a finite nonzero vector"),
+    ("0.16666666666666666,0", "inf,1", "--beta must be a finite nonzero vector"),
+    ("0.16666666666666666,0", "0,0", "--beta must be a finite nonzero vector"),
+    ("nan,0", "1,0", "phase coordinates must be finite"),
+    ("inf,0", "1,0", "phase coordinates must be finite"),
+])
+def test_non_finite_degeneracy_input_exits_2(capsys, theta, beta, message):
+    rc, out, err = run(capsys, "degeneracy", "--q", "3,2", "--theta", theta, "--l", "1,0",
+                       "--beta", beta, "--json")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_negative_seed_for_random_potential_exits_2(capsys):
     rc, out, err = run(capsys, "spectrum", "--q", "2,2", "--grid", "8,8",
                        "--potential", "random", "--delta", "0.1", "--seed", "-1")
@@ -430,13 +444,20 @@ def test_consecutive_calls_match_separate_processes(capsys):
         ("bands", "--q", "2,2", "--grid", "4,4"),
         ("witness", "--q", "2,3", "--grid", "16,16", "--energy", "1.1", "--json"),
         ("spectrum", "--q", "2,2", "--grid", "8,8"),
+        # the commands that load their modules on first use
+        ("degeneracy", "--q", "3,2", "--theta", "0.16666666666666666,0", "--l", "1,0",
+         "--beta", "0.6,0.8", "--json"),
+        ("counterexample", "--q", "2,2", "--grid", "16,16", "--delta", "0.1", "--json"),
+        ("spectrum", "--q", "2,2", "--grid", "16,16", "--potential", "vq", "--delta", "0.1",
+         "--json"),
+        ("bands", "--q", "2,2", "--grid", "4,4", "--potential", "dimer", "--delta", "0.1"),
     ]
-    in_process = [run(capsys, *argv)[:2] for argv in cases]
+    in_process = [run(capsys, *argv) for argv in cases]
     env = {**os.environ, "PYTHONPATH": str(Path(latticebands.__file__).parents[1])}
-    for argv, (rc, out) in zip(cases, in_process):
+    for argv, expected in zip(cases, in_process):
         proc = subprocess.run([sys.executable, "-m", "latticebands.cli", *argv],
                               capture_output=True, text=True, env=env, check=False)
-        assert (proc.returncode, proc.stdout) == (rc, out)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
 @pytest.mark.parametrize("q_arg,grid_arg,extra", [

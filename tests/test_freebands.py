@@ -109,6 +109,13 @@ def test_direction_must_be_unit():
         second_order_coeff(q, (0.0, 0.0), (0, 0), (1.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("beta", [(math.nan, 1.0), (math.nan, 0.0), (math.inf, 1.0)])
+def test_direction_must_be_finite(beta):
+    # abs(nan - 1) > tol is False, so a NaN direction passed the norm check
+    with pytest.raises(DomainError, match="finite"):
+        second_order_coeff(period((2, 2)), (0.0, 0.0), (0, 0), beta)
+
+
 def test_construct_theta_frozen_examples():
     np.testing.assert_allclose(construct_theta_for_energy(2, 0.0), [0.25, 0.75], atol=1e-15)
     np.testing.assert_allclose(construct_theta_for_energy(2, 2.0), [1 / 6, 5 / 6], atol=1e-12)

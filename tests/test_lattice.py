@@ -113,6 +113,12 @@ def test_phase_wraps_onto_reduced_torus(rng):
     assert th.theta[1] == pytest.approx(0.2, abs=1e-15)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_phase_rejects_non_finite_coordinates(x):
+    with pytest.raises(DomainError, match="finite"):
+        phase(period((3, 2)), (x, 0.0))
+
+
 def _brute_torus_distance(q, a, b):
     # minimize the plain Euclidean distance over shifts by multiples of 1/q_i
     best = math.inf
