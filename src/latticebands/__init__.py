@@ -11,149 +11,52 @@ import importlib
 
 __version__ = "0.1.0"
 
-from .bandedges import (
-    BandTable,
-    CqEstimate,
-    GridSpec,
-    Interval,
-    SpectrumReport,
-    assemble_spectrum,
-    certified_edges,
-    certified_slack,
-    default_grid,
-    estimate_cq,
-    iter_band_rows,
-    lipschitz_constant,
-    min_abs_eigenvalue,
-    overlap_after_potential,
-    overlaps,
-    sample_bands,
-)
-from .errors import (
-    ComputationError,
-    ConfigurationError,
-    DegenerateBeyondSecondOrder,
-    DomainError,
-)
-from .floquet import (
-    Potential,
-    assemble,
-    eigenvalues_sorted_desc,
-    load_potential,
-    minimal_period,
-    parse_potential,
-    potential,
-    random_potential,
-    zero_potential,
-)
-from .lattice import (
-    FourierIndex,
-    Phase,
-    PeriodVector,
-    SiteIndex,
-    enumerate_lambda,
-    fold_phase,
-    period,
-    phase,
-    site_from_coords,
-    site_from_linear,
-    torus_distance,
-)
+from . import bandedges, errors, floquet, lattice
+from .bandedges import *
+from .errors import *
+from .floquet import *
+from .lattice import *
 
-# Exported names of the modules loaded on first use, by module.
+# The __all__ of each module loaded on first use, listed without loading it.
 _LAZY = {
     "counterexample": (
+        "DELTA_MAX_DEFAULT",
         "CounterexampleSpec",
-        "GapCheck",
         "NeighborSumReport",
-        "build_dimer",
+        "GapCheck",
         "build_vq",
-        "dimer_oracle_spectrum",
+        "build_dimer",
         "neighbor_sum_check",
         "verify_gap_at_zero",
+        "dimer_oracle_spectrum",
     ),
     "degeneracy": (
         "DegeneracyGroup",
         "DirectionClassification",
         "MoveCounts",
-        "classify",
         "coincident_group",
+        "classify",
         "count_moves",
         "predict_moves",
     ),
     "freebands": (
         "WitnessResult",
-        "construct_theta_for_energy",
-        "free_gradient",
         "free_level",
-        "interior_witness",
+        "free_gradient",
         "second_order_coeff",
+        "construct_theta_for_energy",
+        "interior_witness",
     ),
 }
 _LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
     "__version__",
-    "BandTable",
-    "ComputationError",
-    "ConfigurationError",
-    "CounterexampleSpec",
-    "CqEstimate",
-    "DegeneracyGroup",
-    "DegenerateBeyondSecondOrder",
-    "DirectionClassification",
-    "DomainError",
-    "FourierIndex",
-    "GapCheck",
-    "GridSpec",
-    "Interval",
-    "MoveCounts",
-    "NeighborSumReport",
-    "Phase",
-    "PeriodVector",
-    "Potential",
-    "SiteIndex",
-    "SpectrumReport",
-    "WitnessResult",
-    "assemble",
-    "assemble_spectrum",
-    "build_dimer",
-    "build_vq",
-    "certified_edges",
-    "certified_slack",
-    "classify",
-    "coincident_group",
-    "construct_theta_for_energy",
-    "count_moves",
-    "default_grid",
-    "dimer_oracle_spectrum",
-    "eigenvalues_sorted_desc",
-    "enumerate_lambda",
-    "estimate_cq",
-    "fold_phase",
-    "free_gradient",
-    "free_level",
-    "interior_witness",
-    "iter_band_rows",
-    "lipschitz_constant",
-    "load_potential",
-    "min_abs_eigenvalue",
-    "minimal_period",
-    "neighbor_sum_check",
-    "overlap_after_potential",
-    "overlaps",
-    "parse_potential",
-    "period",
-    "phase",
-    "potential",
-    "predict_moves",
-    "random_potential",
-    "sample_bands",
-    "site_from_coords",
-    "site_from_linear",
-    "torus_distance",
-    "verify_gap_at_zero",
-    "zero_potential",
+    *bandedges.__all__,
+    *errors.__all__,
+    *floquet.__all__,
+    *lattice.__all__,
+    *_LAZY_OWNER,
 ]
 
 

@@ -43,7 +43,9 @@ __all__ = [
 ]
 
 
-# Refinement halves its coordinate steps after every round.
+# Refinement runs REFINE_ROUNDS rounds and halves its coordinate steps
+# after every round.
+REFINE_ROUNDS = 10
 SHRINK = 0.5
 
 
@@ -52,12 +54,17 @@ def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _check_budget(budget) -> int:
+    if not _is_int(budget) or budget < 1:
+        raise ConfigurationError(f"budget must be a positive integer, got {budget!r}")
+    return int(budget)
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Per-direction sample counts over the reduced torus plus refinement knobs."""
+    """Per-direction sample counts over the reduced torus and the node budget."""
 
     m: tuple[int, ...]
-    refine_rounds: int = 10
     budget: int = 1 << 16
 
     def __post_init__(self) -> None:
@@ -68,11 +75,7 @@ class GridSpec:
         object.__setattr__(self, "m", vals)
         if any(mi < 2 for mi in vals):
             raise ConfigurationError(f"need at least 2 samples per direction, got {vals}")
-        if not _is_int(self.refine_rounds) or self.refine_rounds < 0:
-            raise ConfigurationError(
-                f"refine_rounds must be a nonnegative integer, got {self.refine_rounds!r}"
-            )
-        object.__setattr__(self, "refine_rounds", int(self.refine_rounds))
+        object.__setattr__(self, "budget", _check_budget(self.budget))
         if self.n_nodes > self.budget:
             raise ConfigurationError(
                 f"grid has {self.n_nodes} nodes, over the budget of {self.budget}"
@@ -207,6 +210,7 @@ def certified_slack(q: PeriodVector, grid: GridSpec) -> float:
 
 def default_grid(q: PeriodVector, budget: int = 1 << 16) -> GridSpec:
     """Largest even per-direction sample count that fits the node budget."""
+    budget = _check_budget(budget)
     if budget < 2**q.d:
         raise ConfigurationError(f"budget {budget} too small for d={q.d}")
     m = int(budget ** (1.0 / q.d))
@@ -283,10 +287,6 @@ def _iter_chunks(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, no
     else:
         for c in chunks:
             yield c, _chunk_values(q, V, grid, c)
-
-
-def _node_phase(q: PeriodVector, grid: GridSpec, node: int) -> Phase:
-    return Phase(tuple(_node_phases(q, grid, np.array([node]))[0].tolist()))
 
 
 def _sweep(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, held: np.ndarray | None = None):
@@ -369,13 +369,14 @@ def sample_bands(q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1
         Lipschitz slack for this grid.
     """
     min_vals, min_idx, max_vals, max_idx, _, _ = _sweep(q, V, grid, workers)
+    phases = tuple(map(Phase, _node_phases(q, grid, np.concatenate([min_idx, max_idx]))))
     return BandTable(
         q=q,
         grid=grid,
         min_values=min_vals,
         max_values=max_vals,
-        argmin=tuple(_node_phase(q, grid, int(i)) for i in min_idx),
-        argmax=tuple(_node_phase(q, grid, int(i)) for i in max_idx),
+        argmin=phases[:q.Q],
+        argmax=phases[q.Q:],
         slack=certified_slack(q, grid),
     )
 
@@ -392,8 +393,6 @@ def certified_edges(q: PeriodVector, V: Potential, grid: GridSpec, workers: int 
     outward (toward the true edges), never loosens the enclosure.
     """
     table = sample_bands(q, V, grid, workers=workers)
-    if grid.refine_rounds == 0:
-        return table
     Q = q.Q
     # Row e < Q holds the minimum of band e + 1, row Q + e its maximum;
     # sense turns both into minimization.
@@ -403,7 +402,7 @@ def certified_edges(q: PeriodVector, V: Potential, grid: GridSpec, workers: int 
     bands = np.arange(2 * Q) % Q
     row_key = np.dtype((np.void, th.itemsize * q.d))
     steps = list(grid.steps(q))
-    for _ in range(grid.refine_rounds):
+    for _ in range(REFINE_ROUNDS):
         for i in range(q.d):
             for sgn in (1.0, -1.0):
                 cand = th.copy()
@@ -455,21 +454,15 @@ def overlaps(table: BandTable) -> tuple[float, ...]:
     )
 
 
-def assemble_spectrum(table: BandTable, merge_tol: float | None = None) -> SpectrumReport:
+def assemble_spectrum(table: BandTable) -> SpectrumReport:
     """Merge band intervals into disjoint spectrum intervals plus gap list.
 
-    merge_tol defaults to 2 * slack, the smallest sound choice: two sampled
-    intervals that close could belong to bands that truly meet.  Smaller
-    tolerances are rejected.
+    Intervals closer than the merge tolerance 2 * slack are merged, the
+    smallest sound choice: two sampled intervals that close could belong to
+    bands that truly meet.
     """
     slack = table.slack
-    tol = 2.0 * slack if merge_tol is None else float(merge_tol)
-    if not math.isfinite(tol):
-        raise ConfigurationError(f"merge tolerance must be finite, got {tol}")
-    if tol < 2.0 * slack:
-        raise ConfigurationError(
-            f"merge tolerance {tol} below the sound minimum {2.0 * slack}"
-        )
+    tol = 2.0 * slack
     spans = sorted(
         (float(lo), float(hi)) for lo, hi in zip(table.min_values, table.max_values)
     )
@@ -566,4 +559,4 @@ def min_abs_eigenvalue(
     only the time-reversal representatives are solved, and none for a V
     already swept on this grid (see sample_bands)."""
     *_, best, best_idx = _sweep(q, V, grid, workers)
-    return best, _node_phase(q, grid, best_idx)
+    return best, Phase(_node_phases(q, grid, np.array([best_idx]))[0])

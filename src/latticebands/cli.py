@@ -129,7 +129,7 @@ def _base_config(args, q: PeriodVector, grid: bandedges.GridSpec | None) -> dict
     }
     if grid is not None:
         cfg["grid"] = list(grid.m)
-        cfg["refine_rounds"] = grid.refine_rounds
+        cfg["refine_rounds"] = bandedges.REFINE_ROUNDS
         cfg["budget"] = grid.budget
     return cfg
 
@@ -238,7 +238,7 @@ def cmd_spectrum(args) -> int:
     grid = _resolve_grid(args, q)
     V, pinfo = _resolve_potential(args, q)
     table = bandedges.certified_edges(q, V, grid, workers=args.workers)
-    report_obj = bandedges.assemble_spectrum(table, merge_tol=args.merge_tol)
+    report_obj = bandedges.assemble_spectrum(table)
     report = _base_config(args, q, grid)
     report["potential"] = pinfo
     report["slack"] = report_obj.slack
@@ -358,7 +358,9 @@ def cmd_degeneracy(args) -> int:
             f"counted up/down={counted.n_up}/{counted.n_down}"
         ],
     )
-    return EXIT_OK if counted.conclusive else EXIT_INCONCLUSIVE
+    # A conclusive count that disagrees with the prediction certifies nothing.
+    agrees = counted.conclusive and (counted.n_up, counted.n_down) == predicted
+    return EXIT_OK if agrees else EXIT_INCONCLUSIVE
 
 
 def cmd_counterexample(args) -> int:
@@ -430,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="certified spectrum intervals and gaps")
     _add_common(p)
-    p.add_argument("--merge-tol", dest="merge_tol", type=float, default=None)
 
     p = sub.add_parser("witness", help="certify an energy strictly inside a free band")
     _add_common(p, potential=False)

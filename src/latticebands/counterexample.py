@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 DELTA_MAX_DEFAULT = 0.25
+# neighbor_sum_check compares every neighbor sum to its expected value to within this.
+NEIGHBOR_SUM_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -41,13 +43,13 @@ class CounterexampleSpec:
 
     The construction requires every period even: with any odd period the
     staggered pattern is not q-periodic and, more to the point, small
-    potentials provably cannot open a gap.  Couplings above delta_max are
-    rejected unless force is set, since the gap argument is perturbative.
+    potentials provably cannot open a gap.  Couplings above
+    DELTA_MAX_DEFAULT are rejected unless force is set, since the gap
+    argument is perturbative.
     """
 
     q: PeriodVector
     delta: float
-    delta_max: float = DELTA_MAX_DEFAULT
     force: bool = False
 
     def __post_init__(self) -> None:
@@ -58,9 +60,9 @@ class CounterexampleSpec:
             )
         if not self.delta > 0:
             raise DomainError(f"coupling must be positive, got {self.delta}")
-        if self.delta > self.delta_max and not self.force:
+        if self.delta > DELTA_MAX_DEFAULT and not self.force:
             raise DomainError(
-                f"coupling {self.delta} exceeds {self.delta_max}; "
+                f"coupling {self.delta} exceeds {DELTA_MAX_DEFAULT}; "
                 "pass force=True to build anyway"
             )
 
@@ -137,12 +139,12 @@ def build_dimer(q: PeriodVector, delta: float) -> Potential:
     return potential(q, values)
 
 
-def neighbor_sum_check(V: Potential, delta: float, tol: float = 1e-15) -> NeighborSumReport:
+def neighbor_sum_check(V: Potential, delta: float) -> NeighborSumReport:
     """Check the neighbor-sum identity of the gap-opening potential.
 
     For every site n and direction i, V(n) + V(n + b_i) (periodic wrap) must
     equal -delta^3/d exactly when the bond touches the cell origin (n at the
-    origin or at origin - b_i) and zero otherwise, to within tol.
+    origin or at origin - b_i) and zero otherwise, to within NEIGHBOR_SUM_TOL.
     """
     q = V.q
     expected = -(delta**3) / q.d
@@ -156,8 +158,8 @@ def neighbor_sum_check(V: Potential, delta: float, tol: float = 1e-15) -> Neighb
         before = tuple(qi - 1 if j == axis else 0 for j in range(q.d))
         want[origin] = expected
         want[before] = expected
-        bad = np.argwhere(np.abs(sums - want) > tol)
-        all_zero = all_zero and bool(np.all(np.abs(sums) <= tol))
+        bad = np.argwhere(np.abs(sums - want) > NEIGHBOR_SUM_TOL)
+        all_zero = all_zero and bool(np.all(np.abs(sums) <= NEIGHBOR_SUM_TOL))
         for idx in bad:
             site = tuple(int(x) for x in idx)
             failures.append((site, axis, float(sums[site]), float(want[site])))

@@ -128,7 +128,6 @@ def coincident_group(
     q: PeriodVector,
     theta: Phase | Sequence[float],
     target_l: FourierIndex | Sequence[int],
-    tol: float = GROUP_TOL,
 ) -> DegeneracyGroup:
     """All frequency offsets whose level matches the target's at this phase.
 
@@ -152,8 +151,8 @@ def coincident_group(
     else:
         pairs = [(m, free_level(q, th, m)) for m in enumerate_lambda(q)]
         target_level = next(lv for m, lv in pairs if m == target)
-        members = tuple(m for m, lv in pairs if abs(lv - target_level) <= tol)
-        above = sum(1 for _, lv in pairs if lv - target_level > tol)
+        members = tuple(m for m, lv in pairs if abs(lv - target_level) <= GROUP_TOL)
+        above = sum(1 for _, lv in pairs if lv - target_level > GROUP_TOL)
         level = float(target_level)
     phase_obj = theta if isinstance(theta, Phase) else Phase(th)
     return DegeneracyGroup(phase_obj, level, members, above)
@@ -163,7 +162,6 @@ def classify(
     q: PeriodVector,
     g: DegeneracyGroup,
     beta: Sequence[float],
-    zero_tol: float = ZERO_TOL,
 ) -> DirectionClassification:
     """Partition group members by their first-order term along beta.
 
@@ -173,13 +171,13 @@ def classify(
     labels = []
     for member in g.members:
         grad = free_gradient(q, g.theta, member)
-        if float(np.linalg.norm(grad)) <= zero_tol:
+        if float(np.linalg.norm(grad)) <= ZERO_TOL:
             labels.append("zero")
             continue
         slope = float(b @ grad)
-        if slope > zero_tol:
+        if slope > ZERO_TOL:
             labels.append("plus")
-        elif slope < -zero_tol:
+        elif slope < -ZERO_TOL:
             labels.append("minus")
         else:
             labels.append("orth")
@@ -230,7 +228,6 @@ def predict_moves(
     beta: Sequence[float],
     sign_of_t: int,
     classification: DirectionClassification | None = None,
-    zero_tol: float = ZERO_TOL,
 ) -> tuple[int, int]:
     """Predicted (up, down) split for an infinitesimal step of the given sign.
 
@@ -247,7 +244,7 @@ def predict_moves(
     if sign_of_t not in (1, -1):
         raise DomainError(f"sign_of_t must be +1 or -1, got {sign_of_t!r}")
     b = unit_direction(beta, q.d)
-    cls = classification if classification is not None else classify(q, g, b, zero_tol)
+    cls = classification if classification is not None else classify(q, g, b)
     if len(cls.labels) != g.r:
         raise DomainError("classification does not match the group")
     n_up = 0
@@ -261,7 +258,7 @@ def predict_moves(
                 n_down += 1
             continue
         curv = second_order_coeff(q, g.theta, member, b)
-        if abs(curv) <= zero_tol:
+        if abs(curv) <= ZERO_TOL:
             raise DegenerateBeyondSecondOrder(
                 f"member {member.l} vanishes to second order along {tuple(b)}"
             )

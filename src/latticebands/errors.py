@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError", "ConfigurationError", "ComputationError", "DegenerateBeyondSecondOrder"]
+
 
 class DomainError(ValueError):
     """An input value violates a documented precondition."""

@@ -146,7 +146,6 @@ def interior_witness(
     q: PeriodVector,
     E: float,
     grid: bandedges.GridSpec | None = None,
-    table: bandedges.BandTable | None = None,
     workers: int = 1,
 ) -> WitnessResult:
     """Find a band holding E strictly inside, with a sampled certificate.
@@ -162,10 +161,9 @@ def interior_witness(
     """
     if not abs(E) < 2 * q.d:
         raise DomainError(f"energy must satisfy |E| < {2 * q.d}, got {E}")
-    if table is None:
-        if grid is None:
-            grid = bandedges.default_grid(q, budget=4096)
-        table = bandedges.certified_edges(q, zero_potential(q), grid, workers=workers)
+    if grid is None:
+        grid = bandedges.default_grid(q, budget=4096)
+    table = bandedges.certified_edges(q, zero_potential(q), grid, workers=workers)
     if E == 0.0 and q.all_even:
         k = q.Q // 2
         return WitnessResult(k, table.theta_min(k), 0.0, touching_at_zero=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -50,27 +51,34 @@ def test_grid_spec_validation():
         GridSpec((1, 8))
     with pytest.raises(ConfigurationError):
         GridSpec((300, 300))  # 90000 nodes over the default budget
-    with pytest.raises(ConfigurationError):
-        GridSpec((8, 8), refine_rounds=-1)
     g = GridSpec((300, 300), budget=1 << 17)
     assert g.n_nodes == 90000
 
 
-@pytest.mark.parametrize("m,rounds", [
+@pytest.mark.parametrize("m,budget", [
     ((4.7, 4), 10), ((4.0, 4), 10), (("4", 4), 10), ((True, 4), 10),
     ((4, 4), 1.5), ((4, 4), 2.0), ((4, 4), True),
 ])
-def test_grid_spec_rejects_non_integer_counts(m, rounds):
-    # a float sample count was truncated, a float refine_rounds failed
-    # inside certified_edges with a TypeError
-    with pytest.raises(ConfigurationError):
-        GridSpec(m, refine_rounds=rounds)
+def test_grid_spec_rejects_non_integer_counts(m, budget):
+    # a float sample count was truncated; a float budget was compared as is
+    with pytest.raises(ConfigurationError, match="must be .*integer"):
+        GridSpec(m, budget=budget)
+
+
+@pytest.mark.parametrize("budget", [float("nan"), 4096.0, True, 0, -4096])
+def test_budget_must_be_a_positive_integer(budget):
+    # a NaN budget turned the node cap off in GridSpec (n_nodes > nan is
+    # False) and raised a bare ValueError in default_grid
+    with pytest.raises(ConfigurationError, match="budget must be a positive integer"):
+        GridSpec((4, 4), budget=budget)
+    with pytest.raises(ConfigurationError, match="budget must be a positive integer"):
+        default_grid(period((2, 2)), budget=budget)
 
 
 def test_grid_spec_accepts_numpy_integers():
-    g = GridSpec(np.array([6, 4]), refine_rounds=np.int32(2))
-    assert g == GridSpec((6, 4), refine_rounds=2)
-    assert all(type(x) is int for x in (*g.m, g.refine_rounds))
+    g = GridSpec(np.array([6, 4]), budget=np.int32(4096))
+    assert g == GridSpec((6, 4), budget=4096)
+    assert all(type(x) is int for x in (*g.m, g.budget))
 
 
 def test_grid_steps():
@@ -123,7 +131,7 @@ def test_interval_type():
 def test_sampled_extrema_are_attained_and_enclose_free_bands():
     # free case: compare against the closed-form levels on a dense nested grid
     q = period((2, 3))
-    coarse = GridSpec((16, 16), refine_rounds=0)
+    coarse = GridSpec((16, 16))
     table = sample_bands(q, zero_potential(q), coarse)
     axes = [np.arange(160) / (qi * 160) for qi in q.q]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -145,7 +153,7 @@ def test_sampled_extrema_are_attained_and_enclose_free_bands():
 def test_enclosure_with_potential_against_loop_reference():
     q = period((2, 2))
     V = random_potential(q, 0.8, seed=11)
-    coarse = GridSpec((12, 12), refine_rounds=0)
+    coarse = GridSpec((12, 12))
     table = sample_bands(q, V, coarse)
     dense_min, dense_max = dense_band_extrema(q.q, V.values, (60, 60))
     for k in range(q.Q):
@@ -177,7 +185,7 @@ def sequential_refinement(q, V, grid):
             best = table.band_max(k) if maximize else table.band_min(k)
             th = list(theta0.theta)
             steps = list(grid.steps(q))
-            for _ in range(grid.refine_rounds):
+            for _ in range(bandedges.REFINE_ROUNDS):
                 for i in range(q.d):
                     for sgn in (1.0, -1.0):
                         cand = list(th)
@@ -223,15 +231,15 @@ def test_batched_refinement_matches_sequential_reference(q_tuple, m, free):
 def test_nested_grids_are_monotone():
     q = period((2, 2))
     V = random_potential(q, 0.6, seed=5)
-    coarse = sample_bands(q, V, GridSpec((8, 8), refine_rounds=0))
-    fine = sample_bands(q, V, GridSpec((32, 32), refine_rounds=0))
+    coarse = sample_bands(q, V, GridSpec((8, 8)))
+    fine = sample_bands(q, V, GridSpec((32, 32)))
     assert np.all(fine.min_values <= coarse.min_values + 1e-15)
     assert np.all(fine.max_values >= coarse.max_values - 1e-15)
 
 
 def test_band_table_accessors():
     q = period((2, 2))
-    table = sample_bands(q, zero_potential(q), GridSpec((8, 8), refine_rounds=0))
+    table = sample_bands(q, zero_potential(q), GridSpec((8, 8)))
     assert table.band_min(1) == float(table.min_values[0])
     with pytest.raises(DomainError):
         table.band_min(0)
@@ -244,7 +252,7 @@ def test_argmin_is_first_node_attaining_the_minimum():
     # the reported phase must be the first grid node (row-major) where the
     # computed value equals the reported minimum bit for bit
     q = period((2, 2))
-    grid = GridSpec((8, 8), refine_rounds=0)
+    grid = GridSpec((8, 8))
     table = sample_bands(q, zero_potential(q), grid)
     assert table.band_min(2) == pytest.approx(0.0, abs=1e-12)
     for theta, vals in iter_band_rows(q, zero_potential(q), grid):
@@ -257,7 +265,7 @@ def test_argmin_is_first_node_attaining_the_minimum():
 
 def test_parallel_sweep_matches_serial():
     q = period((2, 3))
-    grid = GridSpec((96, 48), refine_rounds=0)  # several chunks of work
+    grid = GridSpec((96, 48))  # several chunks of work
     # a fresh V per sweep: a second sweep of one V reuses the first's reductions
     serial = sample_bands(q, random_potential(q, 0.4, seed=9), grid, workers=1)
     parallel = sample_bands(q, random_potential(q, 0.4, seed=9), grid, workers=4)
@@ -288,7 +296,7 @@ def test_sweep_results_do_not_depend_on_chunk_size(monkeypatch, chunk, free):
     def make_V():
         return zero_potential(q) if free else random_potential(q, 0.4, seed=13)
 
-    grid = GridSpec((64, 72), refine_rounds=2)
+    grid = GridSpec((64, 72))
     expected = _sweep_results(q, make_V, grid, workers=1)
     expected_rows = list(iter_band_rows(q, make_V(), grid))
     monkeypatch.setattr(bandedges, "_chunk_size", lambda Q: chunk)
@@ -350,7 +358,7 @@ def test_sweeps_reject_nonpositive_workers(workers):
 
 def test_iter_band_rows_row_major():
     q = period((2, 2))
-    grid = GridSpec((4, 4), refine_rounds=0)
+    grid = GridSpec((4, 4))
     rows = list(iter_band_rows(q, zero_potential(q), grid))
     assert len(rows) == 16
     assert rows[0][0] == (0.0, 0.0)
@@ -385,15 +393,17 @@ def test_staggered_spectrum_splits_into_two_intervals():
 
 
 def test_merge_tolerance_floor():
-    q = period((2, 2))
-    table = certified_edges(q, zero_potential(q), GridSpec((16, 16)))
-    with pytest.raises(ConfigurationError):
-        assemble_spectrum(table, merge_tol=table.slack)  # below 2 * slack
-    report = assemble_spectrum(table, merge_tol=4 * table.slack)
-    assert report.merge_tol == pytest.approx(4 * table.slack)
-    for tol in (float("nan"), float("inf")):
-        with pytest.raises(ConfigurationError, match="merge tolerance must be finite"):
-            assemble_spectrum(table, merge_tol=tol)
+    # the merge tolerance is 2 * slack, the smallest sound one: sampled
+    # intervals that close could belong to bands that truly meet
+    q = period((1, 2))
+    table = sample_bands(q, zero_potential(q), GridSpec((8, 8)))
+    s = table.slack
+    for gap, n in ((2 * s, 1), (2.5 * s, 2)):
+        split = dataclasses.replace(table, min_values=np.array([1.0 + gap, 0.0]),
+                                    max_values=np.array([2.0 + gap, 1.0]))
+        report = assemble_spectrum(split)
+        assert report.merge_tol == 2 * s
+        assert len(report.intervals) == n
 
 
 def test_overlaps_definition():
@@ -464,7 +474,7 @@ def test_min_abs_eigenvalue_with_gap():
 def test_refinement_solves_each_distinct_probe_once(monkeypatch, free):
     q = period((3, 3))
     V = zero_potential(q) if free else random_potential(q, 0.5, seed=21)
-    grid = GridSpec((16, 16), refine_rounds=4)
+    grid = GridSpec((16, 16))
     expected = certified_edges(q, V, grid)
     calls = []
     solved = []
@@ -484,7 +494,7 @@ def test_refinement_solves_each_distinct_probe_once(monkeypatch, free):
     monkeypatch.setattr(floquet, "_fiber_eigenvalues", spy_kernel)
     table = certified_edges(q, V, grid)
     # one solve per (round, axis, sign), each of distinct phases only
-    assert len(calls) == len(solved) == grid.refine_rounds * q.d * 2
+    assert len(calls) == len(solved) == bandedges.REFINE_ROUNDS * q.d * 2
     for theta, rows in zip(calls, solved):
         assert rows == len(np.unique(theta, axis=0)) <= 2 * q.Q
     assert sum(solved) < 2 * q.Q * len(solved)
@@ -560,7 +570,7 @@ def _random_case(rng, kind):
     }[kind](q)
     # odd and even sample counts, so some axes have no self-mirrored node
     hi = 12 if d == 2 else 6
-    grid = GridSpec(tuple(int(x) for x in rng.integers(2, hi, size=d)), refine_rounds=0)
+    grid = GridSpec(tuple(int(x) for x in rng.integers(2, hi, size=d)))
     return q, V, grid
 
 
@@ -592,7 +602,7 @@ def test_reducing_sweeps_solve_only_representatives(monkeypatch, m):
     # comes first; a later reducing sweep of the same V and grid solves
     # nothing, and the row pass, whose rows are not kept, solves them again
     q = period((2, 2) if len(m) == 2 else (2, 2, 2))
-    grid = GridSpec(m, refine_rounds=0)
+    grid = GridSpec(m)
     F = math.prod(2 if mi % 2 == 0 else 1 for mi in m)
     reps = (grid.n_nodes + F) // 2
     solved = []
@@ -625,7 +635,7 @@ def test_reducing_sweeps_solve_only_representatives(monkeypatch, m):
 def test_one_potential_on_two_grids_matches_a_fresh_potential_per_grid():
     q = period((2, 3))
     shared = random_potential(q, 0.4, seed=21)
-    grids = [GridSpec((12, 9), refine_rounds=0), GridSpec((8, 8), refine_rounds=0)]
+    grids = [GridSpec((12, 9)), GridSpec((8, 8))]
     for _ in range(2):  # the second round is served from the kept reductions
         for grid in grids:
             fresh = random_potential(q, 0.4, seed=21)

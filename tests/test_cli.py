@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -116,6 +117,21 @@ def test_degeneracy_report(capsys):
     assert report["classification"]["labels"] == ["zero"]
 
 
+def test_degeneracy_count_that_disagrees_with_the_prediction_exits_3(capsys):
+    # 2e-11 from the top of the level, the first-order prediction says up,
+    # but the step 1e-3 is far past the curvature's reach and the
+    # conclusive count says down: the report certifies nothing
+    rc, out, _ = run(
+        capsys,
+        "degeneracy", "--q", "1,1", "--theta", "2e-11,0",
+        "--l", "0,0", "--beta=-1,0", "--t", "1e-3", "--json",
+    )
+    assert rc == 3
+    report = json.loads(out)
+    assert report["predicted"] == {"n_up": 1, "n_down": 0}
+    assert report["counted"] == {"n_up": 0, "n_down": 1, "ambiguous": []}
+
+
 def test_degeneracy_flat_direction_is_a_computation_error(capsys):
     rc, _, err = run(
         capsys,
@@ -189,9 +205,6 @@ def test_config_errors_exit_2(capsys, tmp_path):
     rc, _, err = run(capsys, "spectrum", "--q", "2,2", "--grid", "16,16",
                      "--potential", "dimer")
     assert rc == 2 and "--delta" in err
-    rc, _, err = run(capsys, "spectrum", "--q", "2,2", "--grid", "16,16",
-                     "--merge-tol", "0.001")
-    assert rc == 2 and "merge" in err
     pot = tmp_path / "pot.json"
     pot.write_text(json.dumps({"q": [2, 2], "values": [0.1, -0.1, -0.1, 0.1]}))
     rc, _, err = run(capsys, "spectrum", "--q", "2,3", "--grid", "16,16",
@@ -240,12 +253,6 @@ def test_malformed_potential_file_exits_2(capsys, tmp_path, text, message):
     rc, out, err = run(capsys, "spectrum", "--q", "2,2", "--grid", "8,8", "--potential", str(pot))
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
-
-
-def test_non_finite_merge_tolerance_exits_2(capsys):
-    for tol in ("nan", "inf"):
-        rc, _, err = run(capsys, "spectrum", "--q", "2,2", "--grid", "8,8", "--merge-tol", tol)
-        assert rc == 2 and "merge tolerance must be finite" in err
 
 
 @pytest.mark.parametrize(
@@ -508,6 +515,31 @@ def test_report_out_file_matches_stdout(tmp_path, capsys):
                      "--json", "--out", str(target))
     assert rc == 0
     assert target.read_text() == out
+
+
+# The flags each subcommand accepts: adding or removing one is an edit here.
+FLAGS = {
+    "bands": {"--q", "--grid", "--budget", "--workers", "--out", "--json",
+              "--potential", "--delta", "--seed"},
+    "spectrum": {"--q", "--grid", "--budget", "--workers", "--out", "--json",
+                 "--potential", "--delta", "--seed"},
+    "witness": {"--q", "--grid", "--budget", "--workers", "--out", "--json", "--energy"},
+    "cq": {"--q", "--grid", "--budget", "--workers", "--out", "--json"},
+    "degeneracy": {"--q", "--grid", "--budget", "--workers", "--out", "--json",
+                   "--theta", "--l", "--beta", "--t"},
+    "counterexample": {"--q", "--grid", "--budget", "--workers", "--out", "--json",
+                       "--delta", "--force"},
+}
+
+
+def test_each_subcommand_accepts_exactly_its_flags():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {
+        name: {flag for action in p._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert accepted == FLAGS
 
 
 def test_missing_required_arguments_exit_2(capsys):

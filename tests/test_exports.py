@@ -61,6 +61,17 @@ print(names["classify"] is latticebands.degeneracy.classify)
     assert out == "[]\n[]\nlatticebands.freebands\n[]\nTrue\n"
 
 
+@pytest.mark.parametrize("name", sorted(latticebands._LAZY))
+def test_lazy_names_are_the_module_all(name):
+    # the package lists a lazy module's names itself, so that naming one
+    # loads only its module; the list must be that module's __all__
+    module = importlib.import_module(f"latticebands.{name}")
+    assert sorted(latticebands._LAZY[name]) == sorted(module.__all__)
+    names = {}
+    exec("from latticebands import *", names)
+    assert [n for n in module.__all__ if names.get(n) is not getattr(module, n)] == []
+
+
 @pytest.mark.parametrize("argv", [
     ("spectrum", "--q", "2,2", "--grid", "16,16", "--json"),
     ("bands", "--q", "2,2", "--grid", "4,4", "--potential", "random", "--delta", "0.1"),

@@ -175,7 +175,7 @@ def test_interior_witness_margin_is_consistent():
     grid = GridSpec((24, 24))
     table = certified_edges(q, zero_potential(q), grid)
     for E in (-3.5, -1.0, 0.25, 2.2):
-        res = interior_witness(q, E, table=table)
+        res = interior_witness(q, E, grid=grid)
         k = res.band_index
         margin = min(table.band_max(k) - E, E - table.band_min(k))
         assert res.margin == pytest.approx(margin, abs=0.0)
