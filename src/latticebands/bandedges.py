@@ -429,8 +429,9 @@ def certified_edges(q: PeriodVector, V: Potential, grid: GridSpec, workers: int 
     )
 
 
-def iter_band_rows(q: PeriodVector, V: Potential, grid: GridSpec) -> Iterator[tuple[tuple[float, ...], np.ndarray]]:
-    """Yield (theta, descending eigenvalues) per grid node in row-major order.
+def iter_band_rows(q: PeriodVector, V: Potential, grid: GridSpec) -> Iterator[np.ndarray]:
+    """Yield each grid node's descending eigenvalues, a (Q,) row, in
+    row-major node order; node j sits at theta_i = j_i h_i.
 
     Taking the first row solves every time-reversal representative, in one
     pass that also keeps the band reductions on V (see sample_bands), so an
@@ -443,8 +444,7 @@ def iter_band_rows(q: PeriodVector, V: Potential, grid: GridSpec) -> Iterator[tu
     block = _chunk_size(q.Q)
     for start in range(0, grid.n_nodes, block):
         nodes = np.arange(start, min(start + block, grid.n_nodes))
-        src = np.searchsorted(reps, np.minimum(nodes, _mirror(nodes, grid.m)))
-        yield from zip(map(tuple, _node_phases(q, grid, nodes).tolist()), held[src])
+        yield from held[np.searchsorted(reps, np.minimum(nodes, _mirror(nodes, grid.m)))]
 
 
 def overlaps(table: BandTable) -> tuple[float, ...]:
@@ -496,11 +496,7 @@ def overlap_after_potential(delta: float, v_norm: float) -> float:
     return delta - 2.0 * v_norm
 
 
-def estimate_cq(
-    q: PeriodVector,
-    grid: GridSpec | None = None,
-    workers: int = 1,
-) -> CqEstimate:
+def estimate_cq(q: PeriodVector, grid: GridSpec, workers: int = 1) -> CqEstimate:
     """Certified coupling threshold from the free band overlaps.
 
     Computes certified free band edges, takes the per-pair overlaps, and
@@ -513,8 +509,6 @@ def estimate_cq(
     and flagged through touching_at_zero.  If the grid is too coarse to
     certify a positive threshold the estimate is marked inconclusive.
     """
-    if grid is None:
-        grid = default_grid(q)
     table = certified_edges(q, zero_potential(q), grid, workers=workers)
     deltas = overlaps(table)
     slack = table.slack

@@ -33,8 +33,6 @@ EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 EXIT_INCONCLUSIVE = 3
 
-_BUILTIN_POTENTIALS = ("zero", "dimer", "vq", "random")
-
 
 def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
@@ -85,6 +83,9 @@ def _resolve_q(args) -> PeriodVector:
 
 
 def _resolve_grid(args, q: PeriodVector) -> bandedges.GridSpec:
+    """The sweep flags: the one place a grid is chosen, --grid if given and
+    else default_grid(q, --budget); --workers is checked here too."""
+    bandedges.check_workers(args.workers)
     if args.grid:
         m = _parse_ints(args.grid, "--grid")
         if len(m) != q.d:
@@ -95,22 +96,26 @@ def _resolve_grid(args, q: PeriodVector) -> bandedges.GridSpec:
 
 def _resolve_potential(args, q: PeriodVector) -> tuple[Potential, dict]:
     name = args.potential
+    if args.seed is not None and name != "random":
+        raise ConfigurationError(f"--seed applies only to --potential random, not {name}")
     info: dict = {"kind": name}
-    if name == "zero":
-        return zero_potential(q), info
     if name in ("dimer", "vq", "random"):
         if args.delta is None:
             raise ConfigurationError(f"--potential {name} requires --delta")
         info["delta"] = args.delta
         if name == "random":
-            info["seed"] = args.seed
-            return random_potential(q, args.delta, args.seed), info
+            info["seed"] = 0 if args.seed is None else args.seed
+            return random_potential(q, args.delta, info["seed"]), info
         from . import counterexample
 
         if name == "dimer":
             return counterexample.build_dimer(q, args.delta), info
         spec = counterexample.CounterexampleSpec(q, args.delta)
         return counterexample.build_vq(spec), info
+    if args.delta is not None:
+        raise ConfigurationError(f"--delta does not apply to --potential {name}")
+    if name == "zero":
+        return zero_potential(q), info
     V = load_potential(name)
     if V.q != q:
         raise ConfigurationError(
@@ -121,16 +126,12 @@ def _resolve_potential(args, q: PeriodVector) -> tuple[Potential, dict]:
 
 
 def _base_config(args, q: PeriodVector, grid: bandedges.GridSpec | None) -> dict:
-    cfg = {
-        "command": args.command,
-        "q": list(q.q),
-        "workers": args.workers,
-        "version": __version__,
-    }
+    cfg = {"command": args.command, "q": list(q.q), "version": __version__}
     if grid is not None:
         cfg["grid"] = list(grid.m)
         cfg["refine_rounds"] = bandedges.REFINE_ROUNDS
         cfg["budget"] = grid.budget
+        cfg["workers"] = args.workers
     return cfg
 
 
@@ -199,7 +200,7 @@ _CSV_ROWS_PER_WRITE = 4096
 
 def _write_csv(fh, q: PeriodVector, grid: bandedges.GridSpec, rows) -> None:
     """Write the header and one "%.17g" row per grid node, row-major, from
-    the (theta, values) rows of iter_band_rows.
+    the value rows of iter_band_rows.
 
     Each piece of text is made once: the theta columns come from per-axis
     tables (node j_i sits at j_i h_i), and a row's eigenvalue text is kept
@@ -216,7 +217,7 @@ def _write_csv(fh, q: PeriodVector, grid: bandedges.GridSpec, rows) -> None:
     fmt = ",".join(["%.17g"] * q.Q) + "\n"
     pending: dict[bytes, str] = {}
     lines = [",".join(header) + "\n"]
-    for prefix, (_, vals) in zip(map("".join, itertools.product(*axes)), rows):
+    for prefix, vals in zip(map("".join, itertools.product(*axes)), rows):
         key = vals.tobytes()
         text = pending.pop(key, None)
         if text is None:
@@ -260,8 +261,8 @@ def cmd_witness(args) -> int:
     from . import freebands
 
     q = _resolve_q(args)
-    grid = _resolve_grid(args, q) if args.grid else None
-    result = freebands.interior_witness(q, args.energy, grid=grid, workers=args.workers)
+    grid = _resolve_grid(args, q)
+    result = freebands.interior_witness(q, args.energy, grid, workers=args.workers)
     report = _base_config(args, q, grid)
     report["energy"] = args.energy
     report["band_index"] = result.band_index
@@ -402,11 +403,13 @@ def cmd_counterexample(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser, potential: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, sweep: bool = True, potential: bool = False) -> None:
+    """--q, --out and --json, plus the sweep flags and the potential flags."""
     p.add_argument("--q", required=True, help="comma separated periods, e.g. 2,3")
-    p.add_argument("--grid", default=None, help="comma separated samples per direction")
-    p.add_argument("--budget", type=int, default=1 << 16, help="max grid nodes")
-    p.add_argument("--workers", type=int, default=1, help="worker threads for grid sweeps")
+    if sweep:
+        p.add_argument("--grid", default=None, help="comma separated samples per direction")
+        p.add_argument("--budget", type=int, default=1 << 16, help="max grid nodes")
+        p.add_argument("--workers", type=int, default=1, help="worker threads for grid sweeps")
     p.add_argument("--out", default=None, help="write the report (or CSV for bands) here")
     p.add_argument("--json", action="store_true", help="print canonical JSON to stdout")
     if potential:
@@ -415,8 +418,8 @@ def _add_common(p: argparse.ArgumentParser, potential: bool = True) -> None:
             default="zero",
             help="zero | dimer | vq | random | path to a JSON potential file",
         )
-        p.add_argument("--delta", type=float, default=None, help="coupling for builtins")
-        p.add_argument("--seed", type=int, default=0, help="seed for --potential random")
+        p.add_argument("--delta", type=float, default=None, help="coupling for dimer, vq and random")
+        p.add_argument("--seed", type=int, default=None, help="seed for --potential random (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,27 +431,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bands", help="sample every band over a phase grid (CSV/JSON)")
-    _add_common(p)
+    _add_common(p, potential=True)
 
     p = sub.add_parser("spectrum", help="certified spectrum intervals and gaps")
-    _add_common(p)
+    _add_common(p, potential=True)
 
     p = sub.add_parser("witness", help="certify an energy strictly inside a free band")
-    _add_common(p, potential=False)
+    _add_common(p)
     p.add_argument("--energy", type=float, required=True)
 
     p = sub.add_parser("cq", help="certified coupling threshold from free overlaps")
-    _add_common(p, potential=False)
+    _add_common(p)
 
     p = sub.add_parser("degeneracy", help="classify and split a coincident level group")
-    _add_common(p, potential=False)
+    _add_common(p, sweep=False)
     p.add_argument("--theta", required=True, help="comma separated reduced phase")
     p.add_argument("--l", required=True, help="comma separated target frequency offset")
     p.add_argument("--beta", required=True, help="comma separated direction (normalized)")
     p.add_argument("--t", type=float, default=1e-3, help="finite step for counting")
 
     p = sub.add_parser("counterexample", help="build the gap-opening potential and verify it")
-    _add_common(p, potential=False)
+    _add_common(p)
     p.add_argument("--delta", type=float, default=None, help="coupling of the construction")
     p.add_argument("--force", action="store_true", help="allow couplings above the default cap")
 
@@ -463,7 +466,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        bandedges.check_workers(args.workers)
         # Looked up at call time, so a replaced cmd_<command> is the one run.
         return globals()[f"cmd_{args.command}"](args)
     except (DomainError, ConfigurationError) as exc:

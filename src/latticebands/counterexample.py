@@ -173,7 +173,7 @@ def neighbor_sum_check(V: Potential, delta: float) -> NeighborSumReport:
 
 def verify_gap_at_zero(
     spec: CounterexampleSpec,
-    grid: bandedges.GridSpec | None = None,
+    grid: bandedges.GridSpec,
     workers: int = 1,
 ) -> GapCheck:
     """Measure the distance from zero to the sampled spectrum.
@@ -185,8 +185,6 @@ def verify_gap_at_zero(
     certify the claim.
     """
     q = spec.q
-    if grid is None:
-        grid = bandedges.default_grid(q)
     V = build_vq(spec)
     margin, _ = bandedges.min_abs_eigenvalue(q, V, grid, workers=workers)
     slack = bandedges.certified_slack(q, grid)

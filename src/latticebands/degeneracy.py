@@ -24,6 +24,7 @@ from .lattice import (
     PeriodVector,
     Phase,
     check_index,
+    check_phase,
     enumerate_lambda,
     theta_values,
 )
@@ -136,9 +137,7 @@ def coincident_group(
     on a double-precision tolerance.  Members come back in row-major order
     and always include the target.
     """
-    th = theta_values(theta)
-    if len(th) != q.d:
-        raise DomainError(f"phase has {len(th)} coordinates, expected {q.d}")
+    th = check_phase(q, theta)
     target = FourierIndex(check_index(q, target_l))
     fracs = [_as_fraction(x) for x in th]
     if all(f is not None for f in fracs):

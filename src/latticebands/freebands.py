@@ -24,7 +24,7 @@ from .lattice import (
     PeriodVector,
     Phase,
     check_index,
-    theta_values,
+    check_phase,
 )
 
 __all__ = [
@@ -58,9 +58,7 @@ class WitnessResult:
 
 
 def _full_angles(q: PeriodVector, theta, l) -> list[float]:
-    th = theta_values(theta)
-    if len(th) != q.d:
-        raise DomainError(f"phase has {len(th)} coordinates, expected {q.d}")
+    th = check_phase(q, theta)
     lv = check_index(q, l)
     return [th[i] + lv[i] / q.q[i] for i in range(q.d)]
 
@@ -145,7 +143,7 @@ def construct_theta_for_energy(d: int, E: float) -> np.ndarray:
 def interior_witness(
     q: PeriodVector,
     E: float,
-    grid: bandedges.GridSpec | None = None,
+    grid: bandedges.GridSpec,
     workers: int = 1,
 ) -> WitnessResult:
     """Find a band holding E strictly inside, with a sampled certificate.
@@ -161,8 +159,6 @@ def interior_witness(
     """
     if not abs(E) < 2 * q.d:
         raise DomainError(f"energy must satisfy |E| < {2 * q.d}, got {E}")
-    if grid is None:
-        grid = bandedges.default_grid(q, budget=4096)
     table = bandedges.certified_edges(q, zero_potential(q), grid, workers=workers)
     if E == 0.0 and q.all_even:
         k = q.Q // 2

@@ -34,6 +34,18 @@ __all__ = [
 ]
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """values as an int tuple; DomainError unless every entry is integral."""
+    try:
+        items = tuple(values)
+        vals = tuple(int(x) for x in items)
+    except (TypeError, ValueError, OverflowError):
+        vals = None
+    if vals is None or vals != items:
+        raise DomainError(f"{what} must be integers, got {values!r}")
+    return vals
+
+
 @dataclass(frozen=True)
 class PeriodVector:
     """Componentwise periods (q_1, ..., q_d) of the potential."""
@@ -41,12 +53,7 @@ class PeriodVector:
     q: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        try:
-            vals = tuple(int(x) for x in self.q)
-        except (TypeError, ValueError):
-            vals = None
-        if vals is None or any(v != x for v, x in zip(vals, self.q)):
-            raise DomainError(f"periods must be integers, got {self.q!r}")
+        vals = _integers(self.q, "periods")
         if len(vals) < 2:
             raise DomainError(f"need at least two lattice directions, got {vals!r}")
         if any(v < 1 for v in vals):
@@ -74,7 +81,7 @@ class FourierIndex:
     l: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "l", tuple(int(x) for x in self.l))
+        object.__setattr__(self, "l", _integers(self.l, "frequency offsets"))
 
 
 @dataclass(frozen=True)
@@ -109,17 +116,12 @@ def period(values: Iterable[int]) -> PeriodVector:
 
 
 def theta_values(theta: Phase | Sequence[float]) -> tuple[float, ...]:
-    """Coerce a phase argument (Phase or plain sequence) to a float tuple."""
-    if isinstance(theta, Phase):
-        return theta.theta
-    return tuple(float(x) for x in theta)
-
-
-def index_values(l: FourierIndex | Sequence[int]) -> tuple[int, ...]:
-    """Coerce a frequency-offset argument to an int tuple."""
-    if isinstance(l, FourierIndex):
-        return l.l
-    return tuple(int(x) for x in l)
+    """Coerce a phase argument (Phase or plain sequence) to a float tuple,
+    rejecting non-finite coordinates."""
+    vals = theta.theta if isinstance(theta, Phase) else tuple(float(x) for x in theta)
+    if not all(map(math.isfinite, vals)):
+        raise DomainError(f"phase coordinates must be finite, got {vals!r}")
+    return vals
 
 
 def _check_dims(q: PeriodVector, values: Sequence, what: str) -> None:
@@ -127,9 +129,16 @@ def _check_dims(q: PeriodVector, values: Sequence, what: str) -> None:
         raise DomainError(f"{what} has {len(values)} coordinates, expected {q.d}")
 
 
+def check_phase(q: PeriodVector, theta: Phase | Sequence[float]) -> tuple[float, ...]:
+    """A phase argument's finite coordinates, checked to number q.d."""
+    vals = theta_values(theta)
+    _check_dims(q, vals, "phase")
+    return vals
+
+
 def check_index(q: PeriodVector, l: FourierIndex | Sequence[int]) -> tuple[int, ...]:
     """Validate componentwise bounds of a frequency offset against q."""
-    vals = index_values(l)
+    vals = l.l if isinstance(l, FourierIndex) else FourierIndex(l).l
     _check_dims(q, vals, "frequency offset")
     for i, (li, qi) in enumerate(zip(vals, q.q)):
         if not 0 <= li < qi:
@@ -144,7 +153,7 @@ def enumerate_lambda(q: PeriodVector) -> tuple[FourierIndex, ...]:
 
 def site_from_coords(q: PeriodVector, n: Sequence[int]) -> SiteIndex:
     """Encode cell coordinates as a site with its row-major linear index."""
-    coords = tuple(int(x) for x in n)
+    coords = _integers(n, "site coordinates")
     _check_dims(q, coords, "site")
     for i, (ni, qi) in enumerate(zip(coords, q.q)):
         if not 0 <= ni < qi:
@@ -202,10 +211,7 @@ def fold_phase(q: PeriodVector, x: Sequence[float]) -> tuple[Phase, FourierIndex
 
 def phase(q: PeriodVector, values: Sequence[float]) -> Phase:
     """Wrap arbitrary real coordinates onto the reduced torus."""
-    vals = tuple(float(v) for v in values)
-    _check_dims(q, vals, "phase")
-    if not all(map(math.isfinite, vals)):
-        raise DomainError(f"phase coordinates must be finite, got {vals!r}")
+    vals = check_phase(q, values)
     out = []
     for v, qi in zip(vals, q.q):
         w = 1.0 / qi
@@ -222,11 +228,7 @@ def torus_distance(q: PeriodVector, a: Phase | Sequence[float], b: Phase | Seque
     Per coordinate this is the distance of a_i - b_i to the nearest multiple
     of 1/q_i; the coordinates combine in the Euclidean norm.
     """
-    av = theta_values(a)
-    bv = theta_values(b)
-    _check_dims(q, av, "phase")
-    if len(av) != len(bv):
-        raise DomainError(f"phase dimension mismatch: {len(av)} vs {len(bv)}")
+    av, bv = check_phase(q, a), check_phase(q, b)
     total = 0.0
     for ai, bi, qi in zip(av, bv, q.q):
         frac = ((ai - bi) * qi) % 1.0

@@ -59,6 +59,13 @@ def ref_level_single(q, theta, l):
     )
 
 
+def grid_thetas(q, m):
+    """Phase of every grid node in row-major order, node j_i at j_i / (q_i m_i):
+    the order of the rows of iter_band_rows."""
+    steps = [1.0 / (qi * mi) for qi, mi in zip(q, m)]
+    return [tuple(j * h for j, h in zip(js, steps)) for js in itertools.product(*[range(mi) for mi in m])]
+
+
 def random_periods(rng, d_max=4, q_max=5, cell_max=36):
     """Draw a small random period vector with a bounded cell size."""
     while True:

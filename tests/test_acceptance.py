@@ -81,19 +81,19 @@ def test_03_interior_witness_for_generic_energies():
         E = float(rng.uniform(-4, 4))
         if abs(E) < 1e-3:
             continue
-        res = interior_witness(q, E)
+        res = interior_witness(q, E, GridSpec((64, 64)))
         assert res.margin > 0.0, f"no interior witness at E={E}"
         margins.append(res.margin)
     print(f"[acceptance 03] PASS 50 interior witnesses, smallest margin {min(margins):.4f}")
 
 
 def test_04_zero_energy_dichotomy():
-    mixed = interior_witness(period((2, 3)), 0.0)
+    mixed = interior_witness(period((2, 3)), 0.0, GridSpec((64, 64)))
     assert not mixed.touching_at_zero
     assert mixed.margin > 0.0
 
     q = period((2, 2))
-    even = interior_witness(q, 0.0)
+    even = interior_witness(q, 0.0, GridSpec((64, 64)))
     assert even.touching_at_zero
     table = certified_edges(q, zero_potential(q), GridSpec((64, 64)))
     middle = overlaps(table)[q.Q // 2 - 1]

@@ -32,7 +32,7 @@ from latticebands import (
     zero_potential,
 )
 
-from conftest import ref_fiber, ref_levels
+from conftest import grid_thetas, ref_fiber, ref_levels
 
 
 def dense_band_extrema(q_tuple, V_vals, m_dense):
@@ -255,7 +255,7 @@ def test_argmin_is_first_node_attaining_the_minimum():
     grid = GridSpec((8, 8))
     table = sample_bands(q, zero_potential(q), grid)
     assert table.band_min(2) == pytest.approx(0.0, abs=1e-12)
-    for theta, vals in iter_band_rows(q, zero_potential(q), grid):
+    for theta, vals in zip(grid_thetas(q.q, grid.m), iter_band_rows(q, zero_potential(q), grid)):
         if vals[1] == table.band_min(2):
             assert theta == table.theta_min(2).theta
             break
@@ -302,9 +302,7 @@ def test_sweep_results_do_not_depend_on_chunk_size(monkeypatch, chunk, free):
     monkeypatch.setattr(bandedges, "_chunk_size", lambda Q: chunk)
     for workers in (1, 2):
         assert _sweep_results(q, make_V, grid, workers) == expected
-    rows = list(iter_band_rows(q, make_V(), grid))
-    assert [theta for theta, _ in rows] == [theta for theta, _ in expected_rows]
-    assert np.array_equal(np.array([v for _, v in rows]), np.array([v for _, v in expected_rows]))
+    assert np.array_equal(np.array(list(iter_band_rows(q, make_V(), grid))), np.array(expected_rows))
 
 
 def test_threaded_sweep_cancels_pending_chunks_after_a_failure(monkeypatch):
@@ -357,13 +355,14 @@ def test_sweeps_reject_nonpositive_workers(workers):
 
 
 def test_iter_band_rows_row_major():
-    q = period((2, 2))
+    # (2, 3) tells the axes apart: node 1 sits at (0, 1/12), node 4 at (1/8, 0)
+    q = period((2, 3))
     grid = GridSpec((4, 4))
     rows = list(iter_band_rows(q, zero_potential(q), grid))
-    assert len(rows) == 16
-    assert rows[0][0] == (0.0, 0.0)
-    assert rows[1][0] == (0.0, 1.0 / 8.0)  # last coordinate advances fastest
-    for theta, vals in rows:
+    assert len(rows) == 16 and all(vals.shape == (q.Q,) for vals in rows)
+    np.testing.assert_allclose(rows[1], ref_levels(q.q, (0.0, 1.0 / 12.0)), atol=1e-9)
+    assert not np.allclose(rows[1], ref_levels(q.q, (1.0 / 8.0, 0.0)))
+    for theta, vals in zip(grid_thetas(q.q, grid.m), rows):
         np.testing.assert_allclose(vals, ref_levels(q.q, theta), atol=1e-9)
         assert np.all(np.diff(vals) <= 1e-12)
 
@@ -587,7 +586,7 @@ def test_half_grid_sweep_matches_full_grid_reference(kind):
         assert abs(value - np.abs(ref).min()) <= 1e-12
         # every reported phase is the smallest row-major node whose swept
         # value equals the reported one bit for bit
-        rows = np.array([vals for _, vals in iter_band_rows(q, V, grid)])
+        rows = np.array(list(iter_band_rows(q, V, grid)))
         for k in range(q.Q):
             for want, got in ((table.min_values[k], table.argmin[k]), (table.max_values[k], table.argmax[k])):
                 first = int(np.flatnonzero(rows[:, k] == want)[0])
@@ -668,4 +667,4 @@ def test_band_rows_at_mirrored_nodes_are_bit_identical(m):
     assert len(rows) == grid.n_nodes
     mirror = bandedges._mirror(np.arange(grid.n_nodes), grid.m)
     for j, mj in enumerate(mirror):
-        assert rows[j][1].tobytes() == rows[mj][1].tobytes()
+        assert rows[j].tobytes() == rows[mj].tobytes()

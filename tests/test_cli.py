@@ -13,6 +13,8 @@ import latticebands
 from latticebands import GridSpec, bandedges, cli, floquet, iter_band_rows, period, random_potential
 from latticebands.cli import _fmt_float, main
 
+from conftest import grid_thetas
+
 
 def run(capsys, *argv):
     rc = main(list(argv))
@@ -268,8 +270,65 @@ def test_malformed_potential_file_exits_2(capsys, tmp_path, text, message):
 )
 def test_nonpositive_workers_exit_2(capsys, command, extra):
     for workers in ("0", "-3"):
-        rc, out, err = run(capsys, command, "--q", "2,2", "--grid", "8,8", "--workers", workers, *extra)
+        argv = [command, "--q", "2,2", "--grid", "8,8", "--workers", workers, *extra]
+        if command == "degeneracy":
+            # no sweep, so argument parsing rejects the sweep flags themselves
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: --grid 8,8 --workers {workers}" in capsys.readouterr().err
+            continue
+        rc, out, err = run(capsys, *argv)
         assert rc == 2 and out == "" and "workers must be at least 1" in err
+
+
+@pytest.mark.parametrize("flag", [("--grid", "4,4"), ("--workers", "2"), ("--budget", "64")])
+def test_degeneracy_rejects_the_sweep_flags(capsys, flag):
+    argv = ["degeneracy", "--q", "3,2", "--theta", "0.16666666666666666,0", "--l", "1,0",
+            "--beta", "1,0", "--json", *flag]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    rc, out, _ = run(capsys, *argv[:-2])
+    assert rc == 0 and "workers" not in json.loads(out)
+
+
+def test_witness_default_grid_follows_the_budget(capsys):
+    rc, out, _ = run(capsys, "witness", "--q", "2,3", "--energy", "3.9", "--budget", "64", "--json")
+    assert rc == 0
+    report = json.loads(out)
+    assert (report["grid"], report["budget"], report["refine_rounds"], report["workers"]) == ([8, 8], 64, 10, 1)
+    rc, out, _ = run(capsys, "witness", "--q", "3,3,2", "--energy", "1.3", "--json")
+    assert rc == 0 and json.loads(out)["grid"] == [40, 40, 40]
+    rc, _, err = run(capsys, "witness", "--q", "2,3", "--energy", "3.9", "--budget", "3")
+    assert rc == 2 and "budget 3 too small" in err
+
+
+@pytest.mark.parametrize("potential,extra,message", [
+    ("zero", ("--delta", "0.3"), "--delta does not apply to --potential zero"),
+    ("zero", ("--delta", "0.3", "--seed", "4"), "--seed applies only to --potential random, not zero"),
+    ("zero", ("--seed", "0"), "--seed applies only to --potential random, not zero"),
+    ("dimer", ("--delta", "0.1", "--seed", "4"), "--seed applies only to --potential random, not dimer"),
+    ("vq", ("--delta", "0.1", "--seed", "4"), "--seed applies only to --potential random, not vq"),
+    ("{file}", ("--delta", "0.1"), "--delta does not apply to --potential {file}"),
+    ("{file}", ("--seed", "4"), "--seed applies only to --potential random, not {file}"),
+])
+@pytest.mark.parametrize("command", ["spectrum", "bands"])
+def test_potential_flags_it_would_ignore_exit_2(capsys, tmp_path, command, potential, extra, message):
+    pot = tmp_path / "pot.json"
+    pot.write_text(json.dumps({"q": [2, 2], "values": [0.1, -0.1, -0.1, 0.1]}))
+    rc, out, err = run(capsys, command, "--q", "2,2", "--grid", "8,8", "--json",
+                       "--potential", potential.format(file=pot), *extra)
+    assert rc == 2 and out == ""
+    assert err == f"error: {message.format(file=pot)}\n"
+
+
+def test_random_potential_without_seed_reports_seed_0(capsys):
+    argv = ("spectrum", "--q", "2,2", "--grid", "8,8", "--potential", "random", "--delta", "0.2", "--json")
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and json.loads(out)["potential"] == {"kind": "random", "delta": 0.2, "seed": 0}
+    assert run(capsys, *argv, "--seed", "0") == (rc, out, "")
 
 
 @pytest.mark.parametrize("x", [-0.0, 5e-324, 1e16, 0.1, -4.0000000000000009])
@@ -284,7 +343,8 @@ def test_bands_csv_matches_per_value_formatter(tmp_path, capsys):
     assert rc == 0
     q = period((2, 3))
     lines = ["theta_1,theta_2," + ",".join(f"E_{k}" for k in range(1, 7))]
-    for theta, vals in iter_band_rows(q, random_potential(q, 0.3, 11), GridSpec((16, 12))):
+    grid = GridSpec((16, 12))
+    for theta, vals in zip(grid_thetas(q.q, grid.m), iter_band_rows(q, random_potential(q, 0.3, 11), grid)):
         lines.append(",".join(format(float(x), ".17g") for x in (*theta, *vals)))
     assert target.read_bytes() == ("\n".join(lines) + "\n").encode()
 
@@ -525,8 +585,7 @@ FLAGS = {
                  "--potential", "--delta", "--seed"},
     "witness": {"--q", "--grid", "--budget", "--workers", "--out", "--json", "--energy"},
     "cq": {"--q", "--grid", "--budget", "--workers", "--out", "--json"},
-    "degeneracy": {"--q", "--grid", "--budget", "--workers", "--out", "--json",
-                   "--theta", "--l", "--beta", "--t"},
+    "degeneracy": {"--q", "--out", "--json", "--theta", "--l", "--beta", "--t"},
     "counterexample": {"--q", "--grid", "--budget", "--workers", "--out", "--json",
                        "--delta", "--force"},
 }

@@ -224,3 +224,18 @@ def test_prediction_agrees_with_count_randomized(rng):
             assert (got.n_up, got.n_down) == want
         checked += 1
     assert checked > 200
+
+
+@pytest.mark.parametrize("theta", [(math.nan, 0.0), (0.25, math.inf)])
+def test_group_rejects_a_non_finite_phase(theta):
+    # a NaN coordinate raised a bare ValueError from the rational test
+    with pytest.raises(DomainError, match="phase coordinates must be finite"):
+        coincident_group(period((2, 2)), theta, (0, 0))
+
+
+def test_group_checks_phase_dimension_and_offset():
+    q = period((2, 2))
+    with pytest.raises(DomainError, match="phase has 3 coordinates, expected 2"):
+        coincident_group(q, (0.25, 0.25, 0.0), (0, 0))
+    with pytest.raises(DomainError, match="frequency offsets must be integers"):
+        coincident_group(q, (0.25, 0.25), (0.5, 0))

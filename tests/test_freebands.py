@@ -158,14 +158,14 @@ def test_construct_theta_domain():
 
 def test_interior_witness_center_of_spectrum():
     q = period((2, 3))
-    res = interior_witness(q, 0.0)
+    res = interior_witness(q, 0.0, GridSpec((64, 64)))
     assert not res.touching_at_zero
     assert res.margin == pytest.approx(1.0, abs=1e-6)
 
 
 def test_interior_witness_near_band_edge():
     q = period((2, 3))
-    res = interior_witness(q, 3.9)
+    res = interior_witness(q, 3.9, GridSpec((64, 64)))
     assert res.band_index == 1
     assert res.margin == pytest.approx(0.1, abs=1e-6)
 
@@ -175,7 +175,7 @@ def test_interior_witness_margin_is_consistent():
     grid = GridSpec((24, 24))
     table = certified_edges(q, zero_potential(q), grid)
     for E in (-3.5, -1.0, 0.25, 2.2):
-        res = interior_witness(q, E, grid=grid)
+        res = interior_witness(q, E, grid)
         k = res.band_index
         margin = min(table.band_max(k) - E, E - table.band_min(k))
         assert res.margin == pytest.approx(margin, abs=0.0)
@@ -185,7 +185,7 @@ def test_interior_witness_margin_is_consistent():
 
 def test_interior_witness_touching_at_zero():
     q = period((2, 2))
-    res = interior_witness(q, 0.0)
+    res = interior_witness(q, 0.0, GridSpec((64, 64)))
     assert res.touching_at_zero
     assert res.band_index == 2
     assert res.margin == 0.0
@@ -194,6 +194,25 @@ def test_interior_witness_touching_at_zero():
 def test_interior_witness_energy_domain():
     q = period((2, 2))
     with pytest.raises(DomainError):
-        interior_witness(q, 4.0)
+        interior_witness(q, 4.0, GridSpec((64, 64)))
     with pytest.raises(DomainError):
-        interior_witness(q, -8.0)
+        interior_witness(q, -8.0, GridSpec((64, 64)))
+
+
+@pytest.mark.parametrize("theta", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)])
+def test_free_level_rejects_a_non_finite_phase(theta):
+    # free_level returned nan for a NaN coordinate
+    with pytest.raises(DomainError, match="phase coordinates must be finite"):
+        free_level(period((2, 3)), theta, (0, 0))
+
+
+@pytest.mark.parametrize("l", [(0.7, 0), (0, 1.5), (math.nan, 0), (math.inf, 0), ("1", 0)])
+def test_free_level_rejects_a_non_integral_offset(l):
+    # free_level(q, (0.1, 0), (0.7, 0)) used the offset (0, 0)
+    with pytest.raises(DomainError, match="frequency offsets must be integers"):
+        free_level(period((2, 3)), (0.1, 0.0), l)
+
+
+def test_free_level_phase_dimension_is_checked():
+    with pytest.raises(DomainError, match="phase has 3 coordinates, expected 2"):
+        free_level(period((2, 3)), (0.1, 0.0, 0.0), (0, 0))

@@ -6,6 +6,7 @@ import pytest
 
 from latticebands import DomainError, fold_phase, period, phase, torus_distance
 from latticebands.lattice import (
+    FourierIndex,
     enumerate_lambda,
     fold_coordinate,
     site_from_coords,
@@ -153,3 +154,36 @@ def test_torus_distance_metric_properties(rng):
         bc = torus_distance(q, b, c)
         ac = torus_distance(q, a, c)
         assert ac <= ab + bc + 1e-12
+
+
+@pytest.mark.parametrize("l", [(0.5, 0), (1, math.nan), (math.inf, 1), ("1", 0), None])
+def test_fourier_index_rejects_non_integral_offsets(l):
+    with pytest.raises(DomainError, match="frequency offsets must be integers"):
+        FourierIndex(l)
+
+
+def test_fourier_index_accepts_integral_values():
+    assert FourierIndex((1.0, np.int64(2))).l == (1, 2)
+    assert FourierIndex(iter([0, 1])).l == (0, 1)
+
+
+@pytest.mark.parametrize("coords", [(0.5, 0), (0, math.nan)])
+def test_site_from_coords_rejects_non_integral_coordinates(coords):
+    # (0.5, 0) was read as site 0
+    with pytest.raises(DomainError, match="site coordinates must be integers"):
+        site_from_coords(period((2, 3)), coords)
+
+
+@pytest.mark.parametrize("q", [(2, math.inf), (2, math.nan)])
+def test_period_rejects_non_finite_periods(q):
+    # an infinite period raised a bare OverflowError
+    with pytest.raises(DomainError, match="periods must be integers"):
+        period(q)
+
+
+def test_torus_distance_checks_both_phases():
+    q = period((2, 3))
+    with pytest.raises(DomainError, match="phase has 3 coordinates, expected 2"):
+        torus_distance(q, (0.1, 0.1), (0.1, 0.1, 0.1))
+    with pytest.raises(DomainError, match="phase coordinates must be finite"):
+        torus_distance(q, (0.1, 0.1), (0.1, math.nan))
