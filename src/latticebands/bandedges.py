@@ -10,7 +10,6 @@ so results do not depend on evaluation order or worker count.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
@@ -20,7 +19,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from . import floquet
 from .floquet import Potential, zero_potential
-from .lattice import PeriodVector, Phase
+from .lattice import PeriodVector, Phase, is_integer
 
 __all__ = [
     "GridSpec",
@@ -29,7 +28,7 @@ __all__ = [
     "SpectrumReport",
     "CqEstimate",
     "default_grid",
-    "lipschitz_constant",
+    "LIPSCHITZ",
     "certified_slack",
     "sample_bands",
     "certified_edges",
@@ -48,14 +47,24 @@ __all__ = [
 REFINE_ROUNDS = 10
 SHRINK = 0.5
 
-
-def _is_int(x) -> bool:
-    """True for Python and numpy integers, False for bools and floats."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+# Per-coordinate Lipschitz bound of every band function, for every potential.
+# Conjugating the fiber matrix H(theta) by the diagonal unitary
+# diag(exp(2 pi i n . theta)) over the cell sites n leaves its spectrum
+# unchanged and puts the phase exp(2 pi i theta_i) on every bond of
+# direction i: that part of H is exp(2 pi i theta_i) S_i + h.c. with S_i a
+# cyclic shift, and the potential carries no phase.  So
+# ||dH/dtheta_i|| <= 4 pi, and by Weyl's inequality every sorted eigenvalue
+# moves by at most 4 pi |dtheta_i|.
+#
+# For a real V, H(-theta) = conj H(theta), so every band function is also
+# even in theta.  The sweeps solve one node of each mirror pair; its values
+# are attained at both nodes and the mirrored grid is the grid itself, so
+# the slack from this bound covers the whole torus.
+LIPSCHITZ = 4.0 * math.pi
 
 
 def _check_budget(budget) -> int:
-    if not _is_int(budget) or budget < 1:
+    if not is_integer(budget) or budget < 1:
         raise ConfigurationError(f"budget must be a positive integer, got {budget!r}")
     return int(budget)
 
@@ -69,7 +78,7 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         vals = tuple(self.m)
-        if not all(map(_is_int, vals)):
+        if not all(map(is_integer, vals)):
             raise ConfigurationError(f"sample counts must be integers, got {vals!r}")
         vals = tuple(map(int, vals))
         object.__setattr__(self, "m", vals)
@@ -181,44 +190,26 @@ class CqEstimate:
     slack: float
 
 
-def lipschitz_constant(q: PeriodVector, axis: int) -> float:
-    """Per-coordinate Lipschitz bound 4 pi for every band function and potential.
-
-    Conjugating the fiber matrix H(theta) by the diagonal unitary
-    diag(exp(2 pi i n . theta)) over the cell sites n leaves its spectrum
-    unchanged and puts the phase exp(2 pi i theta_i) on every bond of
-    direction i: that part of H is exp(2 pi i theta_i) S_i + h.c. with S_i a
-    cyclic shift, and the potential carries no phase.  So
-    ||dH/dtheta_i|| <= 4 pi, and by Weyl's inequality every sorted
-    eigenvalue moves by at most 4 pi |dtheta_i|.
-
-    For a real V, H(-theta) = conj H(theta), so every band function is also
-    even in theta.  The sweeps solve one node of each mirror pair; its
-    values are attained at both nodes and the mirrored grid is the grid
-    itself, so the slack from this bound covers the whole torus.
-    """
-    if not 0 <= axis < q.d:
-        raise DomainError(f"axis {axis} out of range for d={q.d}")
-    return 4.0 * math.pi
-
-
 def certified_slack(q: PeriodVector, grid: GridSpec) -> float:
-    """Enclosure radius sum_i L_i h_i / 2 = 2 pi sum_i h_i, h_i the grid step."""
-    steps = grid.steps(q)
-    return sum(lipschitz_constant(q, i) * h / 2.0 for i, h in enumerate(steps))
+    """Enclosure radius sum_i LIPSCHITZ h_i / 2 = 2 pi sum_i h_i, h_i the grid step."""
+    return sum(LIPSCHITZ * h / 2.0 for h in grid.steps(q))
 
 
 def default_grid(q: PeriodVector, budget: int = 1 << 16) -> GridSpec:
-    """Largest even per-direction sample count that fits the node budget."""
+    """The largest even per-direction sample count m with m^d <= budget."""
     budget = _check_budget(budget)
     if budget < 2**q.d:
         raise ConfigurationError(f"budget {budget} too small for d={q.d}")
-    m = int(budget ** (1.0 / q.d))
-    m -= m % 2
-    m = max(2, m)
-    while m**q.d > budget:
-        m = max(2, m - 2)
-    return GridSpec((m,) * q.d, budget=budget)
+    # Integer bisection on m = 2k, keeping (2 lo)^d <= budget < (2 hi)^d:
+    # a float root can land just below an exact one.
+    lo, hi = 1, budget
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (2 * mid) ** q.d <= budget:
+            lo = mid
+        else:
+            hi = mid
+    return GridSpec((2 * lo,) * q.d, budget=budget)
 
 
 def _chunk_size(Q: int) -> int:
@@ -297,8 +288,7 @@ def _sweep(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, held: np
     The reductions are kept on V per grid (Potential._sweeps), so a later
     sweep of the same V and grid solves nothing.  held, an (reps, Q) array,
     receives every representative's row; it is always solved."""
-    if V.q != q:
-        raise DomainError(f"potential periods {V.q.q} do not match {q.q}")
+    floquet.check_periods(q, V)
     grid.steps(q)  # validates dimension match
     check_workers(workers)
     if held is None and grid.m in V._sweeps:

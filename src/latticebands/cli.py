@@ -87,10 +87,9 @@ def _resolve_grid(args, q: PeriodVector) -> bandedges.GridSpec:
     else default_grid(q, --budget); --workers is checked here too."""
     bandedges.check_workers(args.workers)
     if args.grid:
-        m = _parse_ints(args.grid, "--grid")
-        if len(m) != q.d:
-            raise ConfigurationError(f"--grid has {len(m)} entries, expected {q.d}")
-        return bandedges.GridSpec(m, budget=args.budget)
+        grid = bandedges.GridSpec(_parse_ints(args.grid, "--grid"), budget=args.budget)
+        grid.steps(q)  # validates dimension match
+        return grid
     return bandedges.default_grid(q, budget=args.budget)
 
 
@@ -116,13 +115,8 @@ def _resolve_potential(args, q: PeriodVector) -> tuple[Potential, dict]:
         raise ConfigurationError(f"--delta does not apply to --potential {name}")
     if name == "zero":
         return zero_potential(q), info
-    V = load_potential(name)
-    if V.q != q:
-        raise ConfigurationError(
-            f"potential file periods {V.q.q} do not match --q {q.q}"
-        )
     info["path"] = name
-    return V, info
+    return load_potential(name), info
 
 
 def _base_config(args, q: PeriodVector, grid: bandedges.GridSpec | None) -> dict:
@@ -135,10 +129,19 @@ def _base_config(args, q: PeriodVector, grid: bandedges.GridSpec | None) -> dict
     return cfg
 
 
+def _open_out(path: str):
+    """Open the --out file for writing text as given; an unwritable path is a
+    ConfigurationError."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write --out file {path!r}: {exc.strerror}") from None
+
+
 def _emit(args, report: dict, human_lines: list[str]) -> None:
     text = canonical_json(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_out(args.out) as fh:
             fh.write(text + "\n")
     if args.json:
         print(text)
@@ -182,7 +185,7 @@ def cmd_bands(args) -> int:
             for k in range(1, table.Q + 1)
         ]
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with _open_out(args.out) as fh:
             _write_csv(fh, q, grid, rows)
     elif not args.json:
         _write_csv(sys.stdout, q, grid, rows)

@@ -26,7 +26,6 @@ from .lattice import (
     check_index,
     check_phase,
     enumerate_lambda,
-    theta_values,
 )
 
 __all__ = [
@@ -205,7 +204,7 @@ def count_moves(
     if not 0.0 < abs(t) <= MAX_STEP:
         raise DomainError(f"step must satisfy 0 < |t| <= {MAX_STEP}, got {t}")
     b = unit_direction(beta, q.d)
-    shifted = tuple(x + t * bi for x, bi in zip(theta_values(g.theta), b))
+    shifted = tuple(x + t * bi for x, bi in zip(check_phase(q, g.theta), b))
     guard = abs(t) ** 3
     n_up = 0
     n_down = 0

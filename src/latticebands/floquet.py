@@ -21,7 +21,9 @@ from .errors import ComputationError, ConfigurationError, DomainError
 from .lattice import (
     PeriodVector,
     Phase,
+    check_phases,
     enumerate_lambda,
+    is_integer,
     period,
     site_from_linear,
 )
@@ -95,7 +97,7 @@ def random_potential(q: PeriodVector, amplitude: float, seed: int) -> Potential:
     The seed must be a nonnegative integer."""
     if not (math.isfinite(amplitude) and amplitude >= 0):
         raise DomainError(f"amplitude must be finite and nonnegative, got {amplitude}")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     vals = rng.uniform(-1.0, 1.0, q.Q)
@@ -120,10 +122,6 @@ def parse_potential(payload: dict) -> Potential:
     bad = [v for v in values if isinstance(v, bool) or not isinstance(v, numbers.Real)]
     if bad:
         raise DomainError(f'potential "values" must be numbers, got {bad[0]!r}')
-    if len(values) != q.Q:
-        raise DomainError(
-            f"potential file has {len(values)} values, expected Q={q.Q} for periods {q.q}"
-        )
     return potential(q, values)
 
 
@@ -241,29 +239,10 @@ def _fiber_eigenvalues(q: PeriodVector, V: Potential, thetas: np.ndarray, build=
     return np.sort(vals, axis=1)[:, ::-1]
 
 
-def _checked_phases(q: PeriodVector, V: Potential, theta) -> tuple[np.ndarray, bool]:
-    """A phase argument as an (n, d) array of finite coordinates, and whether
-    it was a single phase (a Phase or a d-vector) rather than a stack; V must
-    match q."""
+def check_periods(q: PeriodVector, V: Potential) -> None:
+    """The one check that V is a potential for the periods q."""
     if V.q != q:
         raise DomainError(f"potential periods {V.q.q} do not match {q.q}")
-    if isinstance(theta, Phase):
-        theta = theta.theta
-    try:
-        th = np.asarray(theta, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"phase must be a d-vector or an (n, d) stack of them: {exc}") from None
-    single = th.ndim == 1
-    if single:
-        th = th[None, :]
-    if th.ndim != 2:
-        raise DomainError(f"phase must be a d-vector or an (n, d) stack of them, got shape {th.shape}")
-    if th.shape[1] != q.d:
-        raise DomainError(f"phase has {th.shape[1]} coordinates, expected {q.d}")
-    bad = ~np.isfinite(th).all(axis=1)
-    if bad.any():
-        raise DomainError(f"phase coordinates must be finite, got {th[bad][0].tolist()}")
-    return th, single
 
 
 def assemble(q: PeriodVector, V: Potential, theta: Phase | Sequence[float] | np.ndarray) -> np.ndarray:
@@ -293,7 +272,8 @@ def assemble(q: PeriodVector, V: Potential, theta: Phase | Sequence[float] | np.
         If V does not match q, or a phase has the wrong number of
         coordinates or a non-finite one.
     """
-    th, single = _checked_phases(q, V, theta)
+    check_periods(q, V)
+    th, single = check_phases(q, theta)
     M = _fiber_stack(q, V, th)
     return M[0] if single else M
 
@@ -318,7 +298,8 @@ def eigenvalues_sorted_desc(
         If the dense Hermitian eigensolver fails to converge; the message
         carries the offending phase theta.
     """
-    th, single = _checked_phases(q, V, theta)
+    check_periods(q, V)
+    th, single = check_phases(q, theta)
     out = _fiber_eigenvalues(q, V, th, assemble).copy()
     out.flags.writeable = False
     return out[0] if single else out

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -34,16 +35,22 @@ __all__ = [
 ]
 
 
+def is_integer(x) -> bool:
+    """True for Python and numpy integers, False for bools and floats: the one
+    rule for every integer input (periods, offsets, sites, grid counts and
+    budgets, seeds)."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _integers(values, what: str) -> tuple[int, ...]:
-    """values as an int tuple; DomainError unless every entry is integral."""
+    """values as an int tuple; DomainError unless every entry is_integer."""
     try:
         items = tuple(values)
-        vals = tuple(int(x) for x in items)
-    except (TypeError, ValueError, OverflowError):
-        vals = None
-    if vals is None or vals != items:
+    except TypeError:
+        items = None
+    if items is None or not all(map(is_integer, items)):
         raise DomainError(f"{what} must be integers, got {values!r}")
-    return vals
+    return tuple(map(int, items))
 
 
 @dataclass(frozen=True)
@@ -115,25 +122,41 @@ def period(values: Iterable[int]) -> PeriodVector:
     return PeriodVector(values)
 
 
-def theta_values(theta: Phase | Sequence[float]) -> tuple[float, ...]:
-    """Coerce a phase argument (Phase or plain sequence) to a float tuple,
-    rejecting non-finite coordinates."""
-    vals = theta.theta if isinstance(theta, Phase) else tuple(float(x) for x in theta)
-    if not all(map(math.isfinite, vals)):
-        raise DomainError(f"phase coordinates must be finite, got {vals!r}")
-    return vals
+def check_phases(q: PeriodVector, theta) -> tuple[np.ndarray, bool]:
+    """The one phase parser: a Phase, a d-vector or an (n, d) stack of them as
+    an (n, d) float array of finite coordinates, d = q.d, and whether it was
+    a single phase (n = 1) rather than a stack."""
+    if isinstance(theta, Phase):
+        theta = theta.theta
+    try:
+        th = np.asarray(theta, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"phase must be a d-vector or an (n, d) stack of them: {exc}") from None
+    single = th.ndim == 1
+    if single:
+        th = th[None, :]
+    if th.ndim != 2:
+        raise DomainError(f"phase must be a d-vector or an (n, d) stack of them, got shape {th.shape}")
+    if th.shape[1] != q.d:
+        raise DomainError(f"phase has {th.shape[1]} coordinates, expected {q.d}")
+    bad = ~np.isfinite(th).all(axis=1)
+    if bad.any():
+        raise DomainError(f"phase coordinates must be finite, got {th[bad][0].tolist()}")
+    return th, single
+
+
+def check_phase(q: PeriodVector, theta: Phase | Sequence[float]) -> tuple[float, ...]:
+    """One phase argument's coordinates, read by check_phases; a stack is
+    rejected."""
+    th, single = check_phases(q, theta)
+    if not single:
+        raise DomainError(f"expected one phase, got a stack of shape {th.shape}")
+    return tuple(th[0].tolist())
 
 
 def _check_dims(q: PeriodVector, values: Sequence, what: str) -> None:
     if len(values) != q.d:
         raise DomainError(f"{what} has {len(values)} coordinates, expected {q.d}")
-
-
-def check_phase(q: PeriodVector, theta: Phase | Sequence[float]) -> tuple[float, ...]:
-    """A phase argument's finite coordinates, checked to number q.d."""
-    vals = theta_values(theta)
-    _check_dims(q, vals, "phase")
-    return vals
 
 
 def check_index(q: PeriodVector, l: FourierIndex | Sequence[int]) -> tuple[int, ...]:
@@ -166,6 +189,8 @@ def site_from_coords(q: PeriodVector, n: Sequence[int]) -> SiteIndex:
 
 def site_from_linear(q: PeriodVector, linear: int) -> SiteIndex:
     """Decode a row-major linear index back to cell coordinates."""
+    if not is_integer(linear):
+        raise DomainError(f"linear index must be an integer, got {linear!r}")
     k = int(linear)
     if not 0 <= k < q.Q:
         raise DomainError(f"linear index out of range: {k} not in [0, {q.Q})")
@@ -198,8 +223,7 @@ def fold_coordinate(x: float, qi: int) -> tuple[float, int]:
 
 def fold_phase(q: PeriodVector, x: Sequence[float]) -> tuple[Phase, FourierIndex]:
     """Fold a full-circle phase into the reduced torus plus a frequency offset."""
-    vals = tuple(float(v) for v in x)
-    _check_dims(q, vals, "phase")
+    vals = check_phase(q, x)
     thetas = []
     ls = []
     for xi, qi in zip(vals, q.q):

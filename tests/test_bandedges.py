@@ -7,6 +7,7 @@ import pytest
 
 from latticebands import bandedges, floquet
 from latticebands import (
+    LIPSCHITZ,
     ComputationError,
     ConfigurationError,
     CounterexampleSpec,
@@ -22,7 +23,6 @@ from latticebands import (
     eigenvalues_sorted_desc,
     estimate_cq,
     iter_band_rows,
-    lipschitz_constant,
     min_abs_eigenvalue,
     overlap_after_potential,
     overlaps,
@@ -91,13 +91,7 @@ def test_grid_steps():
 
 def test_lipschitz_constants():
     # the gauge bound 4 pi holds on every axis, whatever the period
-    q = period((2, 3))
-    assert lipschitz_constant(q, 0) == 4 * math.pi
-    assert lipschitz_constant(q, 1) == 4 * math.pi
-    with pytest.raises(DomainError):
-        lipschitz_constant(q, 2)
-    with pytest.raises(DomainError):
-        lipschitz_constant(q, -1)
+    assert LIPSCHITZ == 4 * math.pi
 
 
 def test_certified_slack_closed_form():
@@ -118,6 +112,20 @@ def test_default_grid_fits_budget():
     small = default_grid(period((2, 2)), budget=4096)
     assert small.m == (64, 64)
     assert all(mi % 2 == 0 for mi in small.m)
+
+
+@pytest.mark.parametrize("d,default", [(2, 256), (3, 40), (4, 16), (5, 8), (6, 6)])
+def test_default_grid_is_the_largest_even_root(d, default):
+    # int(budget ** (1/d)) undershot perfect powers: (d=3, 4096) gave 14^3
+    q = period((2,) * d)
+    assert default_grid(q).m == (default,) * d
+    budgets = {2**d, 10**30}
+    for m in range(2, 42, 2):
+        budgets |= {m**d - 1, m**d, m**d + 1}
+    for budget in sorted(b for b in budgets if b >= 2**d):
+        m = default_grid(q, budget=budget).m
+        assert m == (m[0],) * d and m[0] % 2 == 0
+        assert m[0] ** d <= budget < (m[0] + 2) ** d, budget
 
 
 def test_interval_type():

@@ -257,6 +257,30 @@ def test_malformed_potential_file_exits_2(capsys, tmp_path, text, message):
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,potential_q", [
+    (("bands", "--q", "2,2", "--grid", "4,4", "--out", "{missing}/x.csv"), None),
+    (("spectrum", "--q", "2,2", "--grid", "4,4", "--out", "{missing}/x.json"), None),
+    (("bands", "--q", "2,3", "--grid", "4,4", "--potential", "{pot}"), [2, 2]),
+    (("bands", "--q", "1,2", "--grid", "4,4", "--potential", "{pot}"), [True, 2]),
+    (("spectrum", "--q", "2,2", "--grid", "4,4,4"), None),
+], ids=["bands-out", "spectrum-out", "periods-mismatch", "periods-bool", "grid-length"])
+def test_error_paths_end_cleanly(tmp_path, argv, potential_q):
+    # an unwritable --out ended in a FileNotFoundError traceback with exit 1,
+    # and a file with periods [true, 2] ran as periods (1, 2)
+    pot = tmp_path / "pot.json"
+    if potential_q is not None:
+        values = [0.1] * math.prod(map(int, potential_q))
+        pot.write_text(json.dumps({"q": potential_q, "values": values}))
+    argv = [a.format(missing=tmp_path / "missing", pot=pot) for a in argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(latticebands.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "latticebands.cli", *argv],
+                          capture_output=True, text=True, env=env, check=False, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "command,extra",
     [

@@ -22,7 +22,7 @@ from latticebands import (
     zero_potential,
 )
 
-from latticebands.lattice import Phase
+from latticebands.lattice import Phase, check_phase, fold_phase, torus_distance
 from latticebands.floquet import _eigenvalues_desc, _fiber_eigenvalues, _fiber_stack
 
 from conftest import ref_fiber, ref_levels, random_periods
@@ -263,7 +263,7 @@ def test_random_potential_rejects_bad_amplitude(amp):
         random_potential(period((2, 2)), amp, seed=1)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
 def test_random_potential_rejects_bad_seed(seed):
     with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
         random_potential(period((2, 2)), 0.5, seed=seed)
@@ -331,6 +331,8 @@ def test_parse_potential_errors_name_expected_count():
     ({"q": "2,2", "values": [1.0, 2.0, 3.0, 4.0]}, '"q" must be a list'),
     ({"q": ["a", 2], "values": [1.0, 2.0, 3.0, 4.0]}, "periods must be integers"),
     ({"q": [None, 2], "values": [1.0, 2.0]}, "periods must be integers"),
+    ({"q": [True, 2], "values": [1.0, 2.0]}, "periods must be integers"),
+    ({"q": [2.0, 2], "values": [1.0, 2.0, 3.0, 4.0]}, "periods must be integers"),
 ])
 def test_parse_potential_rejects_malformed_payload(payload, message):
     with pytest.raises(DomainError, match=message):
@@ -363,6 +365,33 @@ def test_non_finite_phase_raises_domain_error(name, q, V, bad):
             assemble(q, V, theta)
         with pytest.raises(DomainError, match="finite"):
             eigenvalues_sorted_desc(q, V, theta)
+
+
+@pytest.mark.parametrize("theta,message", [
+    ((math.nan, 0.0), "phase coordinates must be finite, got [nan, 0.0]"),
+    (Phase((0.1, -math.inf)), "phase coordinates must be finite, got [0.1, -inf]"),
+    ((0.1, 0.1, 0.1), "phase has 3 coordinates, expected 2"),
+    ([[0.0, 0.0], [0.1, 0.1]], "expected one phase, got a stack of shape (2, 2)"),
+], ids=["nan", "inf", "dimension", "stack"])
+def test_every_phase_reader_gives_one_message(theta, message):
+    # one parser reads every phase argument; a stack is valid for the two
+    # stack-taking functions only
+    q = period((2, 3))
+    V = random_potential(q, 0.5, seed=4)
+    readers = {
+        "check_phase": lambda th: check_phase(q, th),
+        "fold_phase": lambda th: fold_phase(q, th),
+        "torus_distance": lambda th: torus_distance(q, (0.0, 0.0), th),
+        "assemble": lambda th: assemble(q, V, th),
+        "eigenvalues_sorted_desc": lambda th: eigenvalues_sorted_desc(q, V, th),
+    }
+    for name, read in readers.items():
+        if message.startswith("expected one phase") and name in ("assemble", "eigenvalues_sorted_desc"):
+            assert len(read(theta)) == 2
+            continue
+        with pytest.raises(DomainError) as exc:
+            read(theta)
+        assert str(exc.value) == message, name
 
 
 @pytest.mark.parametrize("name,q,V", _potential_cases(), ids=["free", "random"])

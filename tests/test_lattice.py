@@ -163,8 +163,25 @@ def test_fourier_index_rejects_non_integral_offsets(l):
 
 
 def test_fourier_index_accepts_integral_values():
-    assert FourierIndex((1.0, np.int64(2))).l == (1, 2)
+    l = FourierIndex((np.int64(1), np.int32(2))).l
+    assert l == (1, 2) and all(type(x) is int for x in l)
     assert FourierIndex(iter([0, 1])).l == (0, 1)
+    with pytest.raises(DomainError, match="frequency offsets must be integers"):
+        FourierIndex((1.0, 0))
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: period((True, 2)), "periods must be integers"),
+    (lambda: period((2.0, 3)), "periods must be integers"),
+    (lambda: FourierIndex((False, 1)), "frequency offsets must be integers"),
+    (lambda: site_from_coords(period((2, 3)), (1.0, 0)), "site coordinates must be integers"),
+    (lambda: site_from_coords(period((2, 3)), (True, 0)), "site coordinates must be integers"),
+    (lambda: site_from_linear(period((2, 3)), 2.7), "linear index must be an integer"),
+], ids=["period-bool", "period-float", "offset-bool", "site-float", "site-bool", "linear-float"])
+def test_bools_and_integral_floats_are_not_integers(make, message):
+    # each was read as an integer: periods (True, 2) as (1, 2), linear index 2.7 as 2
+    with pytest.raises(DomainError, match=message):
+        make()
 
 
 @pytest.mark.parametrize("coords", [(0.5, 0), (0, math.nan)])
