@@ -9,6 +9,7 @@ so results do not depend on evaluation order or worker count.
 """
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -244,8 +245,23 @@ def _node_phases(q: PeriodVector, grid: GridSpec, nodes: np.ndarray) -> np.ndarr
 
 
 def _chunk_values(q: PeriodVector, V: Potential, grid: GridSpec, nodes: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues at the given grid nodes, (n, Q)."""
-    return floquet._fiber_eigenvalues(q, V, _node_phases(q, grid, nodes))
+    """Descending eigenvalues at the given grid nodes, (n, Q).
+
+    The fibers are solved on the minimal cell p of V at kappa = theta + l/q
+    (see floquet._fiber_eigenvalues), and on the grid coordinate i of kappa
+    takes at most m_i K values.  So the phase factors of direction i are
+    gathered from an (m_i, K) table, built once per chunk with the
+    expressions of the phase path (j h_i, then + l_i/q_i, then
+    exp(2 pi i p_i kappa_i)): every factor keeps its bits.
+    """
+    p, _, shifts = V._cell
+    coords = np.unravel_index(nodes, grid.m)
+    factors = []
+    for i, (p_i, m_i, h) in enumerate(zip(p.q, grid.m, grid.steps(q))):
+        kappa = (np.arange(m_i) * h)[:, None] + shifts[:, i]
+        factors.append(np.exp(2j * math.pi * p_i * kappa)[coords[i]].ravel())
+    build = functools.partial(floquet._fiber_stack, factors=factors)
+    return floquet._fiber_eigenvalues(q, V, _node_phases(q, grid, nodes), build)
 
 
 def check_workers(workers: int) -> None:
@@ -375,12 +391,13 @@ def certified_edges(q: PeriodVector, V: Potential, grid: GridSpec, workers: int 
     """Grid sweep plus local refinement of every band extremum.
 
     Refinement is coordinate descent with geometrically shrinking steps.  All
-    2Q extrema step together, one batched eigensolve per (round, axis, sign),
-    and each accepts only strict improvements of its own band value, so it
-    follows the path it would follow alone.  Phases fold back onto the torus
-    (band functions are periodic with period 1/q_i per coordinate).  The
-    slack is inherited from the grid; refinement only moves sampled extrema
-    outward (toward the true edges), never loosens the enclosure.
+    2Q extrema step together and each accepts only strict improvements of
+    its own band value, so it follows the path it would follow alone: a
+    step along axis i probes +h, then -h from wherever +h left it.  Phases
+    fold back onto the torus (band functions are periodic with period
+    1/q_i per coordinate).  The slack is inherited from the grid;
+    refinement only moves sampled extrema outward (toward the true edges),
+    never loosens the enclosure.
     """
     table = sample_bands(q, V, grid, workers=workers)
     Q = q.Q
@@ -391,19 +408,36 @@ def certified_edges(q: PeriodVector, V: Potential, grid: GridSpec, workers: int 
     sense = np.repeat([1.0, -1.0], Q)
     bands = np.arange(2 * Q) % Q
     row_key = np.dtype((np.void, th.itemsize * q.d))
+
+    def probe(cand, cols):
+        # Extrema often probe the same phase: solve each distinct row once
+        # (rows compared byte for byte) and gather each row's band value.
+        _, first, inv = np.unique(cand.view(row_key).ravel(), return_index=True, return_inverse=True)
+        return floquet.eigenvalues_sorted_desc(q, V, cand[first])[inv, cols]
+
     steps = list(grid.steps(q))
     for _ in range(REFINE_ROUNDS):
         for i in range(q.d):
-            for sgn in (1.0, -1.0):
-                cand = th.copy()
-                cand[:, i] = (cand[:, i] + sgn * steps[i]) % (1.0 / q.q[i])
-                # Extrema often probe the same phase: solve each distinct
-                # row once (rows compared byte for byte) and gather.
-                _, first, inv = np.unique(cand.view(row_key).ravel(), return_index=True, return_inverse=True)
-                v = floquet.eigenvalues_sorted_desc(q, V, cand[first])[inv, bands]
-                better = sense * v < sense * best
-                th[better] = cand[better]
-                best[better] = v[better]
+            wrap = 1.0 / q.q[i]
+            # One solve of every + and - candidate.  An extremum that moves
+            # on + probes - from its new phase, in one follow-up solve of
+            # those rows only; the others keep their - values.
+            plus, minus = th.copy(), th.copy()
+            plus[:, i] = (th[:, i] + steps[i]) % wrap
+            minus[:, i] = (th[:, i] - steps[i]) % wrap
+            v = probe(np.concatenate([plus, minus]), np.concatenate([bands, bands]))
+            v_plus, v_minus = v[:2 * Q], v[2 * Q:]
+            moved = sense * v_plus < sense * best
+            th[moved] = plus[moved]
+            best[moved] = v_plus[moved]
+            if moved.any():
+                again = th[moved]
+                again[:, i] = (again[:, i] - steps[i]) % wrap
+                minus[moved] = again
+                v_minus[moved] = probe(again, bands[moved])
+            better = sense * v_minus < sense * best
+            th[better] = minus[better]
+            best[better] = v_minus[better]
         steps = [s * SHRINK for s in steps]
     phases = tuple(Phase(row) for row in th)
     best.flags.writeable = False

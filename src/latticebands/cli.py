@@ -315,15 +315,12 @@ def cmd_cq(args) -> int:
 
 def cmd_degeneracy(args) -> int:
     from . import degeneracy
+    from .freebands import normalize_direction
 
     q = _resolve_q(args)
     theta = phase(q, _parse_floats(args.theta, "--theta"))
     target = _parse_ints(args.l, "--l")
-    beta = np.asarray(_parse_floats(args.beta, "--beta"))
-    norm = float(np.linalg.norm(beta))
-    if not math.isfinite(norm) or norm == 0:
-        raise ConfigurationError(f"--beta must be a finite nonzero vector, got {args.beta!r}")
-    beta = beta / norm
+    beta = normalize_direction(_parse_floats(args.beta, "--beta"), q.d)
     group = degeneracy.coincident_group(q, theta, target)
     cls = degeneracy.classify(q, group, beta)
     sign = 1 if args.t > 0 else -1

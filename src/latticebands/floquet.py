@@ -144,11 +144,12 @@ def load_potential(path: str) -> Potential:
 def _hopping_structure(q_tuple: tuple[int, ...]):
     """Interior adjacency and per-direction wrap positions for one cell.
 
-    Returns (interior, wraps) where interior is the real symmetric matrix of
-    bonds staying inside the cell and wraps[i] = (rows, cols) lists the
-    directed bonds that leave the cell along direction i, from a site to its
-    wrapped neighbor.  With W_i the 0/1 matrix of those positions the fiber
-    matrix is
+    Returns (interior, wraps): interior is the real symmetric matrix of
+    bonds staying inside the cell, flattened row-major to Q*Q entries, and
+    wraps[i] = (forward, backward) lists the flat positions a*Q + b and
+    b*Q + a of the directed bonds that leave the cell along direction i,
+    from a site a to its wrapped neighbor b.  With W_i the 0/1 matrix of
+    the forward positions the fiber matrix is
 
         interior + sum_i (p_i * W_i + conj(p_i) * W_i.T) + diag(V)
 
@@ -159,7 +160,7 @@ def _hopping_structure(q_tuple: tuple[int, ...]):
     q = period(q_tuple)
     Q = q.Q
     interior = np.zeros((Q, Q))
-    wraps = [np.zeros((Q, Q)) for _ in range(q.d)]
+    wraps = [([], []) for _ in range(q.d)]
     strides = []
     s = 1
     for qi in reversed(q.q):
@@ -175,28 +176,35 @@ def _hopping_structure(q_tuple: tuple[int, ...]):
                 interior[b, a] += 1.0
             else:
                 b = a - site.n[i] * strides[i]
-                wraps[i][a, b] += 1.0
-    return interior, tuple(np.nonzero(w) for w in wraps)
+                wraps[i][0].append(a * Q + b)
+                wraps[i][1].append(b * Q + a)
+    return interior.ravel(), wraps
 
 
-def _fiber_stack(q: PeriodVector, V: Potential, thetas: np.ndarray) -> np.ndarray:
+def _fiber_stack(q: PeriodVector, V: Potential, thetas: np.ndarray, factors=None) -> np.ndarray:
     """Fiber matrices at the rows of the (n, d) phase array, as an (n, Q, Q) stack.
 
-    The phases are scattered into the wrap positions in the order of the
-    formula in :func:`_hopping_structure`, so every entry is rounded exactly
-    as in the dense sum.
+    factors, if given, holds for each direction i the (n,) phase factors
+    exp(2 pi i q_i theta_i) of the rows, made from the same expression
+    (the sweep gathers them from per-axis tables); else they are computed
+    here.  The stack is built flat, (n, Q*Q), and each phase is added to
+    one column view per wrap position in the order of the formula in
+    :func:`_hopping_structure`, so every entry is rounded exactly as in the
+    dense sum.
     """
     interior, wraps = _hopping_structure(q.q)
-    M = np.empty((thetas.shape[0], q.Q, q.Q), dtype=complex)
+    n, Q = thetas.shape[0], q.Q
+    M = np.empty((n, Q * Q), dtype=complex)
     M[:] = interior
-    for i, qi in enumerate(q.q):
-        p = np.exp(2j * math.pi * qi * thetas[:, i])[:, None]
-        rows, cols = wraps[i]
-        M[:, rows, cols] += p
-        M[:, cols, rows] += np.conj(p)
-    diag = np.arange(q.Q)
-    M[:, diag, diag] += V.values
-    return M
+    for i, (forward, backward) in enumerate(wraps):
+        p = np.exp(2j * math.pi * q.q[i] * thetas[:, i]) if factors is None else factors[i]
+        for k in forward:
+            M[:, k] += p
+        p = np.conj(p)
+        for k in backward:
+            M[:, k] += p
+    M[:, ::Q + 1] += V.values
+    return M.reshape(n, Q, Q)
 
 
 def _eigenvalues_desc(M: np.ndarray, theta) -> np.ndarray:

@@ -73,16 +73,32 @@ def free_gradient(q: PeriodVector, theta: Phase | Sequence[float], l: FourierInd
     return np.array([-4.0 * math.pi * math.sin(2.0 * math.pi * x) for x in _full_angles(q, theta, l)])
 
 
-def unit_direction(beta: Sequence[float], d: int) -> np.ndarray:
-    """beta as an array, checked to have d finite coordinates and unit norm."""
+def _direction(beta: Sequence[float], d: int) -> tuple[np.ndarray, float]:
+    """beta as an array and its norm, checked to have d finite coordinates."""
     b = np.asarray(beta, dtype=float)
     if b.size != d:
         raise DomainError(f"direction has {b.size} coordinates, expected {d}")
     if not np.all(np.isfinite(b)):
         raise DomainError(f"direction coordinates must be finite, got {b.tolist()}")
-    if abs(float(np.linalg.norm(b)) - 1.0) > _UNIT_TOL:
-        raise DomainError(f"direction must be a unit vector, got norm {np.linalg.norm(b)}")
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        return b, float(np.linalg.norm(b))
+
+
+def unit_direction(beta: Sequence[float], d: int) -> np.ndarray:
+    """beta as an array, checked to have d finite coordinates and unit norm."""
+    b, norm = _direction(beta, d)
+    if abs(norm - 1.0) > _UNIT_TOL:
+        raise DomainError(f"direction must be a unit vector, got norm {norm}")
     return b
+
+
+def normalize_direction(beta: Sequence[float], d: int) -> np.ndarray:
+    """beta divided by its norm, checked to have d finite coordinates and a
+    finite nonzero norm."""
+    b, norm = _direction(beta, d)
+    if not 0.0 < norm < math.inf:
+        raise DomainError(f"direction must have a finite nonzero norm, got {b.tolist()}")
+    return b / norm
 
 
 def second_order_coeff(

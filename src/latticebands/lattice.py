@@ -38,8 +38,8 @@ __all__ = [
 def is_integer(x) -> bool:
     """True for Python and numpy integers, False for bools and floats: the one
     rule for every integer input (periods, offsets, sites, grid counts and
-    budgets, seeds)."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    budgets, seeds).  A plain int is answered before the (slower) ABC check."""
+    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
 def _integers(values, what: str) -> tuple[int, ...]:

@@ -24,6 +24,7 @@ from latticebands import (
     estimate_cq,
     iter_band_rows,
     min_abs_eigenvalue,
+    minimal_period,
     overlap_after_potential,
     overlaps,
     period,
@@ -183,8 +184,12 @@ def test_refinement_only_tightens():
     assert refined.slack == raw.slack
 
 
-def sequential_refinement(q, V, grid):
-    """Coordinate descent one extremum at a time, one fiber matrix per probe."""
+def sequential_refinement(q, V, grid, log=None):
+    """Coordinate descent one extremum at a time, one fiber matrix per probe.
+
+    log, if given, maps each (round, axis) to one entry per extremum:
+    (theta + h, theta - h, moved on +, theta' - h), theta its phase before
+    the step and theta' its phase after the + probe, each as hex tuples."""
     table = sample_bands(q, V, grid)
     out = []
     for maximize in (False, True):
@@ -193,14 +198,22 @@ def sequential_refinement(q, V, grid):
             best = table.band_max(k) if maximize else table.band_min(k)
             th = list(theta0.theta)
             steps = list(grid.steps(q))
-            for _ in range(bandedges.REFINE_ROUNDS):
+            for r in range(bandedges.REFINE_ROUNDS):
                 for i in range(q.d):
+                    before = list(th)
+                    probes = []
                     for sgn in (1.0, -1.0):
                         cand = list(th)
                         cand[i] = (cand[i] + sgn * steps[i]) % (1.0 / q.q[i])
                         v = float(eigenvalues_sorted_desc(q, V, cand)[k - 1])
-                        if (v > best) if maximize else (v < best):
+                        moved = (v > best) if maximize else (v < best)
+                        if moved:
                             th, best = cand, v
+                        probes.append((tuple(x.hex() for x in cand), moved))
+                    if log is not None:
+                        before[i] = (before[i] - steps[i]) % (1.0 / q.q[i])
+                        pre_minus = tuple(x.hex() for x in before)
+                        log.setdefault((r, i), []).append((probes[0][0], pre_minus, probes[0][1], probes[1][0]))
                 steps = [s * bandedges.SHRINK for s in steps]
             out.append((best.hex(), tuple(x.hex() for x in th)))
     return table, out
@@ -222,7 +235,10 @@ def test_batched_refinement_matches_sequential_reference(q_tuple, m, free):
     # V = 0 solves 1 x 1 fibers on the minimal cell
     V = zero_potential(q) if free else random_potential(q, 0.7, seed=sum(q_tuple))
     grid = GridSpec(m)
-    sampled, ref = sequential_refinement(q, V, grid)
+    log = {}
+    sampled, ref = sequential_refinement(q, V, grid, log)
+    # some extremum moves on +, so the follow-up solve of its - probe runs
+    assert any(moved for entries in log.values() for _, _, moved, _ in entries)
     table = certified_edges(q, V, grid)
     got = [
         (float(v).hex(), tuple(x.hex() for x in th.theta))
@@ -483,6 +499,19 @@ def test_refinement_solves_each_distinct_probe_once(monkeypatch, free):
     V = zero_potential(q) if free else random_potential(q, 0.5, seed=21)
     grid = GridSpec((16, 16))
     expected = certified_edges(q, V, grid)
+    # per (round, axis): one solve of the distinct + and - candidates of all
+    # extrema, then, if some extremum moved on +, one solve of the distinct
+    # - candidates taken from the moved extrema's new phases
+    log = {}
+    sequential_refinement(q, V, grid, log)
+    want = []
+    for r in range(bandedges.REFINE_ROUNDS):
+        for i in range(q.d):
+            entries = log[(r, i)]
+            want.append({row for plus, minus, _, _ in entries for row in (plus, minus)})
+            again = {minus for _, _, moved, minus in entries if moved}
+            if again:
+                want.append(again)
     calls = []
     solved = []
     public = floquet.eigenvalues_sorted_desc
@@ -500,11 +529,15 @@ def test_refinement_solves_each_distinct_probe_once(monkeypatch, free):
     monkeypatch.setattr(floquet, "eigenvalues_sorted_desc", spy_public)
     monkeypatch.setattr(floquet, "_fiber_eigenvalues", spy_kernel)
     table = certified_edges(q, V, grid)
-    # one solve per (round, axis, sign), each of distinct phases only
-    assert len(calls) == len(solved) == bandedges.REFINE_ROUNDS * q.d * 2
-    for theta, rows in zip(calls, solved):
-        assert rows == len(np.unique(theta, axis=0)) <= 2 * q.Q
-    assert sum(solved) < 2 * q.Q * len(solved)
+    assert len(calls) == len(solved) == len(want)
+    for theta, rows, rows_want in zip(calls, solved, want):
+        got = {tuple(x.hex() for x in row) for row in theta.tolist()}
+        assert rows == len(theta) == len(got)  # distinct phases only
+        assert got == rows_want
+    follow_ups = len(want) - bandedges.REFINE_ROUNDS * q.d
+    assert (follow_ups == 0) if free else (follow_ups > 0)
+    # the 4Q candidates of a step share phases, so deduplication saves solves
+    assert sum(solved) < 4 * q.Q * bandedges.REFINE_ROUNDS * q.d
     assert table.min_values.tobytes() == expected.min_values.tobytes()
     assert table.max_values.tobytes() == expected.max_values.tobytes()
     assert (table.argmin, table.argmax) == (expected.argmin, expected.argmax)
@@ -535,6 +568,26 @@ def test_minimal_cell_sweep_stack_is_at_most_4_mib(monkeypatch, q_tuple, kind):
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     sample_bands(q, V, grid)
     assert sizes and max(sizes) <= min(bandedges._chunk_size(q.Q) * q.Q * q.Q * 16, 4 << 20)
+
+
+@pytest.mark.parametrize("m", [(9, 8), (7, 9), (6, 7, 4)], ids=["9x8", "7x9", "6x7x4"])
+@pytest.mark.parametrize("kind", ["zero", "dimer", "random"])
+def test_table_sweep_equals_node_phase_solve_bit_for_bit(monkeypatch, kind, m):
+    # the sweep gathers phase factors from per-axis tables; the reference
+    # solves the node phases through the kernel's own phase path
+    q = period((4, 4) if len(m) == 2 else (2, 4, 2))
+    V = POTENTIALS[kind](q)
+    K = {"zero": q.Q, "dimer": q.Q // 2 ** q.d, "random": 1}[kind]
+    assert math.prod(minimal_period(V)) == q.Q // K
+    grid = GridSpec(m)
+    reps = bandedges._representatives(grid.m)
+    want = floquet._fiber_eigenvalues(q, V, bandedges._node_phases(q, grid, reps))
+    assert bandedges._chunk_values(q, V, grid, reps).tobytes() == want.tobytes()
+    monkeypatch.setattr(bandedges, "_chunk_size", lambda Q: 7)
+    for workers in (1, 2):
+        held = np.empty((len(reps), q.Q))
+        bandedges._sweep(q, POTENTIALS[kind](q), grid, workers, held)
+        assert held.tobytes() == want.tobytes()
 
 
 def test_mirror_pairs_every_grid_node():

@@ -221,9 +221,11 @@ def test_nan_delta_for_random_potential_exits_2(capsys):
 
 
 @pytest.mark.parametrize("theta,beta,message", [
-    ("0.16666666666666666,0", "nan,1", "--beta must be a finite nonzero vector"),
-    ("0.16666666666666666,0", "inf,1", "--beta must be a finite nonzero vector"),
-    ("0.16666666666666666,0", "0,0", "--beta must be a finite nonzero vector"),
+    ("0.16666666666666666,0", "nan,1", "direction coordinates must be finite, got [nan, 1.0]"),
+    ("0.16666666666666666,0", "inf,1", "direction coordinates must be finite, got [inf, 1.0]"),
+    ("0.16666666666666666,0", "0,0", "direction must have a finite nonzero norm, got [0.0, 0.0]"),
+    ("0.16666666666666666,0", "1e308,1e308", "direction must have a finite nonzero norm, got [1e+308, 1e+308]"),
+    ("0.16666666666666666,0", "1,0,0", "direction has 3 coordinates, expected 2"),
     ("nan,0", "1,0", "phase coordinates must be finite"),
     ("inf,0", "1,0", "phase coordinates must be finite"),
 ])

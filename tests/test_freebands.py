@@ -18,6 +18,8 @@ from latticebands import (
     zero_potential,
 )
 
+from latticebands.freebands import normalize_direction, unit_direction
+
 from conftest import random_periods
 
 
@@ -114,6 +116,22 @@ def test_direction_must_be_finite(beta):
     # abs(nan - 1) > tol is False, so a NaN direction passed the norm check
     with pytest.raises(DomainError, match="finite"):
         second_order_coeff(period((2, 2)), (0.0, 0.0), (0, 0), beta)
+
+
+def test_normalize_direction_divides_by_the_norm():
+    for beta in [(3.0, 4.0), (1.0, 1.0), (0.1, -0.7, 2.0), (1e-100, 0.0)]:
+        b = np.asarray(beta)
+        got = normalize_direction(beta, len(beta))
+        assert got.tobytes() == (b / float(np.linalg.norm(b))).tobytes()
+        unit_direction(got, len(beta))  # accepted by the library's unit check
+    for beta, message in [
+        ((math.nan, 1.0), r"direction coordinates must be finite, got \[nan, 1.0\]"),
+        ((0.0, 0.0), r"direction must have a finite nonzero norm, got \[0.0, 0.0\]"),
+        ((1e308, 1e308), "direction must have a finite nonzero norm"),
+        ((1.0, 0.0, 0.0), "direction has 3 coordinates, expected 2"),
+    ]:
+        with pytest.raises(DomainError, match=message):
+            normalize_direction(beta, 2)
 
 
 def test_construct_theta_frozen_examples():

@@ -9,6 +9,7 @@ from latticebands.lattice import (
     FourierIndex,
     enumerate_lambda,
     fold_coordinate,
+    is_integer,
     site_from_coords,
     site_from_linear,
 )
@@ -182,6 +183,16 @@ def test_bools_and_integral_floats_are_not_integers(make, message):
     # each was read as an integer: periods (True, 2) as (1, 2), linear index 2.7 as 2
     with pytest.raises(DomainError, match=message):
         make()
+
+
+def test_is_integer_accepts_python_and_numpy_integers_only():
+    class Sub(int):
+        pass
+
+    for x in (0, -3, 2**80, Sub(2), np.int64(1), np.int32(-2), np.uint8(3)):
+        assert is_integer(x), x
+    for x in (True, False, np.True_, np.bool_(False), 2.0, np.float64(2), 1 + 0j, "2", None, np.array(2)):
+        assert not is_integer(x), x
 
 
 @pytest.mark.parametrize("coords", [(0.5, 0), (0, math.nan)])
