@@ -9,7 +9,6 @@ so results do not depend on evaluation order or worker count.
 """
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -245,23 +244,11 @@ def _node_phases(q: PeriodVector, grid: GridSpec, nodes: np.ndarray) -> np.ndarr
 
 
 def _chunk_values(q: PeriodVector, V: Potential, grid: GridSpec, nodes: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues at the given grid nodes, (n, Q).
-
-    The fibers are solved on the minimal cell p of V at kappa = theta + l/q
-    (see floquet._fiber_eigenvalues), and on the grid coordinate i of kappa
-    takes at most m_i K values.  So the phase factors of direction i are
-    gathered from an (m_i, K) table, built once per chunk with the
-    expressions of the phase path (j h_i, then + l_i/q_i, then
-    exp(2 pi i p_i kappa_i)): every factor keeps its bits.
-    """
-    p, _, shifts = V._cell
-    coords = np.unravel_index(nodes, grid.m)
-    factors = []
-    for i, (p_i, m_i, h) in enumerate(zip(p.q, grid.m, grid.steps(q))):
-        kappa = (np.arange(m_i) * h)[:, None] + shifts[:, i]
-        factors.append(np.exp(2j * math.pi * p_i * kappa)[coords[i]].ravel())
-    build = functools.partial(floquet._fiber_stack, factors=factors)
-    return floquet._fiber_eigenvalues(q, V, _node_phases(q, grid, nodes), build)
+    """Descending eigenvalues at the given grid nodes, (n, Q); the kernel
+    takes the grid coordinates and steps and builds its per-axis tables
+    (see floquet._fiber_eigenvalues)."""
+    grid_coords = (grid.steps(q), np.unravel_index(nodes, grid.m))
+    return floquet._fiber_eigenvalues(q, V, _node_phases(q, grid, nodes), grid_coords)
 
 
 def check_workers(workers: int) -> None:
@@ -275,11 +262,11 @@ def _iter_chunks(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, no
     in order.  Every sweep passes the time-reversal representatives: for
     real V, H(-theta) = conj H(theta) has the same spectrum, so a node and
     its mirror share the eigenvalues solved at the representative."""
-    # Resolve V's minimal cell (cached on V) before the first chunk: worker
-    # threads then only read it, and its small arrays are not allocated
-    # between chunk stacks, which raised peak RSS by about 2 MB on a
-    # sweep of 36-site cells.
-    V._cell
+    # Resolve V's minimal cell and real fiber parts (cached on V) before the
+    # first chunk: worker threads then only read them, and their small
+    # arrays are not allocated between chunk stacks, which raised peak RSS
+    # by about 2 MB on a sweep of 36-site cells.
+    V._real_fiber
     cs = _chunk_size(q.Q)
     chunks = [nodes[s:s + cs] for s in range(0, len(nodes), cs)]
     if workers > 1:

@@ -67,6 +67,13 @@ class Potential:
         return p, potential(p, values), shifts
 
     @functools.cached_property
+    def _real_fiber(self) -> tuple[np.ndarray, list] | None:
+        """The real symmetric form of the minimal-cell fiber (see _real_parts),
+        or None when that cell has one site or no inversion centre."""
+        p, Vp, _ = self._cell
+        return _real_parts(p, Vp.values)
+
+    @functools.cached_property
     def _sweeps(self) -> dict:
         """Reductions of the grid sweeps of this potential, keyed by the grid's
         sample counts m (see bandedges._sweep): O(Q) numbers per grid, so a
@@ -181,23 +188,28 @@ def _hopping_structure(q_tuple: tuple[int, ...]):
     return interior.ravel(), wraps
 
 
-def _fiber_stack(q: PeriodVector, V: Potential, thetas: np.ndarray, factors=None) -> np.ndarray:
-    """Fiber matrices at the rows of the (n, d) phase array, as an (n, Q, Q) stack.
+def _columns(kappa: np.ndarray):
+    """The gather of the builders for an (n, d) phase array: gather(f, i) is
+    f of its column i."""
+    return lambda f, i: f(kappa[:, i])
 
-    factors, if given, holds for each direction i the (n,) phase factors
-    exp(2 pi i q_i theta_i) of the rows, made from the same expression
-    (the sweep gathers them from per-axis tables); else they are computed
-    here.  The stack is built flat, (n, Q*Q), and each phase is added to
-    one column view per wrap position in the order of the formula in
-    :func:`_hopping_structure`, so every entry is rounded exactly as in the
-    dense sum.
+
+def _fiber_stack(q: PeriodVector, V: Potential, n: int, gather) -> np.ndarray:
+    """Wrap-gauge fiber matrices at n phases, as an (n, Q, Q) complex stack.
+
+    gather(f, i) returns f of coordinate i of the n phases (see
+    _fiber_eigenvalues); it is called once per direction, for the phase
+    factors exp(2 pi i q_i theta_i).  The stack is built flat, (n, Q*Q), and
+    each phase is added to one column view per wrap position in the order
+    of the formula in :func:`_hopping_structure`, so every entry is rounded
+    exactly as in the dense sum.
     """
     interior, wraps = _hopping_structure(q.q)
-    n, Q = thetas.shape[0], q.Q
+    Q = q.Q
     M = np.empty((n, Q * Q), dtype=complex)
     M[:] = interior
     for i, (forward, backward) in enumerate(wraps):
-        p = np.exp(2j * math.pi * q.q[i] * thetas[:, i]) if factors is None else factors[i]
+        p = gather(lambda x: np.exp(2j * math.pi * q.q[i] * x), i)
         for k in forward:
             M[:, k] += p
         p = np.conj(p)
@@ -205,6 +217,98 @@ def _fiber_stack(q: PeriodVector, V: Potential, thetas: np.ndarray, factors=None
             M[:, k] += p
     M[:, ::Q + 1] += V.values
     return M.reshape(n, Q, Q)
+
+
+def _inversion(p: PeriodVector, values: np.ndarray) -> np.ndarray | None:
+    """The site map n -> c - n mod p of the first inversion centre c of the
+    cell (row-major), as linear indices, or None if it has none.
+
+    A centre is a site c with V(c - n mod p) == V(n) for every n, compared
+    exactly as minimal_period compares; n = 0 gives V(c) == V(0), so only
+    those sites are tried."""
+    flipped = np.flip(np.arange(p.Q).reshape(p.q))  # site n holds p - 1 - n
+    for c in np.flatnonzero(values == values[0]):
+        shift = tuple(int(ci) + 1 for ci in np.unravel_index(c, p.q))
+        image = np.roll(flipped, shift, axis=tuple(range(p.d))).ravel()
+        if np.array_equal(values[image], values):
+            return image
+    return None
+
+
+def _real_parts(p: PeriodVector, values: np.ndarray) -> tuple[np.ndarray, list] | None:
+    """Constant parts of the real symmetric fiber of an inversion-symmetric
+    cell of P >= 2 sites, or None.
+
+    In the uniform gauge the fiber is H(kappa) = sum_i (exp(2 pi i kappa_i)
+    S_i + h.c.) + diag(V), S_i the cyclic shift n -> n + b_i of the cell.
+    With J the inversion n -> c - n, J S_i J = S_i^T and J diag(V) J = diag(V),
+    so J composed with complex conjugation commutes with H and squares to 1.
+    The vectors it fixes, e_f for each fixed site f and (e_a + e_b)/sqrt 2,
+    i (e_a - e_b)/sqrt 2 for each swapped pair a < b, form an orthonormal
+    basis in which H is the real symmetric matrix
+
+        R(kappa) = R0 + sum_i (cos(2 pi kappa_i) C_i + sin(2 pi kappa_i) D_i),
+
+    C_i the form of S_i + S_i^T and D_i that of i (S_i - S_i^T).  H is
+    unitarily equivalent to the wrap-gauge fiber at the same kappa, so R has
+    its eigenvalues.  Returns (R0 flat, parts): parts[i] = (C_i terms, D_i
+    terms), each a tuple of (weight, flat positions holding it).
+    """
+    image = _inversion(p, values) if p.Q >= 2 else None
+    if image is None:
+        return None
+    P = p.Q
+    U = np.zeros((P, P), dtype=complex)  # basis vectors times sqrt 2 on pairs
+    sites, norms = [], []
+    for a, b in enumerate(image):
+        if a == b:
+            U[a, len(sites)] = 1
+            sites.append(a)
+            norms.append(1)
+        elif a < b:
+            r = len(sites)
+            U[[a, b], r] = 1, 1
+            U[[a, b], r + 1] = 1j, -1j
+            sites += [a, a]
+            norms += [2, 2]
+    # Entries of U^H A U are sums of small integers, so exact; one division
+    # by sqrt(norm_r norm_c) in {1, sqrt 2, 2} rounds each weight once.
+    scale = np.sqrt(np.outer(norms, norms))
+    idx = np.arange(P).reshape(p.q)
+    parts = []
+    for i in range(p.d):
+        S = np.zeros((P, P))
+        S[idx.ravel(), np.roll(idx, -1, axis=i).ravel()] = 1.0
+        terms = []
+        for A in (S + S.T, 1j * (S - S.T)):
+            R = ((U.conj().T @ A @ U).real / scale).ravel()
+            # (sorted(set()) rather than np.unique, whose first call costs
+            # about 14 ms of a cold start)
+            weights = sorted(set(R[R != 0].tolist()))
+            terms.append(tuple((w, np.flatnonzero(R == w)) for w in weights))
+        parts.append(tuple(terms))
+    return np.diag(values[sites]).ravel(), parts
+
+
+def _real_stack(fiber: tuple[np.ndarray, list], n: int, gather) -> np.ndarray:
+    """The real fibers R(kappa) of _real_parts at n phases, an (n, P, P) stack.
+
+    gather as for _fiber_stack, called for cos and sin of each direction
+    that has such terms; every weight's multiple is added to one column view
+    per position holding it, in a fixed order."""
+    R0, parts = fiber
+    M = np.empty((n, R0.size))
+    M[:] = R0
+    for i, terms in enumerate(parts):
+        for f, groups in zip((np.cos, np.sin), terms):
+            if groups:
+                t = gather(lambda x: f(2 * math.pi * x), i)
+                for w, positions in groups:
+                    wt = w * t
+                    for k in positions:
+                        M[:, k] += wt
+    P = math.isqrt(R0.size)
+    return M.reshape(n, P, P)
 
 
 def _eigenvalues_desc(M: np.ndarray, theta) -> np.ndarray:
@@ -224,7 +328,7 @@ def _eigenvalues_desc(M: np.ndarray, theta) -> np.ndarray:
         ) from exc
 
 
-def _fiber_eigenvalues(q: PeriodVector, V: Potential, thetas: np.ndarray, build=_fiber_stack) -> np.ndarray:
+def _fiber_eigenvalues(q: PeriodVector, V: Potential, thetas: np.ndarray, grid=None) -> np.ndarray:
     """Descending fiber eigenvalues at the rows of the (n, d) phase array, (n, Q).
 
     Solved on the minimal period cell p of V (Floquet-Bloch folding):
@@ -233,17 +337,44 @@ def _fiber_eigenvalues(q: PeriodVector, V: Potential, thetas: np.ndarray, build=
         0 <= l_i < q_i / p_i,
 
     so the n fibers of size Q become n K fibers of size P = Q/K, whose
-    values are merged per phase.  When p = q (K = 1), kappa = theta + 0 and the
-    merge only re-sorts rows the eigensolver returned sorted, so the values
-    equal those of the plain stack solve.
-    build(p, V_p, kappa) makes the fiber stack.  The public
-    eigenvalues_sorted_desc passes the public assemble, so a wrapper of
-    assemble sees every stack it solves; the threaded sweep keeps the
-    private builder and calls no public name from a worker thread.
+    values are merged per phase.  When p has P >= 2 sites and an inversion
+    centre (V._real_fiber), each fiber is the real symmetric matrix of
+    _real_parts; otherwise it is the complex wrap-gauge matrix, and when
+    p = q (K = 1) kappa = theta + 0 and the merge only re-sorts rows the
+    eigensolver returned sorted, so the values equal those of the plain
+    stack solve.  Only this module knows the gauge: each builder asks for
+    its functions of each coordinate of kappa (phase factors, or cos and
+    sin) one direction at a time.
+
+    grid, from the sweep, is (steps, coords): the rows are grid nodes, row r
+    at theta_i = coords[i][r] * steps[i].  On a grid, coordinate i of kappa
+    takes at most m_i K values, so each function is taken once per entry of
+    a table of them, built with the phase path's expressions (j * h_i, then
+    + l_i/q_i), and gathered: every value keeps its bits.  Without a grid a
+    complex stack is made by the public assemble, so a wrapper of assemble
+    sees every complex probe stack; the threaded sweep passes a grid and
+    calls no public name from a worker thread.
     """
     p, Vp, shifts = V._cell
-    kappa = (thetas[:, None, :] + shifts).reshape(-1, q.d)
-    vals = _eigenvalues_desc(build(p, Vp, kappa), thetas).reshape(len(thetas), q.Q)
+    fiber = V._real_fiber
+    n = len(thetas) * len(shifts)
+    if grid is None:
+        kappa = (thetas[:, None, :] + shifts).reshape(-1, q.d)
+        gather = _columns(kappa)
+    else:
+        steps, coords = grid
+
+        def gather(f, i):
+            table = (np.arange(coords[i].max() + 1) * steps[i])[:, None] + shifts[:, i]
+            return f(table)[coords[i]].ravel()
+
+    if fiber is not None:
+        M = _real_stack(fiber, n, gather)
+    elif grid is None:
+        M = assemble(p, Vp, kappa)
+    else:
+        M = _fiber_stack(p, Vp, n, gather)
+    vals = _eigenvalues_desc(M, thetas).reshape(len(thetas), q.Q)
     return np.sort(vals, axis=1)[:, ::-1]
 
 
@@ -282,7 +413,7 @@ def assemble(q: PeriodVector, V: Potential, theta: Phase | Sequence[float] | np.
     """
     check_periods(q, V)
     th, single = check_phases(q, theta)
-    M = _fiber_stack(q, V, th)
+    M = _fiber_stack(q, V, len(th), _columns(th))
     return M[0] if single else M
 
 
@@ -295,8 +426,12 @@ def eigenvalues_sorted_desc(
     per phase.  The fibers are solved on the minimal period cell of V and
     merged (see _fiber_eigenvalues), so for a V with a smaller period than
     q (the zero potential has period 1 in every direction) the values agree
-    with eigvalsh(assemble(q, V, theta)) to rounding, not bit for bit; when
-    the minimal period is q they are that solve exactly.
+    with eigvalsh(assemble(q, V, theta)) to rounding, not bit for bit.  So
+    do they when that cell has at least two sites and an inversion centre
+    c, V(c - n) == V(n) (the staggered dimer and the gap-opening vq): its
+    fibers are solved as real symmetric matrices in a basis of their own,
+    and no assemble call is made.  Otherwise, when the minimal period is q,
+    they are that solve exactly.
 
     Raises
     ------
@@ -308,7 +443,7 @@ def eigenvalues_sorted_desc(
     """
     check_periods(q, V)
     th, single = check_phases(q, theta)
-    out = _fiber_eigenvalues(q, V, th, assemble).copy()
+    out = _fiber_eigenvalues(q, V, th).copy()
     out.flags.writeable = False
     return out[0] if single else out
 

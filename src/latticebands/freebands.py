@@ -94,8 +94,13 @@ def unit_direction(beta: Sequence[float], d: int) -> np.ndarray:
 
 def normalize_direction(beta: Sequence[float], d: int) -> np.ndarray:
     """beta divided by its norm, checked to have d finite coordinates and a
-    finite nonzero norm."""
+    finite nonzero norm.  Below 2^-511 the squares summed for the norm
+    underflow (to 0 for --beta 1e-300,0), so such a beta is first divided by
+    its largest |coordinate|."""
     b, norm = _direction(beta, d)
+    if norm < 2.0**-511 and b.any():
+        b = b / np.max(np.abs(b))
+        norm = float(np.linalg.norm(b))
     if not 0.0 < norm < math.inf:
         raise DomainError(f"direction must have a finite nonzero norm, got {b.tolist()}")
     return b / norm

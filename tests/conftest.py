@@ -66,6 +66,17 @@ def grid_thetas(q, m):
     return [tuple(j * h for j, h in zip(js, steps)) for js in itertools.product(*[range(mi) for mi in m])]
 
 
+def inversion_symmetric(values, centre):
+    """values (an array of the cell's shape) made symmetric about the centre:
+    site n takes the value of whichever of n and c - n mod p comes first in
+    row-major order, so V(c - n) == V(n) exactly."""
+    out = np.empty_like(values)
+    for n in np.ndindex(*values.shape):
+        m = tuple((c - ni) % pi for c, ni, pi in zip(centre, n, values.shape))
+        out[n] = values[min(n, m)]
+    return out
+
+
 def random_periods(rng, d_max=4, q_max=5, cell_max=36):
     """Draw a small random period vector with a bounded cell size."""
     while True:

@@ -28,12 +28,13 @@ from latticebands import (
     overlap_after_potential,
     overlaps,
     period,
+    potential,
     random_potential,
     sample_bands,
     zero_potential,
 )
 
-from conftest import grid_thetas, ref_fiber, ref_levels
+from conftest import grid_thetas, inversion_symmetric, ref_fiber, ref_levels
 
 
 def dense_band_extrema(q_tuple, V_vals, m_dense):
@@ -570,23 +571,44 @@ def test_minimal_cell_sweep_stack_is_at_most_4_mib(monkeypatch, q_tuple, kind):
     assert sizes and max(sizes) <= min(bandedges._chunk_size(q.Q) * q.Q * q.Q * 16, 4 << 20)
 
 
+def _symmetric_potential(q):
+    """Random on the cell (3, 2) or (3, 2, 2), symmetric about the centre
+    (2, 1) or (2, 1, 0), tiled over q = (3, 4) or (3, 4, 2)."""
+    p = (3, 2, 2)[:q.d]
+    cell = inversion_symmetric(np.random.default_rng(3).uniform(-0.3, 0.3, size=p), (2, 1, 0)[:q.d])
+    return potential(q, np.tile(cell, [qi // pi for qi, pi in zip(q.q, p)]).ravel())
+
+
 @pytest.mark.parametrize("m", [(9, 8), (7, 9), (6, 7, 4)], ids=["9x8", "7x9", "6x7x4"])
-@pytest.mark.parametrize("kind", ["zero", "dimer", "random"])
+@pytest.mark.parametrize("kind", ["zero", "dimer", "random", "vq", "symmetric"])
 def test_table_sweep_equals_node_phase_solve_bit_for_bit(monkeypatch, kind, m):
-    # the sweep gathers phase factors from per-axis tables; the reference
-    # solves the node phases through the kernel's own phase path
+    # the sweep gathers its functions of the phases (complex factors, or
+    # cos and sin of an inversion-symmetric cell) from per-axis tables; the
+    # reference solves the node phases through the kernel's own phase path
     q = period((4, 4) if len(m) == 2 else (2, 4, 2))
-    V = POTENTIALS[kind](q)
-    K = {"zero": q.Q, "dimer": q.Q // 2 ** q.d, "random": 1}[kind]
+    build = POTENTIALS.get(kind, lambda q: build_vq(CounterexampleSpec(q, 0.15)))
+    if kind == "symmetric":  # a centre off the origin and an odd p_1
+        q, build = period((3, 4) if len(m) == 2 else (3, 4, 2)), _symmetric_potential
+    V = build(q)
+    K = {"zero": q.Q, "dimer": q.Q // 2 ** q.d, "random": 1, "vq": 1, "symmetric": 2}[kind]
     assert math.prod(minimal_period(V)) == q.Q // K
+    assert (V._real_fiber is not None) == (kind in ("dimer", "vq", "symmetric"))
     grid = GridSpec(m)
     reps = bandedges._representatives(grid.m)
     want = floquet._fiber_eigenvalues(q, V, bandedges._node_phases(q, grid, reps))
     assert bandedges._chunk_values(q, V, grid, reps).tobytes() == want.tobytes()
     monkeypatch.setattr(bandedges, "_chunk_size", lambda Q: 7)
+    submit = bandedges.ThreadPoolExecutor.submit
+
+    def spy_submit(self, fn, q_, V_, *args):
+        # worker threads only read the cell and real fiber parts of V
+        assert {"_cell", "_real_fiber"} <= set(vars(V_))
+        return submit(self, fn, q_, V_, *args)
+
+    monkeypatch.setattr(bandedges.ThreadPoolExecutor, "submit", spy_submit)
     for workers in (1, 2):
         held = np.empty((len(reps), q.Q))
-        bandedges._sweep(q, POTENTIALS[kind](q), grid, workers, held)
+        bandedges._sweep(q, build(q), grid, workers, held)
         assert held.tobytes() == want.tobytes()
 
 

@@ -22,10 +22,11 @@ from latticebands import (
     zero_potential,
 )
 
+from latticebands import floquet
 from latticebands.lattice import Phase, check_phase, fold_phase, torus_distance
-from latticebands.floquet import _eigenvalues_desc, _fiber_eigenvalues, _fiber_stack
+from latticebands.floquet import _columns, _eigenvalues_desc, _fiber_eigenvalues, _fiber_stack
 
-from conftest import ref_fiber, ref_levels, random_periods
+from conftest import inversion_symmetric, ref_fiber, ref_levels, random_periods
 
 
 def dense_fiber_stack(q, V, thetas):
@@ -64,7 +65,7 @@ def test_scatter_builder_equals_dense_sum_bit_for_bit(rng, q_tuple):
     V = random_potential(q, 0.8, seed=int(rng.integers(1 << 30)))
     special = np.array([[0.0] * q.d, [0.25 / qi for qi in q_tuple], [0.5 / qi for qi in q_tuple]])
     thetas = np.vstack([special, rng.uniform(0, 1, size=(40, q.d)) / np.array(q_tuple)])
-    got = _fiber_stack(q, V, thetas)
+    got = _fiber_stack(q, V, len(thetas), _columns(thetas))
     assert got.tobytes() == dense_fiber_stack(q_tuple, V.values, thetas).tobytes()
     stack = assemble(q, V, thetas)
     assert stack.shape == (len(thetas), q.Q, q.Q)
@@ -426,8 +427,10 @@ def _sub_periodic_case(rng):
 def test_minimal_cell_solve_matches_full_cell_solve(rng):
     # Floquet-Bloch folding: spec H_q(theta) is the union over l of
     # spec H_p(theta + l/q); the minimal-cell solve must agree with the
-    # dense Q x Q solve to rounding for every p | q, V = 0 and p = q included
-    kinds = {"zero": 0, "sub": 0, "full": 0}
+    # dense Q x Q solve to rounding for every p | q, V = 0 and p = q included;
+    # so must the real symmetric solve of a cell with an inversion centre
+    # (every fifth draw symmetrized about a random one)
+    kinds = {"zero": 0, "sub": 0, "full": 0, "symmetric": 0}
     for case in range(200):
         q, p_tuple, values = _sub_periodic_case(rng)
         if case % 5 == 0:
@@ -435,9 +438,16 @@ def test_minimal_cell_solve_matches_full_cell_solve(rng):
         elif case % 5 == 1:
             p_tuple = q.q
             values = rng.uniform(-2.0, 2.0, size=q.Q)
+        elif case % 5 == 2:
+            centre = tuple(int(rng.integers(pi)) for pi in p_tuple)
+            cell = inversion_symmetric(rng.uniform(-2.0, 2.0, size=p_tuple), centre)
+            values = np.tile(cell, [qi // pi for qi, pi in zip(q.q, p_tuple)])
         V = potential(q, values.reshape(-1))
         assert all(pi % mi == 0 for pi, mi in zip(p_tuple, minimal_period(V)))
-        kinds["zero" if case % 5 == 0 else "full" if minimal_period(V) == q.q else "sub"] += 1
+        real = V._real_fiber is not None
+        if case % 5 == 2:  # (cells with every p_i <= 2 are symmetric about 0)
+            assert real == (math.prod(minimal_period(V)) > 1)
+        kinds["zero" if case % 5 == 0 else "symmetric" if real else "full" if minimal_period(V) == q.q else "sub"] += 1
         thetas = rng.uniform(0, 1, size=(5, q.d)) / np.array(q.q)
         got = eigenvalues_sorted_desc(q, V, thetas)
         want = np.linalg.eigvalsh(assemble(q, V, thetas))[:, ::-1]
@@ -449,32 +459,47 @@ def test_minimal_cell_solve_matches_full_cell_solve(rng):
 
 @pytest.mark.parametrize("q_tuple", [(2, 3), (2, 2, 3)])
 def test_full_period_solve_is_the_plain_stack_solve(rng, q_tuple):
+    # a random V, and a V symmetric about (1, 2, ...) with one swapped site
+    # moved by one ulp: neither has an inversion centre, so both take the
+    # complex wrap-gauge path
     q = period(q_tuple)
-    V = random_potential(q, 0.6, seed=7)
-    assert minimal_period(V) == q_tuple
-    thetas = rng.uniform(0, 1, size=(30, q.d)) / np.array(q_tuple)
-    want = _eigenvalues_desc(_fiber_stack(q, V, thetas), thetas)
-    assert _fiber_eigenvalues(q, V, thetas).tobytes() == want.tobytes()
-    assert eigenvalues_sorted_desc(q, V, thetas).tobytes() == np.ascontiguousarray(want).tobytes()
+    centre = tuple(range(1, q.d + 1))
+    symmetric = inversion_symmetric(rng.uniform(-0.6, 0.6, size=q_tuple), centre)
+    assert potential(q, symmetric.ravel())._real_fiber is not None
+    symmetric[(0,) * q.d] = np.nextafter(symmetric[(0,) * q.d], 1.0)  # c - 0 != 0
+    for V in (random_potential(q, 0.6, seed=7), potential(q, symmetric.ravel())):
+        assert minimal_period(V) == q_tuple and V._real_fiber is None
+        thetas = rng.uniform(0, 1, size=(30, q.d)) / np.array(q_tuple)
+        want = _eigenvalues_desc(_fiber_stack(q, V, len(thetas), _columns(thetas)), thetas)
+        assert _fiber_eigenvalues(q, V, thetas).tobytes() == want.tobytes()
+        assert eigenvalues_sorted_desc(q, V, thetas).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_eigensolver_failure_on_the_minimal_cell_names_theta(monkeypatch):
-    # free (2, 3): every fiber splits into six 1 x 1 fibers at
-    # kappa = theta + l/q; the failing one belongs to theta row 1
-    q = period((2, 3))
-    V = zero_potential(q)
+    # free (2, 3): every fiber splits into six complex 1 x 1 fibers at
+    # kappa = theta + l/q; the dimer on (4, 2) into two real symmetric 4 x 4
+    # fibers of its inversion-symmetric (2, 2) cell; the failing one belongs
+    # to theta row 1
     thetas = np.array([[0.0, 0.0], [0.125, 0.0625], [0.25, 0.125]])
-    kappa = thetas[1] + np.array([1 / 2, 2 / 3])
-    p, Vp, _ = V._cell
-    bad = _fiber_stack(p, Vp, kappa[None, :])[0]
     solve = np.linalg.eigvalsh
+    for q, V, l in [
+        (period((2, 3)), zero_potential(period((2, 3))), (1, 2)),
+        (period((4, 2)), build_dimer(period((4, 2)), 0.3), (1, 0)),
+    ]:
+        kappa = (thetas[1] + np.array(l) / np.array(q.q))[None, :]
+        p, Vp, _ = V._cell
+        if V._real_fiber is None:
+            bad = _fiber_stack(p, Vp, 1, _columns(kappa))[0]
+        else:
+            bad = floquet._real_stack(V._real_fiber, 1, _columns(kappa))[0]
+        assert bad.dtype == (complex if q.Q == 6 else float) and bad.shape == (p.Q, p.Q)
 
-    def eigvalsh(a, *args, **kwargs):
-        if a.ndim == 3 or np.array_equal(a, bad):
-            raise np.linalg.LinAlgError("no convergence")
-        return solve(a, *args, **kwargs)
+        def eigvalsh(a, *args, **kwargs):
+            if a.ndim == 3 or np.array_equal(a, bad):
+                raise np.linalg.LinAlgError("no convergence")
+            return solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    for theta in (thetas, thetas[1], phase(q, thetas[1])):
-        with pytest.raises(ComputationError, match=r"theta=\[0\.125, 0\.0625\]"):
-            eigenvalues_sorted_desc(q, V, theta)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        for theta in (thetas, thetas[1], phase(q, thetas[1])):
+            with pytest.raises(ComputationError, match=r"theta=\[0\.125, 0\.0625\]"):
+                eigenvalues_sorted_desc(q, V, theta)

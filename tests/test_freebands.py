@@ -119,8 +119,13 @@ def test_direction_must_be_finite(beta):
 
 
 def test_normalize_direction_divides_by_the_norm():
-    for beta in [(3.0, 4.0), (1.0, 1.0), (0.1, -0.7, 2.0), (1e-100, 0.0)]:
+    # below 2^-511 the norm's squares underflow: 1e-300 gives norm 0 and
+    # 1e-160 a norm 5.6e-6 too small, so those are rescaled by max |b_i| first
+    tiny = [(1e-300, 0.0), (-1e-160, 1e-160), (5e-324, 0.0)]
+    for beta in [(3.0, 4.0), (1.0, 1.0), (0.1, -0.7, 2.0), (1e-100, 0.0)] + tiny:
         b = np.asarray(beta)
+        if beta in tiny:
+            b = b / np.max(np.abs(b))
         got = normalize_direction(beta, len(beta))
         assert got.tobytes() == (b / float(np.linalg.norm(b))).tobytes()
         unit_direction(got, len(beta))  # accepted by the library's unit check
