@@ -2,9 +2,9 @@
 
 The core modules (errors, lattice, floquet, bandedges) load with the
 package.  counterexample, degeneracy and freebands load on the first use of
-one of their names (PEP 562 module ``__getattr__``), and so does mpmath,
-which only degeneracy uses.  Each CLI subcommand imports only the modules it
-runs, so ``spectrum``, ``bands`` and ``cq`` never load those three.
+one of their names (PEP 562 module ``__getattr__``).  Each CLI subcommand
+imports only the modules it runs, so ``spectrum``, ``bands`` and ``cq`` never
+load those three.
 """
 
 import importlib
@@ -44,7 +44,6 @@ _LAZY = {
         "free_level",
         "free_gradient",
         "second_order_coeff",
-        "construct_theta_for_energy",
         "interior_witness",
     ),
 }

@@ -154,9 +154,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
@@ -252,7 +249,10 @@ def _chunk_values(q: PeriodVector, V: Potential, grid: GridSpec, nodes: np.ndarr
 
 
 def check_workers(workers: int) -> None:
-    """Reject a worker count below 1 with a ConfigurationError."""
+    """Reject a worker count that is not an integer, or is below 1, with a
+    ConfigurationError."""
+    if not is_integer(workers):
+        raise ConfigurationError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ConfigurationError(f"workers must be at least 1, got {workers}")
 

@@ -9,15 +9,16 @@ predicts the split, and counts it numerically.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath
 import numpy as np
 
-from .errors import DegenerateBeyondSecondOrder, DomainError
+from .errors import ComputationError, DegenerateBeyondSecondOrder, DomainError
 from .freebands import free_gradient, free_level, second_order_coeff, unit_direction
 from .lattice import (
     FourierIndex,
@@ -44,6 +45,10 @@ MAX_STEP = 1e-2
 
 _RATIONAL_DENOM = 512
 _RATIONAL_ATOL = 1e-12
+# Largest lcm N of the angle denominators grouped exactly.  The table of
+# x^k mod Phi_N has N phi(N) int64 entries: at most 8.3 MB up to this cap,
+# but 1.6 GB at N = 29070 (theta = (1/171, 1/170) on a 6,6 cell).
+MAX_CYCLOTOMIC_ORDER = 1024
 
 
 @dataclass(frozen=True)
@@ -106,22 +111,77 @@ def _as_fraction(x: float) -> Fraction | None:
     return f if abs(float(f) - x) <= _RATIONAL_ATOL else None
 
 
-def _exact_levels(q: PeriodVector, fracs: list[Fraction]):
-    """Levels at an exactly rational phase, evaluated at 60 digits.
+def _cyclotomic(n: int) -> np.ndarray:
+    """Integer coefficients of Phi_n, constant term first: the product of
+    (x^(n/s) - 1)^((-1)^k) over the products s of k distinct primes of n.
+    The factors with k even are multiplied in first; each with k odd then
+    divides exactly, the quotient coefficients being q_j = q_{j-d} - p_j."""
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % r for r in range(2, p))]
+    subsets = [s for k in range(len(primes) + 1) for s in itertools.combinations(primes, k)]
+    poly = np.ones(1, dtype=np.int64)
+    for s in sorted(subsets, key=lambda s: len(s) % 2):
+        d = n // math.prod(s)
+        if len(s) % 2 == 0:
+            poly = np.pad(poly, (d, 0)) - np.pad(poly, (0, d))
+        else:
+            size = len(poly) - d
+            blocks = np.pad(poly[:size], (0, -size % d)).reshape(-1, d)
+            poly = -np.cumsum(blocks, axis=0).ravel()[:size]
+    return poly
 
-    Coincidences at the special rational phases are genuine algebraic
-    identities; 60 digits separates them cleanly from near misses that a
-    double-precision tolerance could confuse.
+
+@functools.lru_cache(maxsize=4)
+def _power_residues(n: int) -> np.ndarray:
+    """(n, phi(n)) integer table whose row k is x^k mod Phi_n: the
+    coordinates of zeta^k, zeta = exp(2 pi i / n), in the basis 1, zeta,
+    ..., zeta^(phi(n) - 1) of Q(zeta)."""
+    phi = _cyclotomic(n)
+    deg = len(phi) - 1
+    rows = np.zeros((n, deg), dtype=np.int64)
+    rows[:deg] = np.eye(deg, dtype=np.int64)
+    for k in range(deg, n):
+        rows[k, 1:] = rows[k - 1, :-1]
+        rows[k] -= rows[k - 1, -1] * phi[:deg]
+    rows.setflags(write=False)
+    return rows
+
+
+def _exact_split(
+    q: PeriodVector, th: tuple[float, ...], offsets: tuple[FourierIndex, ...], t: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Double levels at the rational phase th snaps to and which of them equal
+    level t exactly, or None if th does not snap or N > MAX_CYCLOTOMIC_ORDER.
+
+    With N the lcm of the angle denominators and zeta = exp(2 pi i / N), a
+    level is sum_i zeta^k_i + zeta^-k_i: an integer polynomial in zeta of
+    degree below N.  Reduced modulo the minimal polynomial Phi_N of zeta it
+    is unique, so two levels are equal iff their reduced coordinates are.
+    Unequal levels are ordered by their doubles, which is safe when they
+    differ by more than the rounding bound; otherwise ComputationError.
     """
-    out = []
-    with mpmath.workdps(60):
-        for member in enumerate_lambda(q):
-            acc = mpmath.mpf(0)
-            for i, qi in enumerate(q.q):
-                angle = 2 * (fracs[i] + Fraction(member.l[i], qi))
-                acc += 2 * mpmath.cospi(mpmath.mpf(angle.numerator) / angle.denominator)
-            out.append((member, acc))
-    return out
+    fracs = [_as_fraction(x) for x in th]
+    if None in fracs:
+        return None
+    n = math.lcm(*q.q, *(f.denominator for f in fracs))
+    if n > MAX_CYCLOTOMIC_ORDER:
+        return None
+    base = np.array([f.numerator * (n // f.denominator) % n for f in fracs])
+    k = (base + np.array([m.l for m in offsets]) * np.array([n // qi for qi in q.q])) % n
+    coords = _power_residues(n)[np.concatenate([k, -k % n], axis=1)].sum(axis=1)
+    equal = (coords == coords[t]).all(axis=1)
+    # A term 2 cos(2 pi k / N) errs by under 2^-47 (a few ulp in the angle and
+    # the cosine), a sum of d terms by under d^2 2^-46 (with d - 1 roundings
+    # of partial sums below 2d), so a difference errs by under d^2 2^-44.
+    levels = (2.0 * np.cos(2.0 * np.pi * k / n)).sum(axis=1)
+    bound = q.d**2 * 2.0**-44
+    close = ~equal & (np.abs(levels - levels[t]) <= bound)
+    if close.any():
+        other = offsets[int(np.argmax(close))]
+        raise ComputationError(
+            f"levels of offsets {offsets[t].l} and {other.l} differ but their doubles "
+            f"are within the rounding bound {bound:.1e} at phase {th}"
+        )
+    return levels, equal
 
 
 def coincident_group(
@@ -131,29 +191,28 @@ def coincident_group(
 ) -> DegeneracyGroup:
     """All frequency offsets whose level matches the target's at this phase.
 
-    Phases with small-denominator rational coordinates take an exact path:
-    levels are recomputed in high precision so that grouping does not hinge
-    on a double-precision tolerance.  Members come back in row-major order
-    and always include the target.
+    A phase whose coordinates snap to fractions (denominator <= 512, within
+    1e-12) with angle denominators of lcm N <= MAX_CYCLOTOMIC_ORDER groups
+    exactly, in cyclotomic integers (see _exact_split); level is then the
+    double sum at the snapped phase.  Any other phase groups levels within
+    GROUP_TOL.  Members come back in row-major order and always include the
+    target.
     """
     th = check_phase(q, theta)
     target = FourierIndex(check_index(q, target_l))
-    fracs = [_as_fraction(x) for x in th]
-    if all(f is not None for f in fracs):
-        pairs = _exact_levels(q, fracs)
-        target_level = next(lv for m, lv in pairs if m == target)
-        cut = mpmath.mpf("1e-45")
-        members = tuple(m for m, lv in pairs if abs(lv - target_level) < cut)
-        above = sum(1 for _, lv in pairs if lv - target_level >= cut)
-        level = float(target_level)
+    offsets = enumerate_lambda(q)
+    t = offsets.index(target)
+    split = _exact_split(q, th, offsets, t)
+    if split is None:
+        levels = np.array([free_level(q, th, m) for m in offsets])
+        equal = np.abs(levels - levels[t]) <= GROUP_TOL
+        above = levels - levels[t] > GROUP_TOL
     else:
-        pairs = [(m, free_level(q, th, m)) for m in enumerate_lambda(q)]
-        target_level = next(lv for m, lv in pairs if m == target)
-        members = tuple(m for m, lv in pairs if abs(lv - target_level) <= GROUP_TOL)
-        above = sum(1 for _, lv in pairs if lv - target_level > GROUP_TOL)
-        level = float(target_level)
+        levels, equal = split
+        above = ~equal & (levels > levels[t])
+    members = tuple(m for m, eq in zip(offsets, equal) if eq)
     phase_obj = theta if isinstance(theta, Phase) else Phase(th)
-    return DegeneracyGroup(phase_obj, level, members, above)
+    return DegeneracyGroup(phase_obj, float(levels[t]), members, int(above.sum()))
 
 
 def classify(

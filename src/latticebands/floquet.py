@@ -52,9 +52,6 @@ class Potential:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
-    def value_at(self, linear: int) -> float:
-        return float(self.values[linear])
-
     @functools.cached_property
     def _cell(self) -> tuple[PeriodVector, Potential, np.ndarray]:
         """The minimal period cell p = minimal_period(self), the potential

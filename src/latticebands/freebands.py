@@ -32,7 +32,6 @@ __all__ = [
     "free_level",
     "free_gradient",
     "second_order_coeff",
-    "construct_theta_for_energy",
     "interior_witness",
 ]
 
@@ -122,43 +121,6 @@ def second_order_coeff(
     return float(
         -4.0 * math.pi**2 * sum(2.0 * math.cos(2.0 * math.pi * x) * bi**2 for x, bi in zip(xs, b))
     )
-
-
-def construct_theta_for_energy(d: int, E: float) -> np.ndarray:
-    """Full-circle phase at which some free level equals E with zero sine sum.
-
-    The returned x in [0, 1)^d satisfies, up to roundoff,
-
-        sum_i 2 cos(2 pi x_i) = E,   sum_i sin(2 pi x_i) = 0,
-        sum_i sin^2(2 pi x_i) > 0.
-
-    Construction: pair coordinates as (a, 1 - a) so sines cancel, choosing
-    cos(2 pi a) to hit the target; an odd leftover coordinate is parked at 0
-    (contributing +2) or 1/2 (contributing -2) depending on the energy
-    range, and negative energies are handled by shifting every coordinate by
-    a half period, which flips all cosines and sines.
-    """
-    if d < 2:
-        raise DomainError(f"need d >= 2, got {d}")
-    E = float(E)
-    if not abs(E) < 2 * d:
-        raise DomainError(f"energy must satisfy |E| < {2 * d}, got {E}")
-    if E < 0:
-        return (construct_theta_for_energy(d, -E) + 0.5) % 1.0
-    if d % 2 == 0:
-        pairs = d // 2
-        ratio = E / (4.0 * pairs)
-        extra: list[float] = []
-    else:
-        pairs = (d - 1) // 2
-        if E >= 2.0:
-            ratio = (E - 2.0) / (4.0 * pairs)
-            extra = [0.0]
-        else:
-            ratio = (E + 2.0) / (4.0 * pairs)
-            extra = [0.5]
-    a = math.acos(ratio) / (2.0 * math.pi)
-    return np.array([a] * pairs + [1.0 - a] * pairs + extra)
 
 
 def interior_witness(

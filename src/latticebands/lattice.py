@@ -26,19 +26,15 @@ __all__ = [
     "Phase",
     "period",
     "enumerate_lambda",
-    "site_from_coords",
     "site_from_linear",
-    "fold_coordinate",
-    "fold_phase",
     "phase",
-    "torus_distance",
 ]
 
 
 def is_integer(x) -> bool:
     """True for Python and numpy integers, False for bools and floats: the one
-    rule for every integer input (periods, offsets, sites, grid counts and
-    budgets, seeds).  A plain int is answered before the (slower) ABC check."""
+    rule for every integer input (periods, offsets, sites, grid counts,
+    budgets, workers, seeds).  A plain int is answered before the (slower) ABC check."""
     return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
@@ -103,8 +99,7 @@ class SiteIndex:
 class Phase:
     """A point on the reduced phase torus, coordinate i in [0, 1/q_i).
 
-    Construct through :func:`phase` or :func:`fold_phase` so wraparound is
-    handled in one place.
+    Construct through :func:`phase` so wraparound is handled in one place.
     """
 
     theta: tuple[float, ...]
@@ -154,15 +149,11 @@ def check_phase(q: PeriodVector, theta: Phase | Sequence[float]) -> tuple[float,
     return tuple(th[0].tolist())
 
 
-def _check_dims(q: PeriodVector, values: Sequence, what: str) -> None:
-    if len(values) != q.d:
-        raise DomainError(f"{what} has {len(values)} coordinates, expected {q.d}")
-
-
 def check_index(q: PeriodVector, l: FourierIndex | Sequence[int]) -> tuple[int, ...]:
     """Validate componentwise bounds of a frequency offset against q."""
     vals = l.l if isinstance(l, FourierIndex) else FourierIndex(l).l
-    _check_dims(q, vals, "frequency offset")
+    if len(vals) != q.d:
+        raise DomainError(f"frequency offset has {len(vals)} coordinates, expected {q.d}")
     for i, (li, qi) in enumerate(zip(vals, q.q)):
         if not 0 <= li < qi:
             raise DomainError(f"offset component {i} out of range: {li} not in [0, {qi})")
@@ -172,19 +163,6 @@ def check_index(q: PeriodVector, l: FourierIndex | Sequence[int]) -> tuple[int, 
 def enumerate_lambda(q: PeriodVector) -> tuple[FourierIndex, ...]:
     """All Q frequency offsets in row-major order (last coordinate fastest)."""
     return tuple(FourierIndex(l) for l in itertools.product(*[range(qi) for qi in q.q]))
-
-
-def site_from_coords(q: PeriodVector, n: Sequence[int]) -> SiteIndex:
-    """Encode cell coordinates as a site with its row-major linear index."""
-    coords = _integers(n, "site coordinates")
-    _check_dims(q, coords, "site")
-    for i, (ni, qi) in enumerate(zip(coords, q.q)):
-        if not 0 <= ni < qi:
-            raise DomainError(f"site coordinate {i} out of range: {ni} not in [0, {qi})")
-    linear = 0
-    for ni, qi in zip(coords, q.q):
-        linear = linear * qi + ni
-    return SiteIndex(coords, linear)
 
 
 def site_from_linear(q: PeriodVector, linear: int) -> SiteIndex:
@@ -202,37 +180,6 @@ def site_from_linear(q: PeriodVector, linear: int) -> SiteIndex:
     return SiteIndex(tuple(reversed(coords)), k)
 
 
-def fold_coordinate(x: float, qi: int) -> tuple[float, int]:
-    """Split one full-circle coordinate x in [0, 1) as theta + l/qi.
-
-    Returns (theta, l) with theta in [0, 1/qi) and l in {0, ..., qi - 1}.
-    Reconstruction theta + l/qi agrees with x to a few machine epsilons.
-    """
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"full-circle coordinate out of range: {x!r}")
-    l = min(int(math.floor(x * qi)), qi - 1)
-    theta = x - l / qi
-    if theta < 0.0:
-        l -= 1
-        theta = x - l / qi
-    if theta >= 1.0 / qi and l + 1 <= qi - 1:
-        l += 1
-        theta = x - l / qi
-    return theta, l
-
-
-def fold_phase(q: PeriodVector, x: Sequence[float]) -> tuple[Phase, FourierIndex]:
-    """Fold a full-circle phase into the reduced torus plus a frequency offset."""
-    vals = check_phase(q, x)
-    thetas = []
-    ls = []
-    for xi, qi in zip(vals, q.q):
-        t, l = fold_coordinate(xi, qi)
-        thetas.append(t)
-        ls.append(l)
-    return Phase(tuple(thetas)), FourierIndex(tuple(ls))
-
-
 def phase(q: PeriodVector, values: Sequence[float]) -> Phase:
     """Wrap arbitrary real coordinates onto the reduced torus."""
     vals = check_phase(q, values)
@@ -244,17 +191,3 @@ def phase(q: PeriodVector, values: Sequence[float]) -> Phase:
             t -= w
         out.append(t)
     return Phase(tuple(out))
-
-
-def torus_distance(q: PeriodVector, a: Phase | Sequence[float], b: Phase | Sequence[float]) -> float:
-    """Distance on the product of circles of circumference 1/q_i.
-
-    Per coordinate this is the distance of a_i - b_i to the nearest multiple
-    of 1/q_i; the coordinates combine in the Euclidean norm.
-    """
-    av, bv = check_phase(q, a), check_phase(q, b)
-    total = 0.0
-    for ai, bi, qi in zip(av, bv, q.q):
-        frac = ((ai - bi) * qi) % 1.0
-        total += (min(frac, 1.0 - frac) / qi) ** 2
-    return math.sqrt(total)

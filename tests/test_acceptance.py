@@ -119,7 +119,7 @@ def test_05_counterexample_opens_a_certified_gap():
     assert len(report.intervals) == 2
     assert report.certified
     gap = report.gaps[0]
-    assert gap.contains(0.0)
+    assert gap.lo <= 0.0 <= gap.hi
     assert gap.width / 2.0 >= 0.05
 
     gap_check = verify_gap_at_zero(spec, grid)

@@ -133,7 +133,7 @@ def test_default_grid_is_the_largest_even_root(d, default):
 def test_interval_type():
     iv = Interval(-1.0, 2.5)
     assert iv.width == 3.5
-    assert iv.contains(0.0) and not iv.contains(3.0)
+    assert iv.lo <= 0.0 <= iv.hi and not iv.lo <= 3.0 <= iv.hi
     with pytest.raises(DomainError):
         Interval(1.0, 0.0)
 
@@ -376,6 +376,18 @@ def test_sweeps_reject_nonpositive_workers(workers):
     with pytest.raises(ConfigurationError, match="workers"):
         sample_bands(q, V, grid, workers=workers)
     with pytest.raises(ConfigurationError, match="workers"):
+        min_abs_eigenvalue(q, V, grid, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [True, 2.5, 1.0, "2"], ids=repr)
+def test_sweeps_reject_non_integer_workers(workers):
+    # True, 2.5 and 1.0 each returned a table: only "< 1" was checked
+    q = period((2, 2))
+    V = zero_potential(q)
+    grid = GridSpec((8, 8))
+    with pytest.raises(ConfigurationError, match="workers must be an integer"):
+        sample_bands(q, V, grid, workers=workers)
+    with pytest.raises(ConfigurationError, match="workers must be an integer"):
         min_abs_eigenvalue(q, V, grid, workers=workers)
 
 

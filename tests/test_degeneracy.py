@@ -1,14 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from latticebands import (
+    ComputationError,
     DegenerateBeyondSecondOrder,
     DomainError,
     classify,
     coincident_group,
     count_moves,
+    degeneracy,
+    enumerate_lambda,
     free_gradient,
     free_level,
     period,
@@ -239,3 +243,62 @@ def test_group_checks_phase_dimension_and_offset():
         coincident_group(q, (0.25, 0.25, 0.0), (0, 0))
     with pytest.raises(DomainError, match="frequency offsets must be integers"):
         coincident_group(q, (0.25, 0.25), (0.5, 0))
+
+
+@pytest.mark.parametrize("q", list(itertools.product(range(1, 7), repeat=2)), ids=str)
+def test_exact_grouping_matches_double_reference_exhaustively(q):
+    """Every target at every phase theta_i = k/(2 q_i), k < 2 q_i, on a 2-D
+    cell with q_i <= 6, against levels in doubles compared at 1e-9.
+
+    The reference is exact here.  With N = lcm(2 q_1, 2 q_2) <= 60 and
+    zeta = exp(2 pi i / N), two distinct levels differ by a nonzero algebraic
+    integer of the real cyclotomic field Q(zeta + 1/zeta), of degree
+    phi(N)/2 <= 8.  Each of its conjugates is again a difference of two sums
+    of d = 2 cosines, so at most 4d = 8 in size, and the product of all of
+    them is a nonzero integer.  So the difference is at least 8^-7 = 4.8e-7
+    in size, far above 1e-9 plus the rounding of a double level.
+    """
+    q = period(q)
+    offsets = np.array([m.l for m in enumerate_lambda(q)])
+    for k in itertools.product(*[range(2 * qi) for qi in q.q]):
+        th = tuple(ki / (2 * qi) for ki, qi in zip(k, q.q))
+        full = np.array(th) + offsets / np.array(q.q)
+        levels = (2.0 * np.cos(2.0 * np.pi * full)).sum(axis=1)
+        for t, target in enumerate(offsets):
+            g = coincident_group(q, th, tuple(target))
+            near = np.abs(levels - levels[t]) <= 1e-9
+            assert [m.l for m in g.members] == [tuple(l) for l in offsets[near]]
+            assert g.position_offset == np.count_nonzero(levels - levels[t] > 1e-9)
+            assert abs(g.level - levels[t]) <= 1e-14
+
+
+def test_phase_above_the_cyclotomic_cap_groups_within_tolerance(monkeypatch):
+    # theta = (1/171, 1/170) on a 6,6 cell snaps to fractions whose angle
+    # denominators have lcm 29070 > MAX_CYCLOTOMIC_ORDER, so no residue table
+    # is built and levels group within GROUP_TOL, as at an irrational phase
+    q = period((6, 6))
+    th = (1 / 171, 1 / 170)
+    assert math.lcm(171, 170, 6) > degeneracy.MAX_CYCLOTOMIC_ORDER
+
+    def refuse(n):
+        raise AssertionError(f"built the residue table for N = {n}")
+
+    monkeypatch.setattr(degeneracy, "_power_residues", refuse)
+    levels = np.array([free_level(q, th, m) for m in enumerate_lambda(q)])
+    for t, target in enumerate(enumerate_lambda(q)):
+        g = coincident_group(q, th, target)
+        near = np.abs(levels - levels[t]) <= degeneracy.GROUP_TOL
+        assert [m.l for m in g.members] == [m.l for m, n in zip(enumerate_lambda(q), near) if n]
+        assert g.position_offset == np.count_nonzero(levels - levels[t] > degeneracy.GROUP_TOL)
+        assert g.level == levels[t]
+
+
+def test_levels_the_rounding_bound_cannot_order_raise(monkeypatch):
+    # at theta = 0 on a 4,4 cell, level 0 of (0, 2) is 2 cos 0 + 2 cos pi and
+    # that of (1, 1) is 2 cos(pi/2) twice; a residue table that tells these
+    # sums apart leaves two unequal levels whose doubles agree, so their order
+    # is unknown and the group raises, naming both offsets
+    real = degeneracy._power_residues
+    monkeypatch.setattr(degeneracy, "_power_residues", lambda n: real(n) + np.arange(n)[:, None])
+    with pytest.raises(ComputationError, match=r"offsets \(0, 2\) and \(1, 1\)"):
+        coincident_group(period((4, 4)), (0.0, 0.0), (0, 2))

@@ -16,7 +16,7 @@ MODULES = [
     for m in pkgutil.iter_modules(latticebands.__path__)
 ]
 
-LAZY = ("mpmath", "fractions", "latticebands.counterexample", "latticebands.degeneracy",
+LAZY = ("fractions", "latticebands.counterexample", "latticebands.degeneracy",
         "latticebands.freebands")
 
 
@@ -86,3 +86,16 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(rc, sorted(m for m in {LAZY!r} if m in sys.modules))
 """)
     assert out == "0 []\n"
+
+
+def test_degeneracy_command_loads_no_mpmath():
+    # coincident levels are grouped in cyclotomic integers, with numpy only
+    out = _fresh_python("""
+import contextlib, io, sys
+from latticebands import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["degeneracy", "--q", "3,2", "--theta", "0.16666666666666666,0",
+                   "--l", "1,0", "--beta", "1,0", "--t", "0.001", "--json"])
+print(rc, "mpmath" in sys.modules)
+""")
+    assert out == "0 False\n"

@@ -23,7 +23,7 @@ from latticebands import (
 )
 
 from latticebands import floquet
-from latticebands.lattice import Phase, check_phase, fold_phase, torus_distance
+from latticebands.lattice import Phase, check_phase
 from latticebands.floquet import _columns, _eigenvalues_desc, _fiber_eigenvalues, _fiber_stack
 
 from conftest import inversion_symmetric, ref_fiber, ref_levels, random_periods
@@ -243,7 +243,7 @@ def test_potential_validation():
         potential(q, [1.0, 2.0, 3.0, 4.0, 5.0, float("nan")])
     V = potential(q, range(6))
     assert V.sup_norm == 5.0
-    assert V.value_at(3) == 3.0
+    assert V.values[3] == 3.0
     with pytest.raises(ValueError):
         V.values[0] = 99.0  # frozen storage
 
@@ -381,8 +381,6 @@ def test_every_phase_reader_gives_one_message(theta, message):
     V = random_potential(q, 0.5, seed=4)
     readers = {
         "check_phase": lambda th: check_phase(q, th),
-        "fold_phase": lambda th: fold_phase(q, th),
-        "torus_distance": lambda th: torus_distance(q, (0.0, 0.0), th),
         "assemble": lambda th: assemble(q, V, th),
         "eigenvalues_sorted_desc": lambda th: eigenvalues_sorted_desc(q, V, th),
     }

@@ -7,7 +7,6 @@ from latticebands import (
     DomainError,
     GridSpec,
     certified_edges,
-    construct_theta_for_energy,
     eigenvalues_sorted_desc,
     free_gradient,
     free_level,
@@ -137,46 +136,6 @@ def test_normalize_direction_divides_by_the_norm():
     ]:
         with pytest.raises(DomainError, match=message):
             normalize_direction(beta, 2)
-
-
-def test_construct_theta_frozen_examples():
-    np.testing.assert_allclose(construct_theta_for_energy(2, 0.0), [0.25, 0.75], atol=1e-15)
-    np.testing.assert_allclose(construct_theta_for_energy(2, 2.0), [1 / 6, 5 / 6], atol=1e-12)
-    x = construct_theta_for_energy(3, 1.0)
-    # two paired coordinates with cosine 3/4 and one parked at half period
-    assert math.cos(2 * math.pi * x[0]) == pytest.approx(0.75, abs=1e-12)
-    assert x[2] == 0.5
-
-
-def test_construct_theta_postconditions(rng):
-    for _ in range(1000):
-        d = int(rng.integers(2, 6))
-        E = float(rng.uniform(-2 * d + 1e-3, 2 * d - 1e-3))
-        x = construct_theta_for_energy(d, E)
-        assert x.shape == (d,)
-        assert np.all((0.0 <= x) & (x < 1.0))
-        cos_sum = sum(2.0 * math.cos(2 * math.pi * xi) for xi in x)
-        sin_sum = sum(math.sin(2 * math.pi * xi) for xi in x)
-        sin_sq = sum(math.sin(2 * math.pi * xi) ** 2 for xi in x)
-        assert cos_sum == pytest.approx(E, abs=1e-9)
-        assert sin_sum == pytest.approx(0.0, abs=1e-9)
-        assert sin_sq > 0.0
-
-
-def test_construct_theta_negation_shift():
-    for E in (0.5, 1.7, 3.2):
-        pos = construct_theta_for_energy(2, E)
-        neg = construct_theta_for_energy(2, -E)
-        np.testing.assert_allclose(neg, (pos + 0.5) % 1.0, atol=1e-15)
-
-
-def test_construct_theta_domain():
-    with pytest.raises(DomainError):
-        construct_theta_for_energy(1, 0.0)
-    with pytest.raises(DomainError):
-        construct_theta_for_energy(2, 4.0)
-    with pytest.raises(DomainError):
-        construct_theta_for_energy(2, -4.0)
 
 
 def test_interior_witness_center_of_spectrum():

@@ -1,18 +1,10 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from latticebands import DomainError, fold_phase, period, phase, torus_distance
-from latticebands.lattice import (
-    FourierIndex,
-    enumerate_lambda,
-    fold_coordinate,
-    is_integer,
-    site_from_coords,
-    site_from_linear,
-)
+from latticebands import DomainError, period, phase
+from latticebands.lattice import FourierIndex, enumerate_lambda, is_integer, site_from_linear
 
 
 def test_period_vector_basics():
@@ -48,58 +40,16 @@ def test_site_roundtrip_exhaustive():
     q = period((2, 3, 2))
     for a in range(q.Q):
         s = site_from_linear(q, a)
-        assert site_from_coords(q, s.n).linear == a
-    # and the inverse direction
-    for coords in itertools.product(range(2), range(3), range(2)):
-        s = site_from_coords(q, coords)
-        assert site_from_linear(q, s.linear).n == coords
+        assert s.linear == a
+        assert s.n == tuple(int(x) for x in np.unravel_index(a, q.q))
 
 
 def test_site_bounds_checked():
     q = period((2, 3))
     with pytest.raises(DomainError):
-        site_from_coords(q, (2, 0))
-    with pytest.raises(DomainError):
         site_from_linear(q, 6)
     with pytest.raises(DomainError):
-        site_from_coords(q, (0, 0, 0))
-
-
-def test_fold_coordinate_examples():
-    # q_i = 3: x = 0.5 sits in the second sector, 0.5 = 1/6 + 1/3
-    t, l = fold_coordinate(0.5, 3)
-    assert l == 1
-    assert t == pytest.approx(1.0 / 6.0, abs=1e-15)
-    t, l = fold_coordinate(0.9, 3)
-    assert l == 2
-    assert t == pytest.approx(0.9 - 2.0 / 3.0, abs=1e-15)
-    t, l = fold_coordinate(0.0, 5)
-    assert (t, l) == (0.0, 0)
-
-
-def test_fold_coordinate_rejects_out_of_range():
-    with pytest.raises(DomainError):
-        fold_coordinate(1.0, 2)
-    with pytest.raises(DomainError):
-        fold_coordinate(-0.1, 2)
-
-
-def test_fold_coordinate_randomized_roundtrip(rng):
-    for _ in range(2000):
-        qi = int(rng.integers(1, 9))
-        x = float(rng.random())
-        t, l = fold_coordinate(x, qi)
-        assert 0 <= l <= qi - 1
-        assert 0.0 <= t < 1.0 / qi + 4e-16
-        assert abs(t + l / qi - x) <= 4 * np.finfo(float).eps
-
-
-def test_fold_phase_componentwise():
-    q = period((3, 2))
-    th, l = fold_phase(q, (0.5, 0.75))
-    assert l.l == (1, 1)
-    assert th.theta[0] == pytest.approx(1.0 / 6.0, abs=1e-15)
-    assert th.theta[1] == pytest.approx(0.25, abs=1e-15)
+        site_from_linear(q, -1)
 
 
 def test_phase_wraps_onto_reduced_torus(rng):
@@ -121,42 +71,6 @@ def test_phase_rejects_non_finite_coordinates(x):
         phase(period((3, 2)), (x, 0.0))
 
 
-def _brute_torus_distance(q, a, b):
-    # minimize the plain Euclidean distance over shifts by multiples of 1/q_i
-    best = math.inf
-    shifts = [np.arange(-3, 4) / qi for qi in q]
-    for offs in itertools.product(*shifts):
-        dist = math.sqrt(
-            sum((ai - bi + o) ** 2 for ai, bi, o in zip(a, b, offs))
-        )
-        best = min(best, dist)
-    return best
-
-
-def test_torus_distance_against_brute_force(rng):
-    q = period((2, 3))
-    for _ in range(300):
-        a = tuple(float(x) for x in rng.uniform(0, 0.5, size=2))
-        b = tuple(float(x) for x in rng.uniform(0, 0.5, size=2))
-        got = torus_distance(q, phase(q, a), phase(q, b))
-        want = _brute_torus_distance(q.q, phase(q, a).theta, phase(q, b).theta)
-        assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_torus_distance_metric_properties(rng):
-    q = period((3, 2, 2))
-    pts = [phase(q, tuple(float(x) for x in rng.uniform(0, 1, size=3))) for _ in range(12)]
-    for a in pts:
-        assert torus_distance(q, a, a) == 0.0
-    for a, b in itertools.combinations(pts, 2):
-        assert torus_distance(q, a, b) == pytest.approx(torus_distance(q, b, a), abs=1e-15)
-    for a, b, c in itertools.permutations(pts[:6], 3):
-        ab = torus_distance(q, a, b)
-        bc = torus_distance(q, b, c)
-        ac = torus_distance(q, a, c)
-        assert ac <= ab + bc + 1e-12
-
-
 @pytest.mark.parametrize("l", [(0.5, 0), (1, math.nan), (math.inf, 1), ("1", 0), None])
 def test_fourier_index_rejects_non_integral_offsets(l):
     with pytest.raises(DomainError, match="frequency offsets must be integers"):
@@ -175,8 +89,8 @@ def test_fourier_index_accepts_integral_values():
     (lambda: period((True, 2)), "periods must be integers"),
     (lambda: period((2.0, 3)), "periods must be integers"),
     (lambda: FourierIndex((False, 1)), "frequency offsets must be integers"),
-    (lambda: site_from_coords(period((2, 3)), (1.0, 0)), "site coordinates must be integers"),
-    (lambda: site_from_coords(period((2, 3)), (True, 0)), "site coordinates must be integers"),
+    (lambda: site_from_linear(period((2, 3)), 1.0), "linear index must be an integer"),
+    (lambda: site_from_linear(period((2, 3)), True), "linear index must be an integer"),
     (lambda: site_from_linear(period((2, 3)), 2.7), "linear index must be an integer"),
 ], ids=["period-bool", "period-float", "offset-bool", "site-float", "site-bool", "linear-float"])
 def test_bools_and_integral_floats_are_not_integers(make, message):
@@ -195,23 +109,8 @@ def test_is_integer_accepts_python_and_numpy_integers_only():
         assert not is_integer(x), x
 
 
-@pytest.mark.parametrize("coords", [(0.5, 0), (0, math.nan)])
-def test_site_from_coords_rejects_non_integral_coordinates(coords):
-    # (0.5, 0) was read as site 0
-    with pytest.raises(DomainError, match="site coordinates must be integers"):
-        site_from_coords(period((2, 3)), coords)
-
-
 @pytest.mark.parametrize("q", [(2, math.inf), (2, math.nan)])
 def test_period_rejects_non_finite_periods(q):
     # an infinite period raised a bare OverflowError
     with pytest.raises(DomainError, match="periods must be integers"):
         period(q)
-
-
-def test_torus_distance_checks_both_phases():
-    q = period((2, 3))
-    with pytest.raises(DomainError, match="phase has 3 coordinates, expected 2"):
-        torus_distance(q, (0.1, 0.1), (0.1, 0.1, 0.1))
-    with pytest.raises(DomainError, match="phase coordinates must be finite"):
-        torus_distance(q, (0.1, 0.1), (0.1, math.nan))
