@@ -48,11 +48,10 @@ REFINE_ROUNDS = 10
 SHRINK = 0.5
 
 # Per-coordinate Lipschitz bound of every band function, for every potential.
-# Conjugating the fiber matrix H(theta) by the diagonal unitary
-# diag(exp(2 pi i n . theta)) over the cell sites n leaves its spectrum
-# unchanged and puts the phase exp(2 pi i theta_i) on every bond of
-# direction i: that part of H is exp(2 pi i theta_i) S_i + h.c. with S_i a
-# cyclic shift, and the potential carries no phase.  So
+# The fiber H(theta) is built in the uniform gauge (floquet._fiber_parts):
+# every bond of direction i carries the phase exp(2 pi i theta_i), so that
+# part of H is exp(2 pi i theta_i) S_i + h.c. with S_i a cyclic shift, and
+# the potential carries no phase.  So
 # ||dH/dtheta_i|| <= 4 pi, and by Weyl's inequality every sorted eigenvalue
 # moves by at most 4 pi |dtheta_i|.
 #
@@ -262,11 +261,11 @@ def _iter_chunks(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, no
     in order.  Every sweep passes the time-reversal representatives: for
     real V, H(-theta) = conj H(theta) has the same spectrum, so a node and
     its mirror share the eigenvalues solved at the representative."""
-    # Resolve V's minimal cell and real fiber parts (cached on V) before the
+    # Resolve V's minimal cell and fiber parts (cached on V) before the
     # first chunk: worker threads then only read them, and their small
     # arrays are not allocated between chunk stacks, which raised peak RSS
     # by about 2 MB on a sweep of 36-site cells.
-    V._real_fiber
+    V._fiber
     cs = _chunk_size(q.Q)
     chunks = [nodes[s:s + cs] for s in range(0, len(nodes), cs)]
     if workers > 1:

@@ -25,7 +25,6 @@ from .lattice import (
     enumerate_lambda,
     is_integer,
     period,
-    site_from_linear,
 )
 
 __all__ = [
@@ -64,11 +63,13 @@ class Potential:
         return p, potential(p, values), shifts
 
     @functools.cached_property
-    def _real_fiber(self) -> tuple[np.ndarray, list] | None:
-        """The real symmetric form of the minimal-cell fiber (see _real_parts),
-        or None when that cell has one site or no inversion centre."""
+    def _fiber(self) -> tuple[np.ndarray, list]:
+        """The parts of the minimal-cell fiber that the kernel solves (see
+        _fiber_parts): real symmetric in the basis of the first inversion
+        centre when that cell has P >= 2 sites and one, else the site basis."""
         p, Vp, _ = self._cell
-        return _real_parts(p, Vp.values)
+        image = _inversion(p, Vp.values) if p.Q >= 2 else None
+        return _fiber_parts(p, Vp.values, image)
 
     @functools.cached_property
     def _sweeps(self) -> dict:
@@ -78,8 +79,19 @@ class Potential:
         return {}
 
 
+def _is_real(x) -> bool:
+    """True for Python and numpy reals, False for bools: the one rule for
+    every real input (potential values, amplitudes)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def potential(q: PeriodVector, values: Sequence[float]) -> Potential:
-    """Validate and freeze a potential given as Q reals in row-major order."""
+    """Validate and freeze a potential given as Q reals in row-major order,
+    a sequence or array of real numbers (no bools)."""
+    items = values.ravel().tolist() if isinstance(values, np.ndarray) else values
+    bad = [v for v in items if not _is_real(v)]
+    if bad:
+        raise DomainError(f'potential "values" must be numbers, got {bad[0]!r}')
     arr = np.asarray(values, dtype=float).reshape(-1).copy()
     if arr.size != q.Q:
         raise DomainError(
@@ -99,8 +111,8 @@ def random_potential(q: PeriodVector, amplitude: float, seed: int) -> Potential:
     """Uniform random potential rescaled to sup norm exactly `amplitude`.
 
     The seed must be a nonnegative integer."""
-    if not (math.isfinite(amplitude) and amplitude >= 0):
-        raise DomainError(f"amplitude must be finite and nonnegative, got {amplitude}")
+    if not (_is_real(amplitude) and math.isfinite(amplitude) and amplitude >= 0):
+        raise DomainError(f"amplitude must be finite and nonnegative, got {amplitude!r}")
     if not is_integer(seed) or seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
@@ -123,9 +135,6 @@ def parse_potential(payload: dict) -> Potential:
     q = period(q)
     if not isinstance(values, (list, tuple)):
         raise DomainError(f'potential "values" must be a list of {q.Q} numbers, got {values!r}')
-    bad = [v for v in values if isinstance(v, bool) or not isinstance(v, numbers.Real)]
-    if bad:
-        raise DomainError(f'potential "values" must be numbers, got {bad[0]!r}')
     return potential(q, values)
 
 
@@ -144,76 +153,10 @@ def load_potential(path: str) -> Potential:
     return parse_potential(payload)
 
 
-@functools.lru_cache(maxsize=32)
-def _hopping_structure(q_tuple: tuple[int, ...]):
-    """Interior adjacency and per-direction wrap positions for one cell.
-
-    Returns (interior, wraps): interior is the real symmetric matrix of
-    bonds staying inside the cell, flattened row-major to Q*Q entries, and
-    wraps[i] = (forward, backward) lists the flat positions a*Q + b and
-    b*Q + a of the directed bonds that leave the cell along direction i,
-    from a site a to its wrapped neighbor b.  With W_i the 0/1 matrix of
-    the forward positions the fiber matrix is
-
-        interior + sum_i (p_i * W_i + conj(p_i) * W_i.T) + diag(V)
-
-    with p_i = exp(2 pi i q_i theta_i).  For q_i = 1 the wrap bond starts and
-    ends at the same site, so forward and backward contributions accumulate
-    on the diagonal; for q_i = 2 they stack on top of the interior bond.
-    """
-    q = period(q_tuple)
-    Q = q.Q
-    interior = np.zeros((Q, Q))
-    wraps = [([], []) for _ in range(q.d)]
-    strides = []
-    s = 1
-    for qi in reversed(q.q):
-        strides.append(s)
-        s *= qi
-    strides = list(reversed(strides))
-    for a in range(Q):
-        site = site_from_linear(q, a)
-        for i, qi in enumerate(q.q):
-            if site.n[i] + 1 < qi:
-                b = a + strides[i]
-                interior[a, b] += 1.0
-                interior[b, a] += 1.0
-            else:
-                b = a - site.n[i] * strides[i]
-                wraps[i][0].append(a * Q + b)
-                wraps[i][1].append(b * Q + a)
-    return interior.ravel(), wraps
-
-
 def _columns(kappa: np.ndarray):
-    """The gather of the builders for an (n, d) phase array: gather(f, i) is
+    """The gather of the builder for an (n, d) phase array: gather(f, i) is
     f of its column i."""
     return lambda f, i: f(kappa[:, i])
-
-
-def _fiber_stack(q: PeriodVector, V: Potential, n: int, gather) -> np.ndarray:
-    """Wrap-gauge fiber matrices at n phases, as an (n, Q, Q) complex stack.
-
-    gather(f, i) returns f of coordinate i of the n phases (see
-    _fiber_eigenvalues); it is called once per direction, for the phase
-    factors exp(2 pi i q_i theta_i).  The stack is built flat, (n, Q*Q), and
-    each phase is added to one column view per wrap position in the order
-    of the formula in :func:`_hopping_structure`, so every entry is rounded
-    exactly as in the dense sum.
-    """
-    interior, wraps = _hopping_structure(q.q)
-    Q = q.Q
-    M = np.empty((n, Q * Q), dtype=complex)
-    M[:] = interior
-    for i, (forward, backward) in enumerate(wraps):
-        p = gather(lambda x: np.exp(2j * math.pi * q.q[i] * x), i)
-        for k in forward:
-            M[:, k] += p
-        p = np.conj(p)
-        for k in backward:
-            M[:, k] += p
-    M[:, ::Q + 1] += V.values
-    return M.reshape(n, Q, Q)
 
 
 def _inversion(p: PeriodVector, values: np.ndarray) -> np.ndarray | None:
@@ -232,29 +175,52 @@ def _inversion(p: PeriodVector, values: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _real_parts(p: PeriodVector, values: np.ndarray) -> tuple[np.ndarray, list] | None:
-    """Constant parts of the real symmetric fiber of an inversion-symmetric
-    cell of P >= 2 sites, or None.
+# The functions of a phase coordinate x that the parts of a fiber carry.
+_EXP, _EXP_CONJ, _COS, _SIN = (
+    lambda x: np.exp(2j * math.pi * x),
+    lambda x: np.conj(np.exp(2j * math.pi * x)),
+    lambda x: np.cos(2 * math.pi * x),
+    lambda x: np.sin(2 * math.pi * x),
+)
 
-    In the uniform gauge the fiber is H(kappa) = sum_i (exp(2 pi i kappa_i)
-    S_i + h.c.) + diag(V), S_i the cyclic shift n -> n + b_i of the cell.
-    With J the inversion n -> c - n, J S_i J = S_i^T and J diag(V) J = diag(V),
-    so J composed with complex conjugation commutes with H and squares to 1.
+
+@functools.lru_cache(maxsize=32)
+def _shift_positions(q_tuple: tuple[int, ...]) -> tuple:
+    """Per direction, the flat positions a * P + b of the ones S_i[a, b] of
+    the cyclic shift n -> n + b_i of the cell, and those of S_i^T."""
+    P = math.prod(q_tuple)
+    idx = np.arange(P).reshape(q_tuple)
+    shifts = [idx.ravel() * P + np.roll(idx, -1, axis=i).ravel() for i in range(len(q_tuple))]
+    return tuple((tuple(s.tolist()), tuple((s % P * P + s // P).tolist())) for s in shifts)
+
+
+def _fiber_parts(p: PeriodVector, values: np.ndarray, image: np.ndarray | None) -> tuple[np.ndarray, list]:
+    """The fiber of the cell p in the uniform gauge, as constant parts.
+
+    At phase kappa the fiber is H(kappa) = diag(V) + sum_i (exp(2 pi i
+    kappa_i) S_i + h.c.), S_i the cyclic shift n -> n + b_i of the cell.
+    Conjugating by diag(exp(2 pi i n . kappa)) moves the phases onto the
+    bonds that leave the cell as exp(2 pi i p_i kappa_i), so the two gauges
+    have one spectrum.  Returns (H0 flat, parts): parts[i] is a tuple of
+    (f, groups), groups a tuple of (weight, flat positions), and H(kappa)
+    is H0 plus weight * f(kappa_i) at each position of each group.
+
+    With image None, in the site basis: H0 = diag(V), exp(2 pi i x) at the
+    positions of S_i and its conjugate at those of S_i^T.  With image an
+    inversion J: n -> c - n of V (see _inversion), J S_i J = S_i^T, so J
+    composed with complex conjugation commutes with H and squares to 1.
     The vectors it fixes, e_f for each fixed site f and (e_a + e_b)/sqrt 2,
     i (e_a - e_b)/sqrt 2 for each swapped pair a < b, form an orthonormal
     basis in which H is the real symmetric matrix
 
         R(kappa) = R0 + sum_i (cos(2 pi kappa_i) C_i + sin(2 pi kappa_i) D_i),
 
-    C_i the form of S_i + S_i^T and D_i that of i (S_i - S_i^T).  H is
-    unitarily equivalent to the wrap-gauge fiber at the same kappa, so R has
-    its eigenvalues.  Returns (R0 flat, parts): parts[i] = (C_i terms, D_i
-    terms), each a tuple of (weight, flat positions holding it).
+    C_i the form of S_i + S_i^T and D_i that of i (S_i - S_i^T).
     """
-    image = _inversion(p, values) if p.Q >= 2 else None
-    if image is None:
-        return None
     P = p.Q
+    if image is None:
+        parts = [((_EXP, ((1.0, s),)), (_EXP_CONJ, ((1.0, t),))) for s, t in _shift_positions(p.q)]
+        return np.diag(values).astype(complex).ravel(), parts
     U = np.zeros((P, P), dtype=complex)  # basis vectors times sqrt 2 on pairs
     sites, norms = [], []
     for a, b in enumerate(image):
@@ -271,40 +237,40 @@ def _real_parts(p: PeriodVector, values: np.ndarray) -> tuple[np.ndarray, list] 
     # Entries of U^H A U are sums of small integers, so exact; one division
     # by sqrt(norm_r norm_c) in {1, sqrt 2, 2} rounds each weight once.
     scale = np.sqrt(np.outer(norms, norms))
-    idx = np.arange(P).reshape(p.q)
     parts = []
-    for i in range(p.d):
-        S = np.zeros((P, P))
-        S[idx.ravel(), np.roll(idx, -1, axis=i).ravel()] = 1.0
+    for s, _ in _shift_positions(p.q):
+        S = np.bincount(s, minlength=P * P).reshape(P, P)
         terms = []
-        for A in (S + S.T, 1j * (S - S.T)):
+        for f, A in ((_COS, S + S.T), (_SIN, 1j * (S - S.T))):
             R = ((U.conj().T @ A @ U).real / scale).ravel()
             # (sorted(set()) rather than np.unique, whose first call costs
             # about 14 ms of a cold start)
             weights = sorted(set(R[R != 0].tolist()))
-            terms.append(tuple((w, np.flatnonzero(R == w)) for w in weights))
+            if weights:
+                terms.append((f, tuple((w, np.flatnonzero(R == w).tolist()) for w in weights)))
         parts.append(tuple(terms))
     return np.diag(values[sites]).ravel(), parts
 
 
-def _real_stack(fiber: tuple[np.ndarray, list], n: int, gather) -> np.ndarray:
-    """The real fibers R(kappa) of _real_parts at n phases, an (n, P, P) stack.
+def _stack(fiber: tuple[np.ndarray, list], n: int, gather) -> np.ndarray:
+    """The fibers of a parts table (see _fiber_parts) at n phases, an
+    (n, P, P) stack of H0's dtype.
 
-    gather as for _fiber_stack, called for cos and sin of each direction
-    that has such terms; every weight's multiple is added to one column view
-    per position holding it, in a fixed order."""
-    R0, parts = fiber
-    M = np.empty((n, R0.size))
-    M[:] = R0
+    gather(f, i) returns f of coordinate i of the n phases (see
+    _fiber_eigenvalues).  The stack is built flat, (n, P*P): each group's
+    multiple of f is added to one column view per position, in the order of
+    the table, so every entry is rounded as in the dense sum."""
+    H0, parts = fiber
+    M = np.empty((n, H0.size), dtype=H0.dtype)
+    M[:] = H0
     for i, terms in enumerate(parts):
-        for f, groups in zip((np.cos, np.sin), terms):
-            if groups:
-                t = gather(lambda x: f(2 * math.pi * x), i)
-                for w, positions in groups:
-                    wt = w * t
-                    for k in positions:
-                        M[:, k] += wt
-    P = math.isqrt(R0.size)
+        for f, groups in terms:
+            t = gather(f, i)
+            for w, positions in groups:
+                wt = t if w == 1 else w * t
+                for k in positions:
+                    M[:, k] += wt
+    P = math.isqrt(H0.size)
     return M.reshape(n, P, P)
 
 
@@ -333,44 +299,37 @@ def _fiber_eigenvalues(q: PeriodVector, V: Potential, thetas: np.ndarray, grid=N
         spec H_q(theta) = union over l of spec H_p(theta + l/q),
         0 <= l_i < q_i / p_i,
 
-    so the n fibers of size Q become n K fibers of size P = Q/K, whose
-    values are merged per phase.  When p has P >= 2 sites and an inversion
-    centre (V._real_fiber), each fiber is the real symmetric matrix of
-    _real_parts; otherwise it is the complex wrap-gauge matrix, and when
-    p = q (K = 1) kappa = theta + 0 and the merge only re-sorts rows the
-    eigensolver returned sorted, so the values equal those of the plain
-    stack solve.  Only this module knows the gauge: each builder asks for
-    its functions of each coordinate of kappa (phase factors, or cos and
-    sin) one direction at a time.
+    so the n fibers of size Q become n K fibers of size P = Q/K at kappa =
+    theta + l/q, built by _stack from V._fiber and merged per phase.  When
+    p = q, kappa = theta + 0 and the merge only re-sorts sorted rows.
 
-    grid, from the sweep, is (steps, coords): the rows are grid nodes, row r
-    at theta_i = coords[i][r] * steps[i].  On a grid, coordinate i of kappa
-    takes at most m_i K values, so each function is taken once per entry of
-    a table of them, built with the phase path's expressions (j * h_i, then
+    grid, from the sweep, is (steps, coords): row r at theta_i =
+    coords[i][r] * steps[i].  Coordinate i of kappa then takes at most m_i K
+    values, so each function of V._fiber is taken once per entry of a table
+    of them, built with the phase path's expressions (j * h_i, then
     + l_i/q_i), and gathered: every value keeps its bits.  Without a grid a
-    complex stack is made by the public assemble, so a wrapper of assemble
-    sees every complex probe stack; the threaded sweep passes a grid and
-    calls no public name from a worker thread.
+    complex stack is made by the public assemble, so a wrapper of it sees
+    every complex probe stack; the threaded sweep passes a grid and calls
+    no public name from a worker thread.
     """
     p, Vp, shifts = V._cell
-    fiber = V._real_fiber
+    fiber = V._fiber
     n = len(thetas) * len(shifts)
     if grid is None:
         kappa = (thetas[:, None, :] + shifts).reshape(-1, q.d)
         gather = _columns(kappa)
     else:
         steps, coords = grid
+        tables = [(np.arange(c.max() + 1) * h)[:, None] + shifts[:, i]
+                  for i, (c, h) in enumerate(zip(coords, steps))]
 
         def gather(f, i):
-            table = (np.arange(coords[i].max() + 1) * steps[i])[:, None] + shifts[:, i]
-            return f(table)[coords[i]].ravel()
+            return np.take(f(tables[i]), coords[i], axis=0).ravel()
 
-    if fiber is not None:
-        M = _real_stack(fiber, n, gather)
-    elif grid is None:
+    if grid is None and np.iscomplexobj(fiber[0]):
         M = assemble(p, Vp, kappa)
     else:
-        M = _fiber_stack(p, Vp, n, gather)
+        M = _stack(fiber, n, gather)
     vals = _eigenvalues_desc(M, thetas).reshape(len(thetas), q.Q)
     return np.sort(vals, axis=1)[:, ::-1]
 
@@ -397,10 +356,11 @@ def assemble(q: PeriodVector, V: Potential, theta: Phase | Sequence[float] | np.
     Returns
     -------
     np.ndarray
-        The (Q, Q) matrix with interior bonds of weight 1, wrap bonds
-        carrying the phase exp(2 pi i q_i theta_i), and V on the diagonal,
-        or the (n, Q, Q) stack for n phases.  Hermiticity is exact by
-        construction.
+        The (Q, Q) matrix in the uniform gauge: every bond of direction i
+        carries the phase exp(2 pi i theta_i) (a q_i = 1 bond closes on its
+        site and adds 2 cos(2 pi theta_i) to the diagonal), and V is on the
+        diagonal; or the (n, Q, Q) stack for n phases.  Hermiticity is
+        exact by construction.
 
     Raises
     ------
@@ -410,7 +370,7 @@ def assemble(q: PeriodVector, V: Potential, theta: Phase | Sequence[float] | np.
     """
     check_periods(q, V)
     th, single = check_phases(q, theta)
-    M = _fiber_stack(q, V, len(th), _columns(th))
+    M = _stack(_fiber_parts(q, V.values, None), len(th), _columns(th))
     return M[0] if single else M
 
 
@@ -420,15 +380,11 @@ def eigenvalues_sorted_desc(
     """Fiber eigenvalues at one phase, sorted non-increasing, as a read-only array.
 
     n phases (an (n, d) array or nested list) give an (n, Q) array, one row
-    per phase.  The fibers are solved on the minimal period cell of V and
-    merged (see _fiber_eigenvalues), so for a V with a smaller period than
-    q (the zero potential has period 1 in every direction) the values agree
-    with eigvalsh(assemble(q, V, theta)) to rounding, not bit for bit.  So
-    do they when that cell has at least two sites and an inversion centre
-    c, V(c - n) == V(n) (the staggered dimer and the gap-opening vq): its
-    fibers are solved as real symmetric matrices in a basis of their own,
-    and no assemble call is made.  Otherwise, when the minimal period is q,
-    they are that solve exactly.
+    per phase.  The fibers are solved on the minimal period cell of V, as
+    real symmetric matrices when it has P >= 2 sites and an inversion centre
+    (the dimer and vq), and merged (see _fiber_eigenvalues), so the values
+    agree with eigvalsh(assemble(q, V, theta)) to rounding; when the
+    minimal period is q and there is no centre, they are that solve exactly.
 
     Raises
     ------

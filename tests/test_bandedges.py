@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from latticebands import bandedges, floquet
+from latticebands import bandedges, cli, floquet
 from latticebands import (
     LIPSCHITZ,
     ComputationError,
@@ -556,6 +557,56 @@ def test_refinement_solves_each_distinct_probe_once(monkeypatch, free):
     assert (table.argmin, table.argmax) == (expected.argmin, expected.argmax)
 
 
+def _record_calls(monkeypatch, names):
+    """Wrap the named public floquet functions; returns the list that gets
+    (name, thread ident) of each call, as a tracer of them would see it."""
+    calls = []
+    for name in names:
+        def wrapper(*args, _orig=getattr(floquet, name), _name=name):
+            calls.append((_name, threading.get_ident()))
+            return _orig(*args)
+        monkeypatch.setattr(floquet, name, wrapper)
+    return calls
+
+
+def test_a_wrapper_of_assemble_sees_every_complex_probe_solve(monkeypatch):
+    # a tracer counts refinement probes by its floquet.assemble spans: a
+    # random cell makes one assemble call inside each probe solve, and an
+    # inversion-symmetric dimer cell, solved in a real basis, makes none
+    calls = _record_calls(monkeypatch, ("assemble", "eigenvalues_sorted_desc"))
+    q = period((3, 4))
+    certified_edges(q, random_potential(q, 0.3, seed=1), GridSpec((16, 16)))
+    probes = len(calls) // 2
+    assert probes >= bandedges.REFINE_ROUNDS * q.d
+    assert [name for name, _ in calls] == ["eigenvalues_sorted_desc", "assemble"] * probes
+    calls.clear()
+    q = period((4, 4))
+    certified_edges(q, build_dimer(q, 0.2), GridSpec((16, 16)))
+    assert len(calls) >= bandedges.REFINE_ROUNDS * q.d
+    assert {name for name, _ in calls} == {"eigenvalues_sorted_desc"}
+
+
+def test_threaded_sweep_calls_no_public_name_from_a_worker(monkeypatch, capsys):
+    # a tracer may keep its span stack per thread only if the sweep's
+    # worker threads never enter a wrapped public name
+    calls = _record_calls(monkeypatch, ("assemble", "eigenvalues_sorted_desc"))
+    kernel_threads = set()
+    kernel = floquet._fiber_eigenvalues
+
+    def spy_kernel(*args):
+        kernel_threads.add(threading.get_ident())
+        return kernel(*args)
+
+    monkeypatch.setattr(floquet, "_fiber_eigenvalues", spy_kernel)
+    argv = ["spectrum", "--q", "3,3", "--potential", "random", "--delta", "0.3",
+            "--grid", "32,32", "--workers", "2", "--json"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    main = threading.get_ident()
+    assert kernel_threads - {main}  # the sweep ran on worker threads
+    assert calls and {ident for _, ident in calls} == {main}
+
+
 POTENTIALS = {
     "zero": zero_potential,
     "dimer": lambda q: build_dimer(q, 0.2),
@@ -604,7 +655,7 @@ def test_table_sweep_equals_node_phase_solve_bit_for_bit(monkeypatch, kind, m):
     V = build(q)
     K = {"zero": q.Q, "dimer": q.Q // 2 ** q.d, "random": 1, "vq": 1, "symmetric": 2}[kind]
     assert math.prod(minimal_period(V)) == q.Q // K
-    assert (V._real_fiber is not None) == (kind in ("dimer", "vq", "symmetric"))
+    assert (not np.iscomplexobj(V._fiber[0])) == (kind in ("dimer", "vq", "symmetric"))
     grid = GridSpec(m)
     reps = bandedges._representatives(grid.m)
     want = floquet._fiber_eigenvalues(q, V, bandedges._node_phases(q, grid, reps))
@@ -613,8 +664,8 @@ def test_table_sweep_equals_node_phase_solve_bit_for_bit(monkeypatch, kind, m):
     submit = bandedges.ThreadPoolExecutor.submit
 
     def spy_submit(self, fn, q_, V_, *args):
-        # worker threads only read the cell and real fiber parts of V
-        assert {"_cell", "_real_fiber"} <= set(vars(V_))
+        # worker threads only read the cell and fiber parts of V
+        assert {"_cell", "_fiber"} <= set(vars(V_))
         return submit(self, fn, q_, V_, *args)
 
     monkeypatch.setattr(bandedges.ThreadPoolExecutor, "submit", spy_submit)

@@ -22,50 +22,44 @@ from latticebands import (
     zero_potential,
 )
 
-from latticebands import floquet
 from latticebands.lattice import Phase, check_phase
-from latticebands.floquet import _columns, _eigenvalues_desc, _fiber_eigenvalues, _fiber_stack
+from latticebands.floquet import _columns, _eigenvalues_desc, _fiber_eigenvalues, _fiber_parts, _stack
 
 from conftest import inversion_symmetric, ref_fiber, ref_levels, random_periods
 
 
 def dense_fiber_stack(q, V, thetas):
-    """Dense sum interior + sum_i (p_i W_i + conj(p_i) W_i^T) + diag(V) over
-    n x Q x Q temporaries, with loop-built 0/1 matrices."""
+    """Dense uniform-gauge sum diag(V) + sum_i (e_i S_i + conj(e_i) S_i^T),
+    e_i = exp(2 pi i theta_i), over n x Q x Q temporaries, with loop-built
+    0/1 cyclic shifts S_i."""
     Q = int(np.prod(q))
     sites = list(np.ndindex(*q))
-    interior = np.zeros((Q, Q))
-    wraps = [np.zeros((Q, Q)) for _ in q]
+    shifts = [np.zeros((Q, Q)) for _ in q]
     for a, s in enumerate(sites):
         for i, qi in enumerate(q):
             nb = list(s)
             nb[i] = (s[i] + 1) % qi
-            b = sites.index(tuple(nb))
-            if s[i] + 1 < qi:
-                interior[a, b] += 1.0
-                interior[b, a] += 1.0
-            else:
-                wraps[i][a, b] += 1.0
-    M = np.empty((len(thetas), Q, Q), dtype=complex)
-    M[:] = interior
-    for i, qi in enumerate(q):
-        p = np.exp(2j * math.pi * qi * thetas[:, i])
-        M += p[:, None, None] * wraps[i]
-        M += np.conj(p)[:, None, None] * wraps[i].T
+            shifts[i][a, sites.index(tuple(nb))] = 1.0
+    M = np.zeros((len(thetas), Q, Q), dtype=complex)
     diag = np.arange(Q)
-    M[:, diag, diag] += V
+    M[:, diag, diag] = V
+    for i, S in enumerate(shifts):
+        e = np.exp(2j * math.pi * thetas[:, i])
+        M += e[:, None, None] * S
+        M += np.conj(e)[:, None, None] * S.T
     return M
 
 
 @pytest.mark.parametrize("q_tuple", [(2, 3), (1, 4), (2, 2, 3)])
 def test_scatter_builder_equals_dense_sum_bit_for_bit(rng, q_tuple):
-    # q_i = 1 puts the wrap on the diagonal, q_i = 2 stacks it on an interior
-    # bond; zero and quarter phases give exactly zero real or imaginary parts
+    # q_i = 1 puts both phases of a bond on the diagonal, q_i = 2 puts S_i
+    # and S_i^T on the same positions; zero and quarter phases give exactly
+    # zero real or imaginary parts
     q = period(q_tuple)
     V = random_potential(q, 0.8, seed=int(rng.integers(1 << 30)))
     special = np.array([[0.0] * q.d, [0.25 / qi for qi in q_tuple], [0.5 / qi for qi in q_tuple]])
     thetas = np.vstack([special, rng.uniform(0, 1, size=(40, q.d)) / np.array(q_tuple)])
-    got = _fiber_stack(q, V, len(thetas), _columns(thetas))
+    got = _stack(_fiber_parts(q, V.values, None), len(thetas), _columns(thetas))
     assert got.tobytes() == dense_fiber_stack(q_tuple, V.values, thetas).tobytes()
     stack = assemble(q, V, thetas)
     assert stack.shape == (len(thetas), q.Q, q.Q)
@@ -88,16 +82,17 @@ def test_fiber_at_zero_phase_2x2():
 
 
 def test_fiber_matrix_entries_2x2():
-    # q_i = 2 stacks the wrap bond on the interior bond: entries 1 + e^{+-i phi}
+    # q_i = 2 puts both bonds between two sites on one entry, each with the
+    # phase exp(+-2 pi i theta_i): entries 2 cos(2 pi theta_i)
     q = period((2, 2))
     th = (0.1, 0.05)
     F = assemble(q, zero_potential(q), phase(q, th))
-    p0 = np.exp(2j * np.pi * 2 * th[0])
-    p1 = np.exp(2j * np.pi * 2 * th[1])
+    c0 = 2 * math.cos(2 * math.pi * th[0])
+    c1 = 2 * math.cos(2 * math.pi * th[1])
     # sites in row-major order: (0,0), (0,1), (1,0), (1,1)
-    assert F[0, 1] == pytest.approx(1 + np.conj(p1), abs=1e-15)
-    assert F[1, 0] == pytest.approx(1 + p1, abs=1e-15)
-    assert F[0, 2] == pytest.approx(1 + np.conj(p0), abs=1e-15)
+    assert F[0, 1] == pytest.approx(c1, abs=1e-15)
+    assert F[1, 0] == pytest.approx(c1, abs=1e-15)
+    assert F[0, 2] == pytest.approx(c0, abs=1e-15)
     assert F[0, 3] == 0.0
 
 
@@ -145,7 +140,7 @@ def test_matches_loop_reference(rng):
         th = tuple(float(x) for x in rng.uniform(0, 1, size=q.d))
         got = eigenvalues_sorted_desc(q, V, phase(q, th))
         ref = np.sort(np.linalg.eigvalsh(ref_fiber(q_tuple, V.values, phase(q, th).theta)))[::-1]
-        np.testing.assert_allclose(got, ref, atol=1e-9)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
 def test_matches_closed_form_free_levels(rng):
@@ -248,6 +243,28 @@ def test_potential_validation():
         V.values[0] = 99.0  # frozen storage
 
 
+@pytest.mark.parametrize("values", [
+    [True, False, True, False],
+    ["0.5"] * 4,
+    [0.1, True, 0.2, 0.3],
+    [1j, 0.0, 0.0, 0.0],
+    np.array([1j, 0.0, 0.0, 0.0]),
+    np.array([True, False, True, False]),
+], ids=["bools", "strings", "one-bool", "complex", "complex-array", "bool-array"])
+def test_potential_rejects_values_that_are_not_real_numbers(values):
+    # the library itself checks what parse_potential checks for a file
+    with pytest.raises(DomainError, match='"values" must be numbers'):
+        potential(period((2, 2)), values)
+
+
+def test_potential_accepts_real_numbers_and_integer_or_float_arrays():
+    q = period((2, 2))
+    want = np.array([0.0, 1.0, 2.0, 3.0])
+    for values in (range(4), [0, 1.0, np.int64(2), np.float32(3)], np.arange(4), np.arange(4, dtype=np.uint8),
+                   want.astype(np.float32), want.reshape(2, 2)):
+        assert potential(q, values).values.tobytes() == want.tobytes()
+
+
 def test_random_potential_exact_sup_norm(rng):
     for _ in range(20):
         q = period(random_periods(rng))
@@ -258,7 +275,7 @@ def test_random_potential_exact_sup_norm(rng):
     assert random_potential(period((2, 2)), 0.0, seed=1).sup_norm == 0.0
 
 
-@pytest.mark.parametrize("amp", [float("nan"), float("inf"), -0.5])
+@pytest.mark.parametrize("amp", [float("nan"), float("inf"), -0.5, "0.1", True])
 def test_random_potential_rejects_bad_amplitude(amp):
     with pytest.raises(DomainError, match="amplitude"):
         random_potential(period((2, 2)), amp, seed=1)
@@ -427,7 +444,9 @@ def test_minimal_cell_solve_matches_full_cell_solve(rng):
     # spec H_p(theta + l/q); the minimal-cell solve must agree with the
     # dense Q x Q solve to rounding for every p | q, V = 0 and p = q included;
     # so must the real symmetric solve of a cell with an inversion centre
-    # (every fifth draw symmetrized about a random one)
+    # (every fifth draw symmetrized about a random one).  Both solves build
+    # through floquet._stack, so the loop-built wrap-gauge fiber of conftest
+    # is checked as well, to the same tolerance
     kinds = {"zero": 0, "sub": 0, "full": 0, "symmetric": 0}
     for case in range(200):
         q, p_tuple, values = _sub_periodic_case(rng)
@@ -442,7 +461,7 @@ def test_minimal_cell_solve_matches_full_cell_solve(rng):
             values = np.tile(cell, [qi // pi for qi, pi in zip(q.q, p_tuple)])
         V = potential(q, values.reshape(-1))
         assert all(pi % mi == 0 for pi, mi in zip(p_tuple, minimal_period(V)))
-        real = V._real_fiber is not None
+        real = not np.iscomplexobj(V._fiber[0])
         if case % 5 == 2:  # (cells with every p_i <= 2 are symmetric about 0)
             assert real == (math.prod(minimal_period(V)) > 1)
         kinds["zero" if case % 5 == 0 else "symmetric" if real else "full" if minimal_period(V) == q.q else "sub"] += 1
@@ -452,6 +471,8 @@ def test_minimal_cell_solve_matches_full_cell_solve(rng):
         assert got.shape == (5, q.Q)
         assert np.all(np.diff(got, axis=1) <= 0)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        ref = [np.linalg.eigvalsh(ref_fiber(q.q, values.reshape(-1), th))[::-1] for th in thetas]
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
     assert min(kinds.values()) >= 20, kinds
 
 
@@ -459,16 +480,16 @@ def test_minimal_cell_solve_matches_full_cell_solve(rng):
 def test_full_period_solve_is_the_plain_stack_solve(rng, q_tuple):
     # a random V, and a V symmetric about (1, 2, ...) with one swapped site
     # moved by one ulp: neither has an inversion centre, so both take the
-    # complex wrap-gauge path
+    # complex site-basis path
     q = period(q_tuple)
     centre = tuple(range(1, q.d + 1))
     symmetric = inversion_symmetric(rng.uniform(-0.6, 0.6, size=q_tuple), centre)
-    assert potential(q, symmetric.ravel())._real_fiber is not None
+    assert not np.iscomplexobj(potential(q, symmetric.ravel())._fiber[0])
     symmetric[(0,) * q.d] = np.nextafter(symmetric[(0,) * q.d], 1.0)  # c - 0 != 0
     for V in (random_potential(q, 0.6, seed=7), potential(q, symmetric.ravel())):
-        assert minimal_period(V) == q_tuple and V._real_fiber is None
+        assert minimal_period(V) == q_tuple and np.iscomplexobj(V._fiber[0])
         thetas = rng.uniform(0, 1, size=(30, q.d)) / np.array(q_tuple)
-        want = _eigenvalues_desc(_fiber_stack(q, V, len(thetas), _columns(thetas)), thetas)
+        want = _eigenvalues_desc(assemble(q, V, thetas), thetas)
         assert _fiber_eigenvalues(q, V, thetas).tobytes() == want.tobytes()
         assert eigenvalues_sorted_desc(q, V, thetas).tobytes() == np.ascontiguousarray(want).tobytes()
 
@@ -485,11 +506,8 @@ def test_eigensolver_failure_on_the_minimal_cell_names_theta(monkeypatch):
         (period((4, 2)), build_dimer(period((4, 2)), 0.3), (1, 0)),
     ]:
         kappa = (thetas[1] + np.array(l) / np.array(q.q))[None, :]
-        p, Vp, _ = V._cell
-        if V._real_fiber is None:
-            bad = _fiber_stack(p, Vp, 1, _columns(kappa))[0]
-        else:
-            bad = floquet._real_stack(V._real_fiber, 1, _columns(kappa))[0]
+        p = V._cell[0]
+        bad = _stack(V._fiber, 1, _columns(kappa))[0]
         assert bad.dtype == (complex if q.Q == 6 else float) and bad.shape == (p.Q, p.Q)
 
         def eigvalsh(a, *args, **kwargs):
