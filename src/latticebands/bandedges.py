@@ -209,9 +209,10 @@ def default_grid(q: PeriodVector, budget: int = 1 << 16) -> GridSpec:
 
 
 def _chunk_size(Q: int) -> int:
-    """Fiber matrices per sweep chunk: a stack of at most 2^18 complex entries
-    (4 MiB) for Q <= 90, which bounds the memory a sweep holds per worker.
-    Results do not depend on the chunking."""
+    """Fiber matrices per sweep chunk: a stack of at most 2^18 entries for
+    Q <= 90 (4 MiB complex; 2 MiB real, on an inversion-symmetric cell),
+    which bounds the memory a sweep holds per worker.  Results do not
+    depend on the chunking."""
     return max(32, min(4096, (1 << 18) // (Q * Q)))
 
 
@@ -393,37 +394,46 @@ def certified_edges(q: PeriodVector, V: Potential, grid: GridSpec, workers: int 
     th = np.array([p.theta for p in table.argmin + table.argmax])
     sense = np.repeat([1.0, -1.0], Q)
     bands = np.arange(2 * Q) % Q
+    cand_bands = np.concatenate([bands, bands])
     row_key = np.dtype((np.void, th.itemsize * q.d))
 
     def probe(cand, cols):
         # Extrema often probe the same phase: solve each distinct row once
-        # (rows compared byte for byte) and gather each row's band value.
-        _, first, inv = np.unique(cand.view(row_key).ravel(), return_index=True, return_inverse=True)
-        return floquet.eigenvalues_sorted_desc(q, V, cand[first])[inv, cols]
+        # (rows compared byte for byte, solved in np.unique's byte order;
+        # a set and a sort cost a third of np.unique on so few rows) and
+        # gather each row's band value.
+        keys = cand.view(row_key).ravel().tolist()
+        rows = sorted(set(keys))
+        rank = {k: r for r, k in enumerate(rows)}
+        distinct = np.frombuffer(b"".join(rows)).reshape(-1, q.d)
+        return floquet.eigenvalues_sorted_desc(q, V, distinct)[[rank[k] for k in keys], cols]
 
     steps = list(grid.steps(q))
     for _ in range(REFINE_ROUNDS):
         for i in range(q.d):
             wrap = 1.0 / q.q[i]
-            # One solve of every + and - candidate.  An extremum that moves
-            # on + probes - from its new phase, in one follow-up solve of
-            # those rows only; the others keep their - values.
-            plus, minus = th.copy(), th.copy()
-            plus[:, i] = (th[:, i] + steps[i]) % wrap
-            minus[:, i] = (th[:, i] - steps[i]) % wrap
-            v = probe(np.concatenate([plus, minus]), np.concatenate([bands, bands]))
+            # One solve of every + and - candidate, rows [plus; minus] of
+            # one array.  An extremum that moves on + probes - from its new
+            # phase, in one follow-up solve of those rows only; the others
+            # keep their - values.
+            cand = np.concatenate([th, th])
+            cand[:2 * Q, i] = (th[:, i] + steps[i]) % wrap
+            cand[2 * Q:, i] = (th[:, i] - steps[i]) % wrap
+            plus, minus = cand[:2 * Q], cand[2 * Q:]
+            v = probe(cand, cand_bands)
             v_plus, v_minus = v[:2 * Q], v[2 * Q:]
             moved = sense * v_plus < sense * best
-            th[moved] = plus[moved]
-            best[moved] = v_plus[moved]
             if moved.any():
+                th[moved] = plus[moved]
+                best[moved] = v_plus[moved]
                 again = th[moved]
                 again[:, i] = (again[:, i] - steps[i]) % wrap
                 minus[moved] = again
                 v_minus[moved] = probe(again, bands[moved])
             better = sense * v_minus < sense * best
-            th[better] = minus[better]
-            best[better] = v_minus[better]
+            if better.any():
+                th[better] = minus[better]
+                best[better] = v_minus[better]
         steps = [s * SHRINK for s in steps]
     phases = tuple(Phase(row) for row in th)
     best.flags.writeable = False

@@ -60,16 +60,23 @@ class Potential:
         values = self.values.reshape(self.q.q)[tuple(slice(pi) for pi in p.q)]
         folds = enumerate_lambda(period(qi // pi for qi, pi in zip(self.q.q, p.q)))
         shifts = np.array([l.l for l in folds]) / np.array(self.q.q)
-        return p, potential(p, values), shifts
+        return p, self if p == self.q else potential(p, values), shifts
+
+    @functools.cached_property
+    def _site_fiber(self) -> tuple[np.ndarray, list]:
+        """The parts of this cell's fiber in the site basis (see
+        _fiber_parts), which assemble stacks; H0 is read-only."""
+        return _fiber_parts(self.q, self.values, None)
 
     @functools.cached_property
     def _fiber(self) -> tuple[np.ndarray, list]:
         """The parts of the minimal-cell fiber that the kernel solves (see
         _fiber_parts): real symmetric in the basis of the first inversion
-        centre when that cell has P >= 2 sites and one, else the site basis."""
+        centre when that cell has P >= 2 sites and one, else the site-basis
+        table of that cell (the same object assemble stacks)."""
         p, Vp, _ = self._cell
         image = _inversion(p, Vp.values) if p.Q >= 2 else None
-        return _fiber_parts(p, Vp.values, image)
+        return Vp._site_fiber if image is None else _fiber_parts(p, Vp.values, image)
 
     @functools.cached_property
     def _sweeps(self) -> dict:
@@ -176,9 +183,8 @@ def _inversion(p: PeriodVector, values: np.ndarray) -> np.ndarray | None:
 
 
 # The functions of a phase coordinate x that the parts of a fiber carry.
-_EXP, _EXP_CONJ, _COS, _SIN = (
+_EXP, _COS, _SIN = (
     lambda x: np.exp(2j * math.pi * x),
-    lambda x: np.conj(np.exp(2j * math.pi * x)),
     lambda x: np.cos(2 * math.pi * x),
     lambda x: np.sin(2 * math.pi * x),
 )
@@ -203,7 +209,8 @@ def _fiber_parts(p: PeriodVector, values: np.ndarray, image: np.ndarray | None) 
     bonds that leave the cell as exp(2 pi i p_i kappa_i), so the two gauges
     have one spectrum.  Returns (H0 flat, parts): parts[i] is a tuple of
     (f, groups), groups a tuple of (weight, flat positions), and H(kappa)
-    is H0 plus weight * f(kappa_i) at each position of each group.
+    is H0 plus weight * f(kappa_i) at each position of each group (f
+    np.conj conjugates the previous term's values).  H0 is read-only.
 
     With image None, in the site basis: H0 = diag(V), exp(2 pi i x) at the
     positions of S_i and its conjugate at those of S_i^T.  With image an
@@ -219,8 +226,8 @@ def _fiber_parts(p: PeriodVector, values: np.ndarray, image: np.ndarray | None) 
     """
     P = p.Q
     if image is None:
-        parts = [((_EXP, ((1.0, s),)), (_EXP_CONJ, ((1.0, t),))) for s, t in _shift_positions(p.q)]
-        return np.diag(values).astype(complex).ravel(), parts
+        parts = [((_EXP, ((1.0, s),)), (np.conj, ((1.0, t),))) for s, t in _shift_positions(p.q)]
+        return _frozen(np.diag(values).astype(complex).ravel()), parts
     U = np.zeros((P, P), dtype=complex)  # basis vectors times sqrt 2 on pairs
     sites, norms = [], []
     for a, b in enumerate(image):
@@ -249,7 +256,12 @@ def _fiber_parts(p: PeriodVector, values: np.ndarray, image: np.ndarray | None) 
             if weights:
                 terms.append((f, tuple((w, np.flatnonzero(R == w).tolist()) for w in weights)))
         parts.append(tuple(terms))
-    return np.diag(values[sites]).ravel(), parts
+    return _frozen(np.diag(values[sites]).ravel()), parts
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _stack(fiber: tuple[np.ndarray, list], n: int, gather) -> np.ndarray:
@@ -257,7 +269,8 @@ def _stack(fiber: tuple[np.ndarray, list], n: int, gather) -> np.ndarray:
     (n, P, P) stack of H0's dtype.
 
     gather(f, i) returns f of coordinate i of the n phases (see
-    _fiber_eigenvalues).  The stack is built flat, (n, P*P): each group's
+    _fiber_eigenvalues); a term with f np.conj takes the conjugate of the
+    previous term's values instead.  The stack is built flat, (n, P*P): each group's
     multiple of f is added to one column view per position, in the order of
     the table, so every entry is rounded as in the dense sum."""
     H0, parts = fiber
@@ -265,7 +278,7 @@ def _stack(fiber: tuple[np.ndarray, list], n: int, gather) -> np.ndarray:
     M[:] = H0
     for i, terms in enumerate(parts):
         for f, groups in terms:
-            t = gather(f, i)
+            t = f(t) if f is np.conj else gather(f, i)
             for w, positions in groups:
                 wt = t if w == 1 else w * t
                 for k in positions:
@@ -309,8 +322,9 @@ def _fiber_eigenvalues(q: PeriodVector, V: Potential, thetas: np.ndarray, grid=N
     of them, built with the phase path's expressions (j * h_i, then
     + l_i/q_i), and gathered: every value keeps its bits.  Without a grid a
     complex stack is made by the public assemble, so a wrapper of it sees
-    every complex probe stack; the threaded sweep passes a grid and calls
-    no public name from a worker thread.
+    every complex probe stack (from V._fiber itself, the minimal cell's
+    site table); the threaded sweep passes a grid and calls no public name
+    from a worker thread.
     """
     p, Vp, shifts = V._cell
     fiber = V._fiber
@@ -360,7 +374,9 @@ def assemble(q: PeriodVector, V: Potential, theta: Phase | Sequence[float] | np.
         carries the phase exp(2 pi i theta_i) (a q_i = 1 bond closes on its
         site and adds 2 cos(2 pi theta_i) to the diagonal), and V is on the
         diagonal; or the (n, Q, Q) stack for n phases.  Hermiticity is
-        exact by construction.
+        exact by construction.  It is a new array, stacked from the
+        site-basis parts kept on V with one exponential per direction and
+        its conjugate on the reverse bonds.
 
     Raises
     ------
@@ -370,7 +386,7 @@ def assemble(q: PeriodVector, V: Potential, theta: Phase | Sequence[float] | np.
     """
     check_periods(q, V)
     th, single = check_phases(q, theta)
-    M = _stack(_fiber_parts(q, V.values, None), len(th), _columns(th))
+    M = _stack(V._site_fiber, len(th), _columns(th))
     return M[0] if single else M
 
 

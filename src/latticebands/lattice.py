@@ -120,7 +120,12 @@ def period(values: Iterable[int]) -> PeriodVector:
 def check_phases(q: PeriodVector, theta) -> tuple[np.ndarray, bool]:
     """The one phase parser: a Phase, a d-vector or an (n, d) stack of them as
     an (n, d) float array of finite coordinates, d = q.d, and whether it was
-    a single phase (n = 1) rather than a stack."""
+    a single phase (n = 1) rather than a stack.  A float64 (n, d) ndarray,
+    as every probe and its folded phases are, is returned as it is once
+    found finite; any other input, and every rejection, takes the parser."""
+    if type(theta) is np.ndarray and theta.dtype == np.float64 and theta.shape[1:] == (q.d,):
+        if np.isfinite(theta).all():
+            return theta, False
     if isinstance(theta, Phase):
         theta = theta.theta
     try:
@@ -142,7 +147,11 @@ def check_phases(q: PeriodVector, theta) -> tuple[np.ndarray, bool]:
 
 def check_phase(q: PeriodVector, theta: Phase | Sequence[float]) -> tuple[float, ...]:
     """One phase argument's coordinates, read by check_phases; a stack is
-    rejected."""
+    rejected.  A Phase or a tuple of d finite Python floats is taken as it is."""
+    t = theta.theta if isinstance(theta, Phase) else theta
+    if (type(t) is tuple and len(t) == q.d and all(type(x) is float for x in t)
+            and all(map(math.isfinite, t))):
+        return t
     th, single = check_phases(q, theta)
     if not single:
         raise DomainError(f"expected one phase, got a stack of shape {th.shape}")
@@ -161,8 +170,18 @@ def check_index(q: PeriodVector, l: FourierIndex | Sequence[int]) -> tuple[int, 
 
 
 def enumerate_lambda(q: PeriodVector) -> tuple[FourierIndex, ...]:
-    """All Q frequency offsets in row-major order (last coordinate fastest)."""
-    return tuple(FourierIndex(l) for l in itertools.product(*[range(qi) for qi in q.q]))
+    """All Q frequency offsets in row-major order (last coordinate fastest).
+
+    The periods of q were checked when it was built, so the offsets are
+    plain ints and skip FourierIndex's entry check."""
+    return tuple(map(_offset, itertools.product(*[range(qi) for qi in q.q])))
+
+
+def _offset(l: tuple[int, ...]) -> FourierIndex:
+    """FourierIndex(l) for a tuple of plain ints, without the entry check."""
+    index = object.__new__(FourierIndex)
+    object.__setattr__(index, "l", l)
+    return index
 
 
 def site_from_linear(q: PeriodVector, linear: int) -> SiteIndex:

@@ -586,6 +586,29 @@ def test_a_wrapper_of_assemble_sees_every_complex_probe_solve(monkeypatch):
     assert {name for name, _ in calls} == {"eigenvalues_sorted_desc"}
 
 
+@pytest.mark.parametrize("q_tuple,kind", [((3, 4), "random"), ((2, 3), "zero")])
+def test_refinement_builds_site_parts_once_per_potential(monkeypatch, q_tuple, kind):
+    # the site-basis parts are kept on the potential that assemble stacks
+    # (the minimal cell's): probes stack from them and build none
+    builds = []
+    parts = floquet._fiber_parts
+
+    def spy_parts(p, values, image):
+        builds.append((p.q, image is None))
+        return parts(p, values, image)
+
+    monkeypatch.setattr(floquet, "_fiber_parts", spy_parts)
+    probes = _record_calls(monkeypatch, ("assemble",))
+    q = period(q_tuple)
+    V = POTENTIALS[kind](q)
+    certified_edges(q, V, GridSpec((16, 16)))
+    assert len(probes) >= bandedges.REFINE_ROUNDS * q.d
+    assert builds == [(V._cell[0].q, True)]
+    assert V._fiber is V._cell[1]._site_fiber
+    certified_edges(q, V, GridSpec((8, 8)))
+    assert len(builds) == 1
+
+
 def test_threaded_sweep_calls_no_public_name_from_a_worker(monkeypatch, capsys):
     # a tracer may keep its span stack per thread only if the sweep's
     # worker threads never enter a wrapped public name

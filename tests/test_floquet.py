@@ -439,6 +439,49 @@ def _sub_periodic_case(rng):
     return period(q_tuple), p_tuple, values
 
 
+@pytest.mark.parametrize("q_tuple", [(1, 1), (2, 3), (2, 2, 3)])
+def test_site_stack_takes_one_exponential_per_direction(monkeypatch, q_tuple):
+    # the S_i^T positions take the conjugate of the S_i values
+    q = period(q_tuple)
+    V = random_potential(q, 0.4, seed=2)
+    thetas = np.random.default_rng(1).uniform(0, 1, size=(5, q.d))
+    want = dense_fiber_stack(q_tuple, V.values, thetas)
+    exp, calls = np.exp, []
+
+    def spy_exp(*args, **kwargs):
+        calls.append(args[0].shape)
+        return exp(*args, **kwargs)
+
+    parts = _fiber_parts(q, V.values, None)
+    monkeypatch.setattr(np, "exp", spy_exp)
+    got = _stack(parts, len(thetas), _columns(thetas))
+    assert calls == [(len(thetas),)] * q.d
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("q_tuple,values", [
+    ((2, 3), [0.0] * 6), ((3, 4), None), ((1, 2), [0.5, 0.5]), ((2, 2), [0.1, -0.1, -0.1, 0.1]),
+], ids=["free", "random", "constant", "dimer"])
+def test_cached_fiber_parts_cannot_be_corrupted(q_tuple, values):
+    # the parts kept on a potential are shared by every later stack
+    q = period(q_tuple)
+    V = random_potential(q, 0.3, seed=5) if values is None else potential(q, values)
+    thetas = np.array([[0.01, 0.02], [0.1, 0.05], [0.2, 0.3]])
+    assert not V._fiber[0].flags.writeable
+    for H0, _ in (V._fiber, V._site_fiber, V._cell[1]._site_fiber):
+        assert not H0.flags.writeable
+        with pytest.raises(ValueError):
+            H0[0] = 7.0
+    first = assemble(q, V, thetas).tobytes(), eigenvalues_sorted_desc(q, V, thetas).tobytes()
+    M = assemble(q, V, thetas)
+    M[:] = 123.0
+    single = assemble(q, V, thetas[1])
+    single[:] = np.nan
+    assert assemble(q, V, thetas).tobytes() == first[0]
+    assert eigenvalues_sorted_desc(q, V, thetas).tobytes() == first[1]
+    assert assemble(q, V, thetas[1]).tobytes() == assemble(q, V, thetas)[1].tobytes()
+
+
 def test_minimal_cell_solve_matches_full_cell_solve(rng):
     # Floquet-Bloch folding: spec H_q(theta) is the union over l of
     # spec H_p(theta + l/q); the minimal-cell solve must agree with the
