@@ -216,36 +216,26 @@ def _chunk_size(Q: int) -> int:
     return max(32, min(4096, (1 << 18) // (Q * Q)))
 
 
-def _mirror(nodes: np.ndarray, m: tuple[int, ...]) -> np.ndarray:
-    """Row-major index of each node's time-reversed node, j_i -> -j_i mod m_i.
+def _layout(m: tuple[int, ...], owner: bool = False):
+    """The time-reversal layout of a grid of sample counts m.
 
-    Node j sits at theta_i = j_i/(q_i m_i), and its mirror at -theta_i
-    modulo 1/q_i, where the fiber matrix is the same as at -theta.
-    """
-    coords = np.unravel_index(nodes, m)
-    return np.ravel_multi_index(tuple(-c % mi for c, mi in zip(coords, m)), m)
-
-
-def _representatives(m: tuple[int, ...]) -> np.ndarray:
-    """Grid nodes j with j <= mirror(j), ascending: one per time-reversal pair,
-    (N + F)/2 of the N nodes, F = prod(2 if m_i is even else 1) fixed points."""
-    nodes = np.arange(math.prod(m))
-    return nodes[nodes <= _mirror(nodes, m)]
-
-
-def _node_phases(q: PeriodVector, grid: GridSpec, nodes: np.ndarray) -> np.ndarray:
-    """(n, d) phases of the given grid nodes: theta_i = j_i h_i."""
-    steps = grid.steps(q)
-    coords = np.unravel_index(nodes, grid.m)
-    return np.stack([coords[i] * steps[i] for i in range(q.d)], axis=1)
-
-
-def _chunk_values(q: PeriodVector, V: Potential, grid: GridSpec, nodes: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues at the given grid nodes, (n, Q); the kernel
-    takes the grid coordinates and steps and builds its per-axis tables
-    (see floquet._fiber_eigenvalues)."""
-    grid_coords = (grid.steps(q), np.unravel_index(nodes, grid.m))
-    return floquet._fiber_eigenvalues(q, V, _node_phases(q, grid, nodes), grid_coords)
+    Node j (row-major) sits at theta_i = j_i h_i and its mirror, with
+    coordinates -j_i mod m_i, at -theta modulo 1/q_i, where the fiber is
+    the conjugate one.  Returns the (R, d) grid coordinates of the
+    representatives j <= mirror(j) in ascending row-major order, one per
+    pair: R = (N + F)/2 of the N nodes, F = prod(2 if m_i is even else 1)
+    self-mirrored nodes.  They are held through a sweep, so they take the
+    smallest unsigned type that holds m_i - 1.  With owner, also the (N,)
+    row-major array of the position in that list of min(j, mirror(j)) for
+    every node j."""
+    nodes = np.arange(math.prod(m)).reshape(m)
+    strides = [math.prod(m[i + 1:]) for i in range(len(m))]
+    mirror = sum(np.ix_(*[-np.arange(mi) % mi * s for mi, s in zip(m, strides)]))
+    keep = nodes <= mirror
+    coords = np.argwhere(keep).astype(np.min_scalar_type(max(m) - 1))
+    if not owner:
+        return coords
+    return coords, (np.cumsum(keep) - 1)[np.minimum(nodes, mirror)].ravel()
 
 
 def check_workers(workers: int) -> None:
@@ -257,67 +247,71 @@ def check_workers(workers: int) -> None:
         raise ConfigurationError(f"workers must be at least 1, got {workers}")
 
 
-def _iter_chunks(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, nodes: np.ndarray):
-    """Yield (chunk nodes, eigenvalues) for the given ascending grid nodes,
-    in order.  Every sweep passes the time-reversal representatives: for
-    real V, H(-theta) = conj H(theta) has the same spectrum, so a node and
-    its mirror share the eigenvalues solved at the representative."""
+def _iter_chunks(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, coords: np.ndarray):
+    """Yield the descending eigenvalues, (n, Q), of each chunk of the (R, d)
+    grid coordinates, in order: the kernel takes the per-axis grid values
+    j * h_i and the chunk.  Every sweep passes the representatives of
+    _layout: for real V, H(-theta) = conj H(theta) has the same spectrum,
+    so a node and its mirror share the eigenvalues solved at one of them."""
     # Resolve V's minimal cell and fiber parts (cached on V) before the
     # first chunk: worker threads then only read them, and their small
     # arrays are not allocated between chunk stacks, which raised peak RSS
     # by about 2 MB on a sweep of 36-site cells.
     V._fiber
+    axes = [np.arange(mi) * h for mi, h in zip(grid.m, grid.steps(q))]
     cs = _chunk_size(q.Q)
-    chunks = [nodes[s:s + cs] for s in range(0, len(nodes), cs)]
+    chunks = [coords[s:s + cs] for s in range(0, len(coords), cs)]
     if workers > 1:
         ex = ThreadPoolExecutor(max_workers=workers)
         try:
-            futures = [ex.submit(_chunk_values, q, V, grid, c) for c in chunks]
-            for c, fut in zip(chunks, futures):
-                yield c, fut.result()
+            futures = [ex.submit(floquet._fiber_eigenvalues, q, V, axes, c) for c in chunks]
+            for fut in futures:
+                yield fut.result()
         finally:
             # On an error or an early close, drop the chunks not yet started.
             ex.shutdown(cancel_futures=True)
     else:
         for c in chunks:
-            yield c, _chunk_values(q, V, grid, c)
+            yield floquet._fiber_eigenvalues(q, V, axes, c)
 
 
-def _sweep(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, held: np.ndarray | None = None):
+def _sweep(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, rows: tuple | None = None):
     """One pass over the time-reversal representatives of the grid, reduced
-    to (band minima, their nodes, band maxima, their nodes, smallest |E|,
-    its node); each node is the smallest row-major one attaining the value.
+    to (band minima, their phases, band maxima, their phases, smallest |E|,
+    its phase); each phase is that of the smallest row-major node attaining
+    the value, found as a position in the list of representatives.
 
-    The reductions are kept on V per grid (Potential._sweeps), so a later
-    sweep of the same V and grid solves nothing.  held, an (reps, Q) array,
-    receives every representative's row; it is always solved."""
+    The result is kept on V per grid (Potential._sweeps), so a later sweep
+    of the same V and grid solves nothing.  rows, from the row pass, is
+    the layout's coordinates and an (R, Q) array that receives every
+    representative's row; it is always solved."""
     floquet.check_periods(q, V)
-    grid.steps(q)  # validates dimension match
+    steps = grid.steps(q)  # validates dimension match
     check_workers(workers)
-    if held is None and grid.m in V._sweeps:
+    if rows is None and grid.m in V._sweeps:
         return V._sweeps[grid.m]
+    coords, held = (_layout(grid.m), None) if rows is None else rows
     Q = q.Q
     min_vals = np.full(Q, np.inf)
     max_vals = np.full(Q, -np.inf)
-    min_idx = np.zeros(Q, dtype=int)
-    max_idx = np.zeros(Q, dtype=int)
-    abs_val, abs_idx = math.inf, 0
+    min_pos = np.zeros(Q, dtype=int)
+    max_pos = np.zeros(Q, dtype=int)
+    abs_val, abs_pos = math.inf, 0
     cols = np.arange(Q)
-    solved = 0
-    for nodes, vals in _iter_chunks(q, V, grid, workers, _representatives(grid.m)):
+    start = 0
+    for vals in _iter_chunks(q, V, grid, workers, coords):
         if held is not None:
-            held[solved:solved + len(nodes)] = vals
-            solved += len(nodes)
+            held[start:start + len(vals)] = vals
         loc = vals.argmin(axis=0)
         cand = vals[loc, cols]
         better = cand < min_vals
         min_vals[better] = cand[better]
-        min_idx[better] = nodes[loc[better]]
+        min_pos[better] = start + loc[better]
         loc = vals.argmax(axis=0)
         cand = vals[loc, cols]
         better = cand > max_vals
         max_vals[better] = cand[better]
-        max_idx[better] = nodes[loc[better]]
+        max_pos[better] = start + loc[better]
         # The first flat index of the smallest |E| lies in the first row
         # attaining it, whatever the column order: a flat argmin is many
         # times faster than a min over each row of Q values.  vals is the
@@ -328,10 +322,13 @@ def _sweep(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, held: np
         a = np.abs(vals[:, ::-1], out=vals[:, ::-1]).ravel()
         j = int(a.argmin())
         if a[j] < abs_val:
-            abs_val, abs_idx = float(a[j]), int(nodes[j // Q])
+            abs_val, abs_pos = float(a[j]), start + j // Q
+        start += len(vals)
     min_vals.flags.writeable = False
     max_vals.flags.writeable = False
-    V._sweeps[grid.m] = (min_vals, min_idx, max_vals, max_idx, abs_val, abs_idx)
+    # theta_i = j_i h_i, the bits of the kernel's grid values
+    phases = [Phase(row) for row in coords[np.r_[min_pos, max_pos, abs_pos]] * steps]
+    V._sweeps[grid.m] = (min_vals, tuple(phases[:Q]), max_vals, tuple(phases[Q:2 * Q]), abs_val, phases[-1])
     return V._sweeps[grid.m]
 
 
@@ -352,6 +349,7 @@ def sample_bands(q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1
         is not solved again.
     workers : int
         Worker threads for the sweep.  The reduction orders ties by the
+        position in the ascending list of representatives, that is by
         row-major node index, so the result is independent of scheduling.
 
     Returns
@@ -361,15 +359,14 @@ def sample_bands(q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1
         smallest node attaining a value is a representative), and the
         Lipschitz slack for this grid.
     """
-    min_vals, min_idx, max_vals, max_idx, _, _ = _sweep(q, V, grid, workers)
-    phases = tuple(map(Phase, _node_phases(q, grid, np.concatenate([min_idx, max_idx]))))
+    min_vals, argmin, max_vals, argmax, _, _ = _sweep(q, V, grid, workers)
     return BandTable(
         q=q,
         grid=grid,
         min_values=min_vals,
         max_values=max_vals,
-        argmin=phases[:q.Q],
-        argmax=phases[q.Q:],
+        argmin=argmin,
+        argmax=argmax,
         slack=certified_slack(q, grid),
     )
 
@@ -456,15 +453,15 @@ def iter_band_rows(q: PeriodVector, V: Potential, grid: GridSpec) -> Iterator[np
     Taking the first row solves every time-reversal representative, in one
     pass that also keeps the band reductions on V (see sample_bands), so an
     eigensolver failure comes before any row.  Their rows are held in one
-    (reps, Q) array, and a node j > mirror(j) gets the row of its
-    representative, so the rows at j and mirror(j) hold the same bits."""
-    reps = _representatives(grid.m)
-    held = np.empty((len(reps), q.Q))
-    _sweep(q, V, grid, 1, held)
+    (R, Q) array, and node j gets the row at owner[j] (see _layout), that
+    of its representative min(j, mirror(j)), so the rows at j and
+    mirror(j) hold the same bits."""
+    coords, owner = _layout(grid.m, owner=True)
+    held = np.empty((len(coords), q.Q))
+    _sweep(q, V, grid, 1, (coords, held))
     block = _chunk_size(q.Q)
     for start in range(0, grid.n_nodes, block):
-        nodes = np.arange(start, min(start + block, grid.n_nodes))
-        yield from held[np.searchsorted(reps, np.minimum(nodes, _mirror(nodes, grid.m)))]
+        yield from held[owner[start:start + block]]
 
 
 def overlaps(table: BandTable) -> tuple[float, ...]:
@@ -572,5 +569,5 @@ def min_abs_eigenvalue(
     """Smallest |eigenvalue| over the grid with the first node attaining it;
     only the time-reversal representatives are solved, and none for a V
     already swept on this grid (see sample_bands)."""
-    *_, best, best_idx = _sweep(q, V, grid, workers)
-    return best, Phase(_node_phases(q, grid, np.array([best_idx]))[0])
+    *_, best, theta = _sweep(q, V, grid, workers)
+    return best, theta

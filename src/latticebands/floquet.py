@@ -160,12 +160,6 @@ def load_potential(path: str) -> Potential:
     return parse_potential(payload)
 
 
-def _columns(kappa: np.ndarray):
-    """The gather of the builder for an (n, d) phase array: gather(f, i) is
-    f of its column i."""
-    return lambda f, i: f(kappa[:, i])
-
-
 def _inversion(p: PeriodVector, values: np.ndarray) -> np.ndarray | None:
     """The site map n -> c - n mod p of the first inversion centre c of the
     cell (row-major), as linear indices, or None if it has none.
@@ -264,21 +258,26 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _stack(fiber: tuple[np.ndarray, list], n: int, gather) -> np.ndarray:
+def _stack(fiber: tuple[np.ndarray, list], n: int, tables, index: np.ndarray | None = None) -> np.ndarray:
     """The fibers of a parts table (see _fiber_parts) at n phases, an
     (n, P, P) stack of H0's dtype.
 
-    gather(f, i) returns f of coordinate i of the n phases (see
-    _fiber_eigenvalues); a term with f np.conj takes the conjugate of the
-    previous term's values instead.  The stack is built flat, (n, P*P): each group's
-    multiple of f is added to one column view per position, in the order of
-    the table, so every entry is rounded as in the dense sum."""
+    Coordinate i of the phases is f(tables[i]) for each function f: with
+    index, the rows index[:, i] of it, raveled (see _fiber_eigenvalues).
+    A term with f np.conj takes the conjugate of the previous term's values
+    instead.  The stack is built flat, (n, P*P): each group's multiple of f
+    is added to one column view per position, in the order of the table,
+    so every entry is rounded as in the dense sum."""
     H0, parts = fiber
     M = np.empty((n, H0.size), dtype=H0.dtype)
     M[:] = H0
     for i, terms in enumerate(parts):
         for f, groups in terms:
-            t = f(t) if f is np.conj else gather(f, i)
+            if f is np.conj:
+                t = f(t)
+            else:
+                t = f(tables[i])
+                t = (t if index is None else t[index[:, i]]).ravel()
             for w, positions in groups:
                 wt = t if w == 1 else w * t
                 for k in positions:
@@ -287,25 +286,33 @@ def _stack(fiber: tuple[np.ndarray, list], n: int, gather) -> np.ndarray:
     return M.reshape(n, P, P)
 
 
-def _eigenvalues_desc(M: np.ndarray, theta) -> np.ndarray:
-    """Eigenvalues of a matrix or stack, non-increasing along the last axis; an
-    eigensolver failure names the phase of the first matrix that fails alone.
+def _eigenvalues_desc(M: np.ndarray, axes, index: np.ndarray | None = None) -> np.ndarray:
+    """Eigenvalues of a stack of fibers, non-increasing along the last axis.
 
-    For a stack, theta holds one phase per run of len(M) // len(theta)
-    consecutive matrices."""
+    The phases are given as to _fiber_eigenvalues, one per run of len(M) //
+    n consecutive matrices; they are built only when the solve fails, and
+    the error names the phase of the first matrix that fails alone (all of
+    them if none does)."""
     try:
         return np.linalg.eigvalsh(M)[..., ::-1]
     except np.linalg.LinAlgError as exc:
-        if M.ndim == 3:
-            for Mj, tj in zip(M, np.repeat(theta, len(M) // len(theta), axis=0)):
-                _eigenvalues_desc(Mj, tj)
-        raise ComputationError(
-            f"eigensolver failed at theta={np.asarray(theta).tolist()}: {exc}"
-        ) from exc
+        theta = np.stack([a if index is None else a[index[:, i]] for i, a in enumerate(axes)], axis=1)
+        for Mj, tj in zip(M, np.repeat(theta, len(M) // len(theta), axis=0)):
+            try:
+                np.linalg.eigvalsh(Mj)
+            except np.linalg.LinAlgError as alone:
+                theta, exc = tj, alone
+                break
+        raise ComputationError(f"eigensolver failed at theta={theta.tolist()}: {exc}") from exc
 
 
-def _fiber_eigenvalues(q: PeriodVector, V: Potential, thetas: np.ndarray, grid=None) -> np.ndarray:
-    """Descending fiber eigenvalues at the rows of the (n, d) phase array, (n, Q).
+def _fiber_eigenvalues(q: PeriodVector, V: Potential, axes, index: np.ndarray | None = None) -> np.ndarray:
+    """Descending fiber eigenvalues at n phases, (n, Q).
+
+    Row r has coordinate i equal to axes[i][r], or axes[i][index[r, i]]
+    when an (n, d) integer index is given: the sweep passes the per-axis
+    grid values j * h_i and the grid coordinates of its nodes, and
+    eigenvalues_sorted_desc the columns of its phase array.
 
     Solved on the minimal period cell p of V (Floquet-Bloch folding):
 
@@ -315,36 +322,23 @@ def _fiber_eigenvalues(q: PeriodVector, V: Potential, thetas: np.ndarray, grid=N
     so the n fibers of size Q become n K fibers of size P = Q/K at kappa =
     theta + l/q, built by _stack from V._fiber and merged per phase.  When
     p = q, kappa = theta + 0 and the merge only re-sorts sorted rows.
-
-    grid, from the sweep, is (steps, coords): row r at theta_i =
-    coords[i][r] * steps[i].  Coordinate i of kappa then takes at most m_i K
-    values, so each function of V._fiber is taken once per entry of a table
-    of them, built with the phase path's expressions (j * h_i, then
-    + l_i/q_i), and gathered: every value keeps its bits.  Without a grid a
-    complex stack is made by the public assemble, so a wrapper of it sees
-    every complex probe stack (from V._fiber itself, the minimal cell's
-    site table); the threaded sweep passes a grid and calls no public name
-    from a worker thread.
+    Coordinate i of kappa is one table, axes[i][:, None] + l_i/q_i, which
+    each function of V._fiber is taken of and then gathered from, so every
+    value keeps its bits whichever form the phases come in.  Without an
+    index a complex stack is made by the public assemble, so a wrapper of
+    it sees every complex probe stack (from V._fiber itself, the minimal
+    cell's site table); the threaded sweep passes an index and calls no
+    public name from a worker thread.
     """
     p, Vp, shifts = V._cell
     fiber = V._fiber
-    n = len(thetas) * len(shifts)
-    if grid is None:
-        kappa = (thetas[:, None, :] + shifts).reshape(-1, q.d)
-        gather = _columns(kappa)
+    n = len(axes[0]) if index is None else len(index)
+    tables = [a[:, None] + s for a, s in zip(axes, shifts.T)]
+    if index is None and np.iscomplexobj(fiber[0]):
+        M = assemble(p, Vp, np.stack([t.ravel() for t in tables], axis=1))
     else:
-        steps, coords = grid
-        tables = [(np.arange(c.max() + 1) * h)[:, None] + shifts[:, i]
-                  for i, (c, h) in enumerate(zip(coords, steps))]
-
-        def gather(f, i):
-            return np.take(f(tables[i]), coords[i], axis=0).ravel()
-
-    if grid is None and np.iscomplexobj(fiber[0]):
-        M = assemble(p, Vp, kappa)
-    else:
-        M = _stack(fiber, n, gather)
-    vals = _eigenvalues_desc(M, thetas).reshape(len(thetas), q.Q)
+        M = _stack(fiber, n * len(shifts), tables, index)
+    vals = _eigenvalues_desc(M, axes, index).reshape(n, q.Q)
     return np.sort(vals, axis=1)[:, ::-1]
 
 
@@ -386,7 +380,7 @@ def assemble(q: PeriodVector, V: Potential, theta: Phase | Sequence[float] | np.
     """
     check_periods(q, V)
     th, single = check_phases(q, theta)
-    M = _stack(V._site_fiber, len(th), _columns(th))
+    M = _stack(V._site_fiber, len(th), th.T)
     return M[0] if single else M
 
 
@@ -412,7 +406,7 @@ def eigenvalues_sorted_desc(
     """
     check_periods(q, V)
     th, single = check_phases(q, theta)
-    out = _fiber_eigenvalues(q, V, th).copy()
+    out = _fiber_eigenvalues(q, V, th.T).copy()
     out.flags.writeable = False
     return out[0] if single else out
 

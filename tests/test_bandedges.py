@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import re
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latticebands import bandedges, cli, floquet
 from latticebands import (
@@ -338,18 +340,18 @@ def test_threaded_sweep_cancels_pending_chunks_after_a_failure(monkeypatch):
     q = period((2, 2))
     grid = GridSpec((64, 64))
     solved = []
-    chunk_values = bandedges._chunk_values
+    kernel = floquet._fiber_eigenvalues
 
-    def slow_chunk(q, V, grid, nodes):
-        if nodes[0] == 0:
+    def slow_chunk(q, V, axes, index):
+        if not index[0].any():
             raise ComputationError("eigensolver failed at theta=[0.0, 0.0]")
         time.sleep(0.005)
-        out = chunk_values(q, V, grid, nodes)
-        solved.append(int(nodes[0]))
+        out = kernel(q, V, axes, index)
+        solved.append(tuple(index[0]))
         return out
 
     monkeypatch.setattr(bandedges, "_chunk_size", lambda Q: 32)
-    monkeypatch.setattr(bandedges, "_chunk_values", slow_chunk)
+    monkeypatch.setattr(floquet, "_fiber_eigenvalues", slow_chunk)
     submitted = []
     submit = bandedges.ThreadPoolExecutor.submit
 
@@ -360,7 +362,8 @@ def test_threaded_sweep_cancels_pending_chunks_after_a_failure(monkeypatch):
     monkeypatch.setattr(bandedges.ThreadPoolExecutor, "submit", spy_submit)
     with pytest.raises(ComputationError):
         sample_bands(q, zero_potential(q), grid, workers=2)
-    assert len(submitted) >= 64 and submitted[0][0] == 0
+    assert len(submitted) == 65 and submitted[0][0].tolist() == [0, 0]
+    assert np.array_equal(np.concatenate(submitted), bandedges._layout(grid.m))
     assert len(solved) < 10
 
 
@@ -535,10 +538,11 @@ def test_refinement_solves_each_distinct_probe_once(monkeypatch, free):
         calls.append(np.array(theta))
         return public(q_, V_, theta)
 
-    def spy_kernel(q_, V_, thetas, *args):
+    def spy_kernel(q_, V_, axes, index=None):
         if calls:
-            solved.append(len(thetas))
-        return kernel(q_, V_, thetas, *args)
+            assert index is None  # probes pass their phases' columns
+            solved.append(np.stack(axes, axis=1))
+        return kernel(q_, V_, axes, index)
 
     monkeypatch.setattr(floquet, "eigenvalues_sorted_desc", spy_public)
     monkeypatch.setattr(floquet, "_fiber_eigenvalues", spy_kernel)
@@ -546,12 +550,13 @@ def test_refinement_solves_each_distinct_probe_once(monkeypatch, free):
     assert len(calls) == len(solved) == len(want)
     for theta, rows, rows_want in zip(calls, solved, want):
         got = {tuple(x.hex() for x in row) for row in theta.tolist()}
-        assert rows == len(theta) == len(got)  # distinct phases only
+        assert rows.tobytes() == theta.tobytes()  # the kernel solves what was probed
+        assert len(theta) == len(got)  # distinct phases only
         assert got == rows_want
     follow_ups = len(want) - bandedges.REFINE_ROUNDS * q.d
     assert (follow_ups == 0) if free else (follow_ups > 0)
     # the 4Q candidates of a step share phases, so deduplication saves solves
-    assert sum(solved) < 4 * q.Q * bandedges.REFINE_ROUNDS * q.d
+    assert sum(map(len, solved)) < 4 * q.Q * bandedges.REFINE_ROUNDS * q.d
     assert table.min_values.tobytes() == expected.min_values.tobytes()
     assert table.max_values.tobytes() == expected.max_values.tobytes()
     assert (table.argmin, table.argmax) == (expected.argmin, expected.argmax)
@@ -669,8 +674,9 @@ def _symmetric_potential(q):
 @pytest.mark.parametrize("kind", ["zero", "dimer", "random", "vq", "symmetric"])
 def test_table_sweep_equals_node_phase_solve_bit_for_bit(monkeypatch, kind, m):
     # the sweep gathers its functions of the phases (complex factors, or
-    # cos and sin of an inversion-symmetric cell) from per-axis tables; the
-    # reference solves the node phases through the kernel's own phase path
+    # cos and sin of an inversion-symmetric cell) from per-axis tables at
+    # the nodes' grid coordinates; the reference solves the node phases
+    # j_i h_i through the kernel's probe path
     q = period((4, 4) if len(m) == 2 else (2, 4, 2))
     build = POTENTIALS.get(kind, lambda q: build_vq(CounterexampleSpec(q, 0.15)))
     if kind == "symmetric":  # a centre off the origin and an odd p_1
@@ -680,9 +686,11 @@ def test_table_sweep_equals_node_phase_solve_bit_for_bit(monkeypatch, kind, m):
     assert math.prod(minimal_period(V)) == q.Q // K
     assert (not np.iscomplexobj(V._fiber[0])) == (kind in ("dimer", "vq", "symmetric"))
     grid = GridSpec(m)
-    reps = bandedges._representatives(grid.m)
-    want = floquet._fiber_eigenvalues(q, V, bandedges._node_phases(q, grid, reps))
-    assert bandedges._chunk_values(q, V, grid, reps).tobytes() == want.tobytes()
+    coords = bandedges._layout(grid.m)
+    thetas = coords * np.array(grid.steps(q))
+    want = floquet._fiber_eigenvalues(q, V, thetas.T)
+    axes = [np.arange(mi) * h for mi, h in zip(grid.m, grid.steps(q))]
+    assert floquet._fiber_eigenvalues(q, V, axes, coords).tobytes() == want.tobytes()
     monkeypatch.setattr(bandedges, "_chunk_size", lambda Q: 7)
     submit = bandedges.ThreadPoolExecutor.submit
 
@@ -693,9 +701,15 @@ def test_table_sweep_equals_node_phase_solve_bit_for_bit(monkeypatch, kind, m):
 
     monkeypatch.setattr(bandedges.ThreadPoolExecutor, "submit", spy_submit)
     for workers in (1, 2):
-        held = np.empty((len(reps), q.Q))
-        bandedges._sweep(q, build(q), grid, workers, held)
+        held = np.empty((len(coords), q.Q))
+        bandedges._sweep(q, build(q), grid, workers, (coords, held))
         assert held.tobytes() == want.tobytes()
+
+
+def _brute_mirror(m):
+    """Row-major index of every node's mirror, -j_i mod m_i, decoded node by node."""
+    return np.array([np.ravel_multi_index(tuple(-c % mi for c, mi in zip(np.unravel_index(j, m), m)), m)
+                     for j in range(math.prod(m))])
 
 
 def test_mirror_pairs_every_grid_node():
@@ -705,16 +719,21 @@ def test_mirror_pairs_every_grid_node():
         m = tuple(int(x) for x in rng.integers(2, 10 if d < 4 else 6, size=d))
         N = math.prod(m)
         nodes = np.arange(N)
-        mirror = bandedges._mirror(nodes, m)
-        assert np.array_equal(bandedges._mirror(mirror, m), nodes)
+        mirror = _brute_mirror(m)
+        assert np.array_equal(mirror[mirror], nodes)
         assert np.array_equal(np.sort(mirror), nodes)  # onto the grid itself
-        reps = bandedges._representatives(m)
+        coords, owner = bandedges._layout(m, owner=True)
+        assert np.array_equal(bandedges._layout(m), coords)
+        assert coords.shape[1] == d and np.issubdtype(coords.dtype, np.integer)
+        reps = np.ravel_multi_index(tuple(coords.T), m)
+        assert np.array_equal(reps, nodes[nodes <= mirror])  # ascending
         F = math.prod(2 if mi % 2 == 0 else 1 for mi in m)
         assert len(reps) == (N + F) // 2
-        fixed = bandedges._mirror(reps, m) == reps
+        fixed = mirror[reps] == reps
         assert np.count_nonzero(fixed) == F
-        covered = np.concatenate([reps, bandedges._mirror(reps[~fixed], m)])
+        covered = np.concatenate([reps, mirror[reps[~fixed]]])
         assert np.array_equal(np.sort(covered), nodes)
+        assert np.array_equal(reps[owner], np.minimum(nodes, mirror))
 
 
 def _full_grid_reference(q, V, grid):
@@ -776,9 +795,11 @@ def test_reducing_sweeps_solve_only_representatives(monkeypatch, m):
     solved = []
     kernel = floquet._fiber_eigenvalues
 
-    def spy_kernel(q_, V_, thetas, *args):
-        solved.append(len(thetas))
-        return kernel(q_, V_, thetas, *args)
+    def spy_kernel(q_, V_, axes, index):
+        # the sweep passes the grid values of each axis and a chunk's coordinates
+        assert [len(a) for a in axes] == list(grid.m)
+        solved.append(len(index))
+        return kernel(q_, V_, axes, index)
 
     def rows(q_, V_, grid_, workers):
         return list(iter_band_rows(q_, V_, grid_))
@@ -834,6 +855,81 @@ def test_band_rows_at_mirrored_nodes_are_bit_identical(m):
     grid = GridSpec(m)
     rows = list(iter_band_rows(q, V, grid))
     assert len(rows) == grid.n_nodes
-    mirror = bandedges._mirror(np.arange(grid.n_nodes), grid.m)
+    mirror = _brute_mirror(grid.m)
     for j, mj in enumerate(mirror):
         assert rows[j].tobytes() == rows[mj].tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    m=st.integers(2, 3).flatmap(lambda d: st.tuples(*[st.integers(2, 9)] * d)),
+    q_tuple=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+    kind=st.sampled_from(["zero", "random"]),
+)
+def test_layout_and_sweeps_match_a_brute_force_decode(m, q_tuple, kind):
+    d, N = len(m), math.prod(m)
+    mirror = _brute_mirror(m)
+    nodes = np.arange(N)
+    coords, owner = bandedges._layout(m, owner=True)
+    reps = np.ravel_multi_index(tuple(coords.T), m)
+    F = math.prod(2 if mi % 2 == 0 else 1 for mi in m)
+    assert np.array_equal(reps, nodes[nodes <= mirror]) and len(reps) == (N + F) // 2
+    assert np.array_equal(owner, owner[mirror])
+    assert np.array_equal(reps[owner], np.minimum(nodes, mirror))
+    # every node takes the row solved at the phase of min(j, mirror(j))
+    q = period(q_tuple[:d])
+    grid = GridSpec(m)
+    build = POTENTIALS[kind]
+    thetas = np.array(grid_thetas(q.q, m))
+    ref = eigenvalues_sorted_desc(q, build(q), thetas[np.minimum(nodes, mirror)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bandedges, "_chunk_size", lambda Q: 7)  # several chunks per worker
+        for workers in (1, 2):
+            table = sample_bands(q, build(q), grid, workers=workers)
+            assert table.min_values.tobytes() == ref.min(axis=0).tobytes()
+            assert table.max_values.tobytes() == ref.max(axis=0).tobytes()
+            for k in range(q.Q):
+                assert table.argmin[k].theta == tuple(thetas[np.flatnonzero(ref[:, k] == ref[:, k].min())[0]])
+                assert table.argmax[k].theta == tuple(thetas[np.flatnonzero(ref[:, k] == ref[:, k].max())[0]])
+            value, theta = min_abs_eigenvalue(q, build(q), grid, workers=workers)
+            assert value == np.abs(ref).min()
+            assert theta.theta == tuple(thetas[np.flatnonzero(np.abs(ref).min(axis=1) == value)[0]])
+            held = np.empty((len(coords), q.Q))
+            bandedges._sweep(q, build(q), grid, workers, (coords, held))
+            assert held[owner].tobytes() == ref.tobytes()
+        assert np.array(list(iter_band_rows(q, build(q), grid))).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("q_tuple,kind,m,node", [
+    ((2, 3), "zero", (8, 8), (3, 5)), ((4, 2), "dimer", (6, 5), (1, 2)),
+], ids=["free", "dimer"])
+def test_grid_eigensolver_failure_names_the_failing_node(monkeypatch, q_tuple, kind, m, node):
+    # one fiber of node j != 0 of a folded cell fails alone: every sweep
+    # names that node's phase j_i h_i
+    q = period(q_tuple)
+    grid = GridSpec(m)
+    steps = grid.steps(q)
+    theta = [j * h for j, h in zip(node, steps)]
+    V = POTENTIALS[kind](q)
+    shifts = V._cell[2]
+    assert len(shifts) > 1
+    coords = bandedges._layout(m)
+    kappa = ((coords * np.array(steps))[:, None, :] + shifts).reshape(-1, q.d)
+    stack = floquet._stack(V._fiber, len(kappa), kappa.T)
+    at = int(np.flatnonzero((coords == node).all(axis=1))[0]) * len(shifts) + len(shifts) - 1
+    bad = stack[at]
+    assert [j for j, Mj in enumerate(stack) if np.array_equal(Mj, bad)] == [at]
+    solve = np.linalg.eigvalsh
+
+    def eigvalsh(a, *args, **kwargs):
+        if a.ndim == 3 or np.array_equal(a, bad):
+            raise np.linalg.LinAlgError("no convergence")
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    message = re.escape(f"eigensolver failed at theta={theta}: no convergence")
+    for workers in (1, 2):
+        with pytest.raises(ComputationError, match=f"^{message}$"):
+            sample_bands(q, POTENTIALS[kind](q), grid, workers=workers)
+    with pytest.raises(ComputationError, match=f"^{message}$"):
+        next(iter_band_rows(q, POTENTIALS[kind](q), grid))

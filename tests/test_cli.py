@@ -391,7 +391,7 @@ def _reference_csv(q_arg, grid_arg, extra):
     nodes = np.arange(math.prod(m))
     coords = np.unravel_index(nodes, m)
     mirror = np.ravel_multi_index(tuple(-c % mi for c, mi in zip(coords, m)), m)
-    vals = floquet._fiber_eigenvalues(q, V, phases(np.minimum(nodes, mirror)))
+    vals = floquet._fiber_eigenvalues(q, V, phases(np.minimum(nodes, mirror)).T)
     lines = [",".join([f"theta_{i + 1}" for i in range(q.d)] + [f"E_{k}" for k in range(1, q.Q + 1)])]
     for theta, row in zip(phases(nodes).tolist(), vals.tolist()):
         lines.append(",".join("%.17g" % x for x in (*theta, *row)))
@@ -418,15 +418,19 @@ def test_bands_csv_matches_plain_reference_writer(tmp_path, capsys, q_arg, grid_
 
 
 def _spy_solves(monkeypatch):
-    """Record the phases each kernel call solves and, separately, the
-    phases refinement probes through the public eigenvalue function."""
-    solved, probed = [], []
+    """Record the nodes each sweep call of the kernel solves (it passes grid
+    coordinates), the phases each other kernel call solves, and the phases
+    refinement probes through the public eigenvalue function."""
+    swept, solved, probed = [], [], []
     kernel = floquet._fiber_eigenvalues
     public = floquet.eigenvalues_sorted_desc
 
-    def spy_kernel(q, V, thetas, *args):
-        solved.append(len(thetas))
-        return kernel(q, V, thetas, *args)
+    def spy_kernel(q, V, axes, index=None):
+        if index is None:
+            solved.append(len(axes[0]))
+        else:
+            swept.append(len(index))
+        return kernel(q, V, axes, index)
 
     def spy_public(q, V, theta):
         probed.append(len(np.atleast_2d(theta)))
@@ -434,7 +438,7 @@ def _spy_solves(monkeypatch):
 
     monkeypatch.setattr(floquet, "_fiber_eigenvalues", spy_kernel)
     monkeypatch.setattr(floquet, "eigenvalues_sorted_desc", spy_public)
-    return solved, probed
+    return swept, solved, probed
 
 
 def test_bands_export_solves_each_representative_once_per_pass(tmp_path, capsys, monkeypatch):
@@ -442,21 +446,21 @@ def test_bands_export_solves_each_representative_once_per_pass(tmp_path, capsys,
     # them and keeps the band reductions, so the certified table's sweep
     # solves nothing and refinement only the phases it probes, at most 2Q
     # per (round, axis, sign)
-    solved, probed = _spy_solves(monkeypatch)
+    swept, solved, probed = _spy_solves(monkeypatch)
     rc, _, _ = run(capsys, "bands", "--q", "4,4", "--grid", "64,64", "--potential", "random",
                    "--delta", "0.1", "--out", str(tmp_path / "x.csv"), "--json")
     assert rc == 0
     assert 0 < sum(probed) <= 10 * 2 * 2 * 32
-    assert sum(solved) == 2050 + sum(probed)
+    assert sum(swept) == 2050 and solved == probed
 
 
 def test_counterexample_solves_each_representative_once(capsys, monkeypatch):
     # the gap check and the band table sweep one potential object on one grid
-    solved, probed = _spy_solves(monkeypatch)
+    swept, solved, probed = _spy_solves(monkeypatch)
     rc, _, _ = run(capsys, "counterexample", "--q", "4,4", "--grid", "64,64", "--delta", "0.15", "--json")
     assert rc == 0
     assert 0 < sum(probed) <= 10 * 2 * 2 * 32
-    assert sum(solved) == 2050 + sum(probed)
+    assert sum(swept) == 2050 and solved == probed
 
 
 @pytest.mark.parametrize("argv", [
@@ -468,13 +472,13 @@ def test_identical_calls_in_one_process_each_solve_the_grid(tmp_path, capsys, mo
     # the kept reductions live on the potential a command builds, so a
     # repeated command solves its 130 representatives of 16 x 16 again
     argv = [a.format(out=tmp_path / "x.csv") for a in argv]
-    solved, probed = _spy_solves(monkeypatch)
+    swept, solved, probed = _spy_solves(monkeypatch)
     outputs = []
     for _ in range(2):
-        solved.clear()
-        probed.clear()
+        for log in (swept, solved, probed):
+            log.clear()
         outputs.append(run(capsys, *argv)[:2])
-        assert sum(solved) - sum(probed) == 130
+        assert sum(swept) == 130 and solved == probed
     assert outputs[0] == outputs[1]
 
 

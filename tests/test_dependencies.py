@@ -24,9 +24,24 @@ def _imported_top_level_modules(src: Path) -> set[str]:
     return names
 
 
+def _project():
+    return tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+
+
+def _names(requirements) -> set[str]:
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in requirements}
+
+
+def _third_party(directory: Path) -> set[str]:
+    local = {"latticebands"} | {path.stem for path in directory.glob("*.py")}
+    return _imported_top_level_modules(directory) - set(sys.stdlib_module_names) - local
+
+
 def test_src_imports_exactly_the_declared_dependencies():
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
-    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]}
-    imported = _imported_top_level_modules(ROOT / "src")
-    third_party = imported - set(sys.stdlib_module_names) - {"latticebands"}
-    assert third_party == declared
+    assert _third_party(ROOT / "src") == _names(_project()["dependencies"])
+
+
+def test_test_extra_declares_exactly_what_the_tests_import_beyond_the_package():
+    project = _project()
+    declared = _names(project["dependencies"])
+    assert _third_party(ROOT / "tests") - declared == _names(project["optional-dependencies"]["test"])

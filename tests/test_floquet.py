@@ -23,7 +23,7 @@ from latticebands import (
 )
 
 from latticebands.lattice import Phase, check_phase
-from latticebands.floquet import _columns, _eigenvalues_desc, _fiber_eigenvalues, _fiber_parts, _stack
+from latticebands.floquet import _eigenvalues_desc, _fiber_eigenvalues, _fiber_parts, _stack
 
 from conftest import inversion_symmetric, ref_fiber, ref_levels, random_periods
 
@@ -59,7 +59,7 @@ def test_scatter_builder_equals_dense_sum_bit_for_bit(rng, q_tuple):
     V = random_potential(q, 0.8, seed=int(rng.integers(1 << 30)))
     special = np.array([[0.0] * q.d, [0.25 / qi for qi in q_tuple], [0.5 / qi for qi in q_tuple]])
     thetas = np.vstack([special, rng.uniform(0, 1, size=(40, q.d)) / np.array(q_tuple)])
-    got = _stack(_fiber_parts(q, V.values, None), len(thetas), _columns(thetas))
+    got = _stack(_fiber_parts(q, V.values, None), len(thetas), thetas.T)
     assert got.tobytes() == dense_fiber_stack(q_tuple, V.values, thetas).tobytes()
     stack = assemble(q, V, thetas)
     assert stack.shape == (len(thetas), q.Q, q.Q)
@@ -454,7 +454,7 @@ def test_site_stack_takes_one_exponential_per_direction(monkeypatch, q_tuple):
 
     parts = _fiber_parts(q, V.values, None)
     monkeypatch.setattr(np, "exp", spy_exp)
-    got = _stack(parts, len(thetas), _columns(thetas))
+    got = _stack(parts, len(thetas), thetas.T)
     assert calls == [(len(thetas),)] * q.d
     assert got.tobytes() == want.tobytes()
 
@@ -532,8 +532,8 @@ def test_full_period_solve_is_the_plain_stack_solve(rng, q_tuple):
     for V in (random_potential(q, 0.6, seed=7), potential(q, symmetric.ravel())):
         assert minimal_period(V) == q_tuple and np.iscomplexobj(V._fiber[0])
         thetas = rng.uniform(0, 1, size=(30, q.d)) / np.array(q_tuple)
-        want = _eigenvalues_desc(assemble(q, V, thetas), thetas)
-        assert _fiber_eigenvalues(q, V, thetas).tobytes() == want.tobytes()
+        want = _eigenvalues_desc(assemble(q, V, thetas), thetas.T)
+        assert _fiber_eigenvalues(q, V, thetas.T).tobytes() == want.tobytes()
         assert eigenvalues_sorted_desc(q, V, thetas).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
@@ -550,7 +550,7 @@ def test_eigensolver_failure_on_the_minimal_cell_names_theta(monkeypatch):
     ]:
         kappa = (thetas[1] + np.array(l) / np.array(q.q))[None, :]
         p = V._cell[0]
-        bad = _stack(V._fiber, 1, _columns(kappa))[0]
+        bad = _stack(V._fiber, 1, kappa.T)[0]
         assert bad.dtype == (complex if q.Q == 6 else float) and bad.shape == (p.Q, p.Q)
 
         def eigvalsh(a, *args, **kwargs):
