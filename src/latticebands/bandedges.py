@@ -139,6 +139,19 @@ class BandTable:
     def theta_max(self, k: int) -> Phase:
         return self.argmax[self._check(k)]
 
+    def deepest(self, E: float) -> tuple[int, float, Phase]:
+        """(k, depth, phase) of the band holding E deepest, the one rule for
+        where E sits: band k has depth min(max_k - E, E - min_k), the first
+        of largest depth wins, and the phase is that of its nearer edge (the
+        maximum's when max_k - E <= E - min_k).  A positive depth puts E
+        strictly inside band k (sampled extrema are attained and a band is
+        connected); otherwise -depth is E's distance to the sampled bands."""
+        up = self.max_values - E
+        down = E - self.min_values
+        k = int(np.argmax(np.minimum(up, down)))
+        theta = self.argmax[k] if up[k] <= down[k] else self.argmin[k]
+        return k + 1, float(min(up[k], down[k])), theta
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -172,9 +185,9 @@ class SpectrumReport:
 class CqEstimate:
     """Certified coupling threshold below which no new gap can open.
 
-    For all-even periods the band pair(s) whose overlap segment collapses
-    onto 0 are excluded (they touch by symmetry and never contribute), and
-    touching_at_zero records that exclusion.
+    For all-even periods pair Q/2 is excluded: bands Q/2 and Q/2 + 1 of
+    the free operator meet only at 0, by chiral symmetry, so its true
+    overlap is exactly 0.  touching_at_zero records that exclusion.
     """
 
     c_q: float
@@ -277,9 +290,9 @@ def _iter_chunks(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, co
 
 def _sweep(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, rows: tuple | None = None):
     """One pass over the time-reversal representatives of the grid, reduced
-    to (band minima, their phases, band maxima, their phases, smallest |E|,
-    its phase); each phase is that of the smallest row-major node attaining
-    the value, found as a position in the list of representatives.
+    to (band minima, their phases, band maxima, their phases); each phase
+    is that of the smallest row-major node attaining the value, found as a
+    position in the list of representatives.
 
     The result is kept on V per grid (Potential._sweeps), so a later sweep
     of the same V and grid solves nothing.  rows, from the row pass, is
@@ -296,7 +309,6 @@ def _sweep(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, rows: tu
     max_vals = np.full(Q, -np.inf)
     min_pos = np.zeros(Q, dtype=int)
     max_pos = np.zeros(Q, dtype=int)
-    abs_val, abs_pos = math.inf, 0
     cols = np.arange(Q)
     start = 0
     for vals in _iter_chunks(q, V, grid, workers, coords):
@@ -312,24 +324,19 @@ def _sweep(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, rows: tu
         better = cand > max_vals
         max_vals[better] = cand[better]
         max_pos[better] = start + loc[better]
-        # The first flat index of the smallest |E| lies in the first row
-        # attaining it, whatever the column order: a flat argmin is many
-        # times faster than a min over each row of Q values.  vals is the
-        # column-reversed view of an ascending solve and is not read again:
-        # undoing the reversal hands np.abs a contiguous array (twice as
-        # fast), and taking it in place allocates no second array of the
-        # chunk's eigenvalues (which raised peak RSS by 0.4 MB on 9-site cells).
-        a = np.abs(vals[:, ::-1], out=vals[:, ::-1]).ravel()
-        j = int(a.argmin())
-        if a[j] < abs_val:
-            abs_val, abs_pos = float(a[j]), start + j // Q
         start += len(vals)
     min_vals.flags.writeable = False
     max_vals.flags.writeable = False
     # theta_i = j_i h_i, the bits of the kernel's grid values
-    phases = [Phase(row) for row in coords[np.r_[min_pos, max_pos, abs_pos]] * steps]
-    V._sweeps[grid.m] = (min_vals, tuple(phases[:Q]), max_vals, tuple(phases[Q:2 * Q]), abs_val, phases[-1])
+    phases = tuple(Phase(row) for row in coords[np.r_[min_pos, max_pos]] * steps)
+    V._sweeps[grid.m] = (min_vals, phases[:Q], max_vals, phases[Q:])
     return V._sweeps[grid.m]
+
+
+def _sampled_table(q: PeriodVector, V: Potential, grid: GridSpec, workers: int) -> BandTable:
+    """The BandTable of _sweep's reductions, with the grid's slack."""
+    min_vals, argmin, max_vals, argmax = _sweep(q, V, grid, workers)
+    return BandTable(q, grid, min_vals, max_vals, argmin, argmax, certified_slack(q, grid))
 
 
 def sample_bands(q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1) -> BandTable:
@@ -359,16 +366,7 @@ def sample_bands(q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1
         smallest node attaining a value is a representative), and the
         Lipschitz slack for this grid.
     """
-    min_vals, argmin, max_vals, argmax, _, _ = _sweep(q, V, grid, workers)
-    return BandTable(
-        q=q,
-        grid=grid,
-        min_values=min_vals,
-        max_values=max_vals,
-        argmin=argmin,
-        argmax=argmax,
-        slack=certified_slack(q, grid),
-    )
+    return _sampled_table(q, V, grid, workers)
 
 
 def certified_edges(q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1) -> BandTable:
@@ -521,25 +519,17 @@ def estimate_cq(q: PeriodVector, grid: GridSpec, workers: int = 1) -> CqEstimate
     sup norm below the returned value shrinks every counted overlap by at
     most twice its norm, so those pairs keep overlapping.
 
-    For all-even periods the overlap segment of the middle pair(s) collapses
-    onto zero (the bands touch there by symmetry); such pairs are excluded
-    and flagged through touching_at_zero.  If the grid is too coarse to
+    For all-even periods the middle pair Q/2 overlaps by exactly 0 (the
+    bands touch there by symmetry); that pair alone is excluded and
+    flagged through touching_at_zero.  If the grid is too coarse to
     certify a positive threshold the estimate is marked inconclusive.
     """
     table = certified_edges(q, zero_potential(q), grid, workers=workers)
     deltas = overlaps(table)
     slack = table.slack
-    excluded: list[int] = []
-    if q.all_even:
-        for k in range(1, table.Q):
-            near_zero = (
-                abs(table.band_min(k)) <= 2.0 * slack
-                and abs(table.band_max(k + 1)) <= 2.0 * slack
-            )
-            if near_zero:
-                excluded.append(k)
+    touching = q.all_even  # pair Q/2 overlaps by exactly 0 (see CqEstimate)
+    excluded = [table.Q // 2] if touching else []
     kept = [d for k, d in enumerate(deltas, start=1) if k not in excluded]
-    touching = bool(excluded)
     if not kept:
         return CqEstimate(
             c_q=math.inf if not deltas else 0.0,
@@ -566,8 +556,12 @@ def estimate_cq(q: PeriodVector, grid: GridSpec, workers: int = 1) -> CqEstimate
 def min_abs_eigenvalue(
     q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1
 ) -> tuple[float, Phase]:
-    """Smallest |eigenvalue| over the grid with the first node attaining it;
-    only the time-reversal representatives are solved, and none for a V
-    already swept on this grid (see sample_bands)."""
-    *_, best, theta = _sweep(q, V, grid, workers)
-    return best, theta
+    """Distance from 0 to the sampled bands, max(0, -depth), with the phase
+    of the nearer edge of the deepest band at E = 0 (BandTable.deepest).
+
+    When no band's sampled range holds 0 this is the smallest |eigenvalue|
+    over the grid; otherwise it is 0, the true distance, since a band is
+    connected.  Only the time-reversal representatives are solved, and
+    none for a V already swept on this grid (see sample_bands)."""
+    _, depth, theta = _sampled_table(q, V, grid, workers).deepest(0.0)
+    return max(0.0, -depth), theta

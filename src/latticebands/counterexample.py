@@ -178,8 +178,11 @@ def verify_gap_at_zero(
 ) -> GapCheck:
     """Measure the distance from zero to the sampled spectrum.
 
-    margin is the smallest |eigenvalue| over the grid; subtracting the
-    Lipschitz slack lower-bounds the true distance.  The check passes when
+    margin is min_abs_eigenvalue's distance from 0 to the sampled bands,
+    read off the band extrema: for this potential no band's sampled range
+    holds 0 (the spectrum avoids (-delta, delta - delta^3/d)), so it is the
+    smallest |eigenvalue| over the grid.  Subtracting the Lipschitz slack
+    lower-bounds the true distance.  The check passes when
     the margin exceeds delta/2 and is inconclusive when the slack eats the
     headroom (margin - slack <= delta/2), meaning the grid is too coarse to
     certify the claim.

@@ -155,7 +155,8 @@ def _exact_split(
     With N the lcm of the angle denominators and zeta = exp(2 pi i / N), a
     level is sum_i zeta^k_i + zeta^-k_i: an integer polynomial in zeta of
     degree below N.  Reduced modulo the minimal polynomial Phi_N of zeta it
-    is unique, so two levels are equal iff their reduced coordinates are.
+    is unique, so two levels are equal iff their reduced coordinates are, and
+    a level is 0 iff they all vanish: such levels come back as 0.0.
     Unequal levels are ordered by their doubles, which is safe when they
     differ by more than the rounding bound; otherwise ComputationError.
     """
@@ -181,6 +182,8 @@ def _exact_split(
             f"levels of offsets {offsets[t].l} and {other.l} differ but their doubles "
             f"are within the rounding bound {bound:.1e} at phase {th}"
         )
+    if not coords[t].any():  # the target level is exactly 0
+        levels[equal] = 0.0
     return levels, equal
 
 
@@ -194,9 +197,9 @@ def coincident_group(
     A phase whose coordinates snap to fractions (denominator <= 512, within
     1e-12) with angle denominators of lcm N <= MAX_CYCLOTOMIC_ORDER groups
     exactly, in cyclotomic integers (see _exact_split); level is then the
-    double sum at the snapped phase.  Any other phase groups levels within
-    GROUP_TOL.  Members come back in row-major order and always include the
-    target.
+    double sum at the snapped phase, or 0.0 for a level that is exactly 0.
+    Any other phase groups levels within GROUP_TOL.  Members come back in
+    row-major order and always include the target.
     """
     th = check_phase(q, theta)
     target = FourierIndex(check_index(q, target_l))

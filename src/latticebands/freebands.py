@@ -131,9 +131,10 @@ def interior_witness(
 ) -> WitnessResult:
     """Find a band holding E strictly inside, with a sampled certificate.
 
-    Scans certified free band edges and picks the band with the largest
-    margin (smallest band index on ties).  A nonpositive margin means the
-    sampling could not certify interiority at this energy.
+    Reads certified free band edges by BandTable.deepest: the band with
+    the largest margin (smallest band index on ties) and the phase of its
+    nearer edge.  A nonpositive margin means the sampling could not
+    certify interiority at this energy.
 
     At E = 0 with all periods even no band can hold 0 inside: the fiber
     spectrum is symmetric under negation at every phase, so the middle
@@ -146,14 +147,5 @@ def interior_witness(
     if E == 0.0 and q.all_even:
         k = q.Q // 2
         return WitnessResult(k, table.theta_min(k), 0.0, touching_at_zero=True)
-    best_k = 1
-    best_margin = -math.inf
-    for k in range(1, table.Q + 1):
-        margin = min(table.band_max(k) - E, E - table.band_min(k))
-        if margin > best_margin:
-            best_margin = margin
-            best_k = k
-    up = table.band_max(best_k) - E
-    down = E - table.band_min(best_k)
-    theta = table.theta_max(best_k) if up <= down else table.theta_min(best_k)
-    return WitnessResult(best_k, theta, float(best_margin), touching_at_zero=False)
+    k, margin, theta = table.deepest(E)
+    return WitnessResult(k, theta, margin, touching_at_zero=False)

@@ -34,6 +34,7 @@ from latticebands import (
     potential,
     random_potential,
     sample_bands,
+    verify_gap_at_zero,
     zero_potential,
 )
 
@@ -480,6 +481,26 @@ def test_estimate_cq_excludes_touching_pair_for_even_periods():
     assert est.c_q == pytest.approx(1.0 - est.slack, abs=1e-9)
 
 
+@pytest.mark.parametrize("q_tuple,m", [
+    ((2, 2, 2, 2), (8, 8, 8, 8)), ((4, 4), (8, 8)), ((6, 6), (8, 8)), ((2, 4), (16, 16)),
+    ((2, 3), (8, 8)), ((3, 3), (8, 8)),
+])
+def test_estimate_cq_excludes_exactly_the_chiral_pair(q_tuple, m):
+    # only pair Q/2 of an all-even cell overlaps by exactly 0; every other
+    # pair counts, even where the coarse grid leaves its edges within
+    # 2 slack of 0 (pairs 5-11 of 2,2,2,2 at 8^4, overlaps about 2 < 2 slack)
+    q = period(q_tuple)
+    est = estimate_cq(q, GridSpec(m))
+    assert est.touching_at_zero == q.all_even
+    assert est.excluded_pairs == ((q.Q // 2,) if q.all_even else ())
+    kept = [d for k, d in enumerate(est.overlaps, start=1) if k not in est.excluded_pairs]
+    assert est.min_overlap == min(kept)
+    assert est.inconclusive == (min(kept) <= 2.0 * est.slack)
+    assert est.c_q == max((min(kept) - 2.0 * est.slack) / 2.0, 0.0)
+    if q_tuple == (2, 2, 2, 2):
+        assert est.inconclusive and est.c_q == 0.0
+
+
 def test_estimate_cq_inconclusive_on_coarse_grid():
     q = period((2, 3))
     est = estimate_cq(q, GridSpec((4, 4)))
@@ -494,11 +515,35 @@ def test_overlap_after_potential():
         overlap_after_potential(0.5, -0.1)
 
 
+def _deepest_reference(rows, thetas, E):
+    """BandTable.deepest's rule read off brute-force rows, band by band: the
+    band of largest min(max - E, E - min) (the first on ties), its depth,
+    and the phase of the first row-major node attaining its nearer edge."""
+    best = None
+    for k in range(rows.shape[1]):
+        lo, hi = rows[:, k].min(), rows[:, k].max()
+        depth = min(hi - E, E - lo)
+        if best is None or depth > best[1]:
+            edge = hi if hi - E <= E - lo else lo
+            best = (k + 1, depth, tuple(thetas[np.flatnonzero(rows[:, k] == edge)[0]]))
+    return best
+
+
+def _distance_reference(rows, thetas):
+    """min_abs_eigenvalue read off brute-force rows: max(0, -depth) at 0."""
+    _, depth, theta = _deepest_reference(rows, thetas, 0.0)
+    return max(0.0, -depth), theta
+
+
 def test_min_abs_eigenvalue_finds_zero_crossing():
+    # sampled band ranges hold 0, so the distance is 0 exactly, reported at
+    # the nearer edge of the deepest band
     q = period((2, 2))
-    value, theta = min_abs_eigenvalue(q, zero_potential(q), GridSpec((8, 8)))
-    assert value == pytest.approx(0.0, abs=1e-12)
-    assert theta.theta == (0.0, 0.0)  # first node already has a zero level
+    grid = GridSpec((8, 8))
+    value, theta = min_abs_eigenvalue(q, zero_potential(q), grid)
+    rows = np.array(list(iter_band_rows(q, zero_potential(q), grid)))
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    assert (value, theta.theta) == _distance_reference(rows, grid_thetas(q.q, grid.m))
 
 
 def test_min_abs_eigenvalue_with_gap():
@@ -771,7 +816,6 @@ def test_half_grid_sweep_matches_full_grid_reference(kind):
         np.testing.assert_allclose(table.min_values, ref.min(axis=0), rtol=0, atol=1e-12)
         np.testing.assert_allclose(table.max_values, ref.max(axis=0), rtol=0, atol=1e-12)
         value, theta = min_abs_eigenvalue(q, V, grid)
-        assert abs(value - np.abs(ref).min()) <= 1e-12
         # every reported phase is the smallest row-major node whose swept
         # value equals the reported one bit for bit
         rows = np.array(list(iter_band_rows(q, V, grid)))
@@ -779,8 +823,17 @@ def test_half_grid_sweep_matches_full_grid_reference(kind):
             for want, got in ((table.min_values[k], table.argmin[k]), (table.max_values[k], table.argmax[k])):
                 first = int(np.flatnonzero(rows[:, k] == want)[0])
                 assert tuple(thetas[first]) == got.theta
-        first = int(np.flatnonzero(np.abs(rows).min(axis=1) == value)[0])
-        assert tuple(thetas[first]) == theta.theta
+        assert (value, theta.theta) == _distance_reference(rows, thetas)
+        # the distance to the sampled bands is 0 when a sampled range holds
+        # 0, and the smallest |E| otherwise
+        holds_zero = bool(np.any((rows.min(axis=0) <= 0.0) & (rows.max(axis=0) >= 0.0)))
+        if kind in ("dimer", "vq"):  # the spectrum avoids a window around 0
+            assert not holds_zero
+        if holds_zero:
+            assert value == 0.0
+        else:
+            assert value == np.abs(rows).min()
+            assert abs(value - np.abs(ref).min()) <= 1e-12
 
 
 @pytest.mark.parametrize("m", [(64, 64), (7, 9), (6, 5, 4)], ids=["64x64", "7x9", "6x5x4"])
@@ -892,12 +945,37 @@ def test_layout_and_sweeps_match_a_brute_force_decode(m, q_tuple, kind):
                 assert table.argmin[k].theta == tuple(thetas[np.flatnonzero(ref[:, k] == ref[:, k].min())[0]])
                 assert table.argmax[k].theta == tuple(thetas[np.flatnonzero(ref[:, k] == ref[:, k].max())[0]])
             value, theta = min_abs_eigenvalue(q, build(q), grid, workers=workers)
-            assert value == np.abs(ref).min()
-            assert theta.theta == tuple(thetas[np.flatnonzero(np.abs(ref).min(axis=1) == value)[0]])
+            assert (value, theta.theta) == _distance_reference(ref, thetas)
             held = np.empty((len(coords), q.Q))
             bandedges._sweep(q, build(q), grid, workers, (coords, held))
             assert held[owner].tobytes() == ref.tobytes()
         assert np.array(list(iter_band_rows(q, build(q), grid))).tobytes() == ref.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    cell=st.integers(2, 3).flatmap(lambda d: st.tuples(
+        st.tuples(*[st.sampled_from([2, 4])] * d), st.tuples(*[st.integers(2, 7)] * d))),
+    delta=st.floats(0.01, 0.25),
+    kind=st.sampled_from(["dimer", "vq"]),
+)
+def test_gap_margin_is_the_smallest_abs_level_of_every_grid_node(cell, delta, kind):
+    # (-delta, delta - delta^3/d) avoids the spectrum of both cells, so no
+    # sampled band range holds 0 and the distance read off the band extrema
+    # is the smallest |E| over every grid node, bit for bit
+    q_tuple, m = cell
+    q, grid = period(q_tuple), GridSpec(m)
+    build = (lambda: build_dimer(q, delta)) if kind == "dimer" else (lambda: build_vq(CounterexampleSpec(q, delta)))
+    nodes = np.arange(grid.n_nodes)
+    thetas = np.array(grid_thetas(q.q, m))
+    ref = eigenvalues_sorted_desc(q, build(), thetas[np.minimum(nodes, _brute_mirror(m))])
+    own = eigenvalues_sorted_desc(q, build(), thetas)  # each node at its own phase
+    for workers in (1, 2):
+        value, _ = min_abs_eigenvalue(q, build(), grid, workers=workers)
+        assert value == np.abs(ref).min()
+        assert abs(value - np.abs(own).min()) <= 1e-12
+        if kind == "vq":  # a fresh spec, whose potential is not yet swept
+            assert verify_gap_at_zero(CounterexampleSpec(q, delta), grid, workers=workers).margin == value
 
 
 @pytest.mark.parametrize("q_tuple,kind,m,node", [

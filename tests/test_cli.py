@@ -101,6 +101,11 @@ def test_cq_success_and_inconclusive(capsys):
     rc, out, _ = run(capsys, "cq", "--q", "2,3", "--grid", "4,4", "--json")
     assert rc == 3
     assert json.loads(out)["inconclusive"] is True
+    # only the chiral pair 8 is excluded: pairs 5-11 overlap by about 2,
+    # under 2 slack = 3.14 at 8^4, so they do not certify a threshold
+    rc, out, _ = run(capsys, "cq", "--q", "2,2,2,2", "--grid", "8,8,8,8", "--json")
+    assert rc == 3
+    assert json.loads(out)["excluded_pairs"] == [8]
 
 
 def test_degeneracy_report(capsys):
