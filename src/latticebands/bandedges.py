@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -288,16 +288,17 @@ def _iter_chunks(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, co
             yield floquet._fiber_eigenvalues(q, V, axes, c)
 
 
-def _sweep(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, rows: tuple | None = None):
+def _sweep(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, rows: tuple | None = None) -> BandTable:
     """One pass over the time-reversal representatives of the grid, reduced
-    to (band minima, their phases, band maxima, their phases); each phase
-    is that of the smallest row-major node attaining the value, found as a
-    position in the list of representatives.
+    to its BandTable; each phase is that of the smallest row-major node
+    attaining the value, found as a position in the list of representatives.
 
-    The result is kept on V per grid (Potential._sweeps), so a later sweep
-    of the same V and grid solves nothing.  rows, from the row pass, is
-    the layout's coordinates and an (R, Q) array that receives every
-    representative's row; it is always solved."""
+    The table is kept on V by sample counts (Potential._sweeps), so a later
+    sweep of the same V and m solves nothing; a grid that differs only in
+    its budget has the same nodes and values, and gets the kept table, which
+    names the first grid.  rows, from the row pass, is the layout's
+    coordinates and an (R, Q) array that receives every representative's
+    row; it is always solved."""
     floquet.check_periods(q, V)
     steps = grid.steps(q)  # validates dimension match
     check_workers(workers)
@@ -329,14 +330,9 @@ def _sweep(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, rows: tu
     max_vals.flags.writeable = False
     # theta_i = j_i h_i, the bits of the kernel's grid values
     phases = tuple(Phase(row) for row in coords[np.r_[min_pos, max_pos]] * steps)
-    V._sweeps[grid.m] = (min_vals, phases[:Q], max_vals, phases[Q:])
-    return V._sweeps[grid.m]
-
-
-def _sampled_table(q: PeriodVector, V: Potential, grid: GridSpec, workers: int) -> BandTable:
-    """The BandTable of _sweep's reductions, with the grid's slack."""
-    min_vals, argmin, max_vals, argmax = _sweep(q, V, grid, workers)
-    return BandTable(q, grid, min_vals, max_vals, argmin, argmax, certified_slack(q, grid))
+    table = BandTable(q, grid, min_vals, max_vals, phases[:Q], phases[Q:], certified_slack(q, grid))
+    V._sweeps[grid.m] = table
+    return table
 
 
 def sample_bands(q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1) -> BandTable:
@@ -352,8 +348,8 @@ def sample_bands(q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1
         function is even in theta: only the (N + F)/2 representatives
         j <= mirror(j) are solved (mirror(j)_i = -j_i mod m_i, F the
         number of self-mirrored nodes), and each value is attained at both
-        nodes of its pair.  A V already swept on this grid (by any sweep)
-        is not solved again.
+        nodes of its pair.  A V already swept on these sample counts (by
+        any sweep) is not solved again: the table kept on V is returned.
     workers : int
         Worker threads for the sweep.  The reduction orders ties by the
         position in the ascending list of representatives, that is by
@@ -366,7 +362,7 @@ def sample_bands(q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1
         smallest node attaining a value is a representative), and the
         Lipschitz slack for this grid.
     """
-    return _sampled_table(q, V, grid, workers)
+    return _sweep(q, V, grid, workers)
 
 
 def certified_edges(q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1) -> BandTable:
@@ -432,31 +428,23 @@ def certified_edges(q: PeriodVector, V: Potential, grid: GridSpec, workers: int 
         steps = [s * SHRINK for s in steps]
     phases = tuple(Phase(row) for row in th)
     best.flags.writeable = False
-    return BandTable(
-        q=q,
-        grid=grid,
-        min_values=best[:Q],
-        max_values=best[Q:],
-        argmin=phases[:Q],
-        argmax=phases[Q:],
-        slack=table.slack,
-        refined=True,
-    )
+    return replace(table, grid=grid, min_values=best[:Q], max_values=best[Q:],
+                   argmin=phases[:Q], argmax=phases[Q:], refined=True)
 
 
-def iter_band_rows(q: PeriodVector, V: Potential, grid: GridSpec) -> Iterator[np.ndarray]:
+def iter_band_rows(q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1) -> Iterator[np.ndarray]:
     """Yield each grid node's descending eigenvalues, a (Q,) row, in
     row-major node order; node j sits at theta_i = j_i h_i.
 
-    Taking the first row solves every time-reversal representative, in one
-    pass that also keeps the band reductions on V (see sample_bands), so an
-    eigensolver failure comes before any row.  Their rows are held in one
-    (R, Q) array, and node j gets the row at owner[j] (see _layout), that
-    of its representative min(j, mirror(j)), so the rows at j and
-    mirror(j) hold the same bits."""
+    Taking the first row solves every time-reversal representative, on
+    workers threads, in one pass that also keeps the sweep's BandTable on V
+    (see sample_bands), so an eigensolver failure comes before any row.
+    Their rows are held in one (R, Q) array, and node j gets the row at
+    owner[j] (see _layout), that of its representative min(j, mirror(j)),
+    so the rows at j and mirror(j) hold the same bits."""
     coords, owner = _layout(grid.m, owner=True)
     held = np.empty((len(coords), q.Q))
-    _sweep(q, V, grid, 1, (coords, held))
+    _sweep(q, V, grid, workers, (coords, held))
     block = _chunk_size(q.Q)
     for start in range(0, grid.n_nodes, block):
         yield from held[owner[start:start + block]]
@@ -563,5 +551,5 @@ def min_abs_eigenvalue(
     over the grid; otherwise it is 0, the true distance, since a band is
     connected.  Only the time-reversal representatives are solved, and
     none for a V already swept on this grid (see sample_bands)."""
-    _, depth, theta = _sampled_table(q, V, grid, workers).deepest(0.0)
+    _, depth, theta = _sweep(q, V, grid, workers).deepest(0.0)
     return max(0.0, -depth), theta

@@ -165,9 +165,9 @@ def cmd_bands(args) -> int:
     # Without --json no report needs the certified table: the CSV comes
     # from its own row pass and the summary line only needs the slack.
     # Taking the first row solves every representative, before --out is
-    # opened, and keeps the band reductions on V for certified_edges.
+    # opened, and keeps the sweep's BandTable on V for certified_edges.
     if args.out or not args.json:
-        rows = bandedges.iter_band_rows(q, V, grid)
+        rows = bandedges.iter_band_rows(q, V, grid, workers=args.workers)
         rows = itertools.chain([next(rows)], rows)
     if args.json:
         table = bandedges.certified_edges(q, V, grid, workers=args.workers)

@@ -18,7 +18,7 @@ import numpy as np
 from . import bandedges
 from .errors import DomainError
 from .floquet import Potential, potential
-from .lattice import PeriodVector, site_from_linear
+from .lattice import PeriodVector
 
 __all__ = [
     "DELTA_MAX_DEFAULT",
@@ -69,15 +69,10 @@ class CounterexampleSpec:
     @functools.cached_property
     def _vq(self) -> Potential:
         """The potential of build_vq, built once per spec, so every sweep of
-        it shares the reductions kept on the Potential."""
+        it shares the BandTable kept on the Potential."""
         q, delta = self.q, self.delta
-        values = np.empty(q.Q)
-        for a in range(q.Q):
-            n = site_from_linear(q, a).n
-            if all(c == 0 for c in n):
-                values[a] = (1.0 - delta**2 / q.d) * delta
-            else:
-                values[a] = delta * _parity(n)
+        values = _staggered(q, delta)
+        values[0] = (1.0 - delta**2 / q.d) * delta
         return potential(q, values)
 
 
@@ -112,8 +107,9 @@ class GapCheck:
         return self.margin - self.slack
 
 
-def _parity(n: tuple[int, ...]) -> int:
-    return -1 if sum(n) % 2 else 1
+def _staggered(q: PeriodVector, delta: float) -> np.ndarray:
+    """delta (-1)^{n_1 + ... + n_d} at every site n of the cell, row-major."""
+    return delta * (1.0 - 2.0 * (np.indices(q.q).sum(0) % 2)).ravel()
 
 
 def build_vq(spec: CounterexampleSpec) -> Potential:
@@ -135,8 +131,7 @@ def build_dimer(q: PeriodVector, delta: float) -> Potential:
         )
     if not delta > 0:
         raise DomainError(f"coupling must be positive, got {delta}")
-    values = np.array([delta * _parity(site_from_linear(q, a).n) for a in range(q.Q)])
-    return potential(q, values)
+    return potential(q, _staggered(q, delta))
 
 
 def neighbor_sum_check(V: Potential, delta: float) -> NeighborSumReport:

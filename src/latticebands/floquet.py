@@ -80,10 +80,9 @@ class Potential:
 
     @functools.cached_property
     def _sweeps(self) -> dict:
-        """Reductions of the grid sweeps of this potential, keyed by the grid's
-        sample counts m (see bandedges._sweep): the band minima and maxima
-        with their phases, O(Q) numbers per grid, so a later sweep of the
-        same grid solves nothing."""
+        """The BandTable of each grid sweep of this potential, keyed by the
+        grid's sample counts m (see bandedges._sweep): O(Q) numbers per
+        grid, so a later sweep of the same m solves nothing."""
         return {}
 
 

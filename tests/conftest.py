@@ -8,6 +8,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Every property runs the same examples on every run: no example database
+# and no random seed, and no deadline, since sweep times vary by host.
+settings.register_profile("latticebands", derandomize=True, database=None, deadline=None)
+settings.load_profile("latticebands")
 
 
 def ref_fiber(q, V, theta):

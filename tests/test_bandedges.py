@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from latticebands import bandedges, cli, floquet
 from latticebands import (
@@ -888,6 +888,12 @@ def test_one_potential_on_two_grids_matches_a_fresh_potential_per_grid():
                 assert (a.argmin, a.argmax) == (b.argmin, b.argmax)
             assert min_abs_eigenvalue(q, shared, grid) == min_abs_eigenvalue(q, random_potential(q, 0.4, seed=21), grid)
     assert sorted(shared._sweeps) == [(8, 8), (12, 9)]
+    # the kept table is the one every sweep returns, also to a grid that
+    # differs only in its budget; the refined table names the caller's grid
+    other = GridSpec((8, 8), budget=64)
+    kept = shared._sweeps[(8, 8)]
+    assert sample_bands(q, shared, other) is kept and kept.grid == grids[1]
+    assert certified_edges(q, shared, other).grid is other
 
 
 @pytest.mark.parametrize("q_tuple", [(3, 2), (2, 2)])
@@ -913,7 +919,7 @@ def test_band_rows_at_mirrored_nodes_are_bit_identical(m):
         assert rows[j].tobytes() == rows[mj].tobytes()
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     m=st.integers(2, 3).flatmap(lambda d: st.tuples(*[st.integers(2, 9)] * d)),
     q_tuple=st.lists(st.integers(1, 3), min_size=3, max_size=3),
@@ -952,7 +958,7 @@ def test_layout_and_sweeps_match_a_brute_force_decode(m, q_tuple, kind):
         assert np.array(list(iter_band_rows(q, build(q), grid))).tobytes() == ref.tobytes()
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     cell=st.integers(2, 3).flatmap(lambda d: st.tuples(
         st.tuples(*[st.sampled_from([2, 4])] * d), st.tuples(*[st.integers(2, 7)] * d))),
@@ -1011,3 +1017,27 @@ def test_grid_eigensolver_failure_names_the_failing_node(monkeypatch, q_tuple, k
             sample_bands(q, POTENTIALS[kind](q), grid, workers=workers)
     with pytest.raises(ComputationError, match=f"^{message}$"):
         next(iter_band_rows(q, POTENTIALS[kind](q), grid))
+
+
+@settings(max_examples=60)
+@given(
+    cell=st.sampled_from([
+        ((3, 3), (24, 24)), ((3, 4), (24, 24)), ((2, 5), (24, 24)), ((3, 5), (24, 24)), ((5, 5), (24, 24)),
+        ((2, 2), (24, 24)), ((2, 4), (24, 24)), ((4, 4), (24, 24)), ((2, 2, 2), (10, 10, 10)),
+    ]),
+    s=st.floats(0.0, 1.0, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_potentials_below_c_q_open_no_new_gap(cell, s, seed):
+    # the paper's theorem: with ||V|| < c_q every counted pair of bands keeps
+    # overlapping, so a cell with an odd period has one spectral interval and
+    # an all-even cell at most two (its chiral pair may open a gap at 0)
+    q_tuple, m = cell
+    q, grid = period(q_tuple), GridSpec(m)
+    est = estimate_cq(q, grid)
+    assume(not est.inconclusive)
+    spectrum = assemble_spectrum(certified_edges(q, random_potential(q, s * est.c_q, seed), grid))
+    if q.all_even:
+        assert len(spectrum.intervals) <= 2
+    else:
+        assert len(spectrum.intervals) == 1 and spectrum.certified

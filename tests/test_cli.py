@@ -11,7 +11,7 @@ import pytest
 
 import latticebands
 from latticebands import GridSpec, bandedges, cli, floquet, iter_band_rows, period, random_potential
-from latticebands.cli import _fmt_float, main
+from latticebands.cli import _fmt_float, canonical_json, main
 
 from conftest import grid_thetas
 
@@ -493,6 +493,50 @@ def test_bands_json_report_does_not_depend_on_out(tmp_path, capsys):
     rc_out, with_out, _ = run(capsys, *argv, "--out", str(tmp_path / "x.csv"))
     rc, without, _ = run(capsys, *argv)
     assert rc_out == rc == 0 and with_out == without
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--q", "2,3", "--grid", "16,14", "--potential", "random", "--delta", "0.2", "--seed", "7"),
+    ("witness", "--q", "3,3", "--grid", "16,16", "--energy", "0.7"),
+    ("cq", "--q", "2,4", "--grid", "16,16"),
+    ("counterexample", "--q", "2,2", "--grid", "16,16", "--delta", "0.15"),
+    ("bands", "--q", "2,4", "--grid", "12,10", "--potential", "vq", "--delta", "0.1"),
+], ids=lambda argv: argv[0])
+def test_reports_and_csv_do_not_depend_on_workers(tmp_path, capsys, argv):
+    # everything but the echoed worker count is the same bytes at 1, 2 and 3
+    # workers, the CSV of bands included
+    outputs = []
+    for workers in ("1", "2", "3"):
+        target = tmp_path / f"bands-{workers}.csv"
+        extra = ("--out", str(target)) if argv[0] == "bands" else ()
+        rc, out, err = run(capsys, *argv, "--workers", workers, "--json", *extra)
+        report = json.loads(out)
+        assert report.pop("workers") == int(workers)
+        csv = target.read_bytes() if extra else b""
+        outputs.append((rc, canonical_json(report), err, csv))
+    assert outputs[0][0] in (0, 3) and outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["csv", "json"])
+def test_bands_row_pass_runs_on_the_requested_workers(tmp_path, capsys, monkeypatch, json_flag):
+    argv = ("bands", "--q", "2,3", "--grid", "24,20", "--potential", "random", "--delta", "0.3", "--seed", "4")
+    iter_chunks = bandedges._iter_chunks
+    pools = []
+
+    def spy(q, V, grid, workers, coords):
+        pools.append(workers)
+        return iter_chunks(q, V, grid, workers, coords)
+
+    monkeypatch.setattr(bandedges, "_iter_chunks", spy)
+    written = []
+    for workers in (1, 2, 3):
+        pools.clear()
+        target = tmp_path / f"bands-{workers}.csv"
+        rc, _, _ = run(capsys, *argv, "--workers", str(workers), "--out", str(target), *json_flag)
+        # the row pass is the only sweep: certified_edges reuses its table
+        assert rc == 0 and pools == [workers]
+        written.append(target.read_bytes())
+    assert written[0] == written[1] == written[2]
 
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["csv", "json"])

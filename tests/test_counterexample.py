@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -50,7 +51,7 @@ def test_build_vq_gives_one_potential_per_spec_instance():
     spec = CounterexampleSpec(period((2, 2)), 0.1)
     assert build_vq(spec) is build_vq(spec)
     # an equal spec is another command's: it shares no potential, so no
-    # kept sweep reductions either
+    # kept sweep table either
     twin = CounterexampleSpec(period((2, 2)), 0.1)
     assert twin == spec and build_vq(twin) is not build_vq(spec)
 
@@ -62,6 +63,19 @@ def test_build_dimer_values():
         build_dimer(period((2, 3)), 0.2)
     with pytest.raises(DomainError):
         build_dimer(period((2, 2)), 0.0)
+
+
+@pytest.mark.parametrize("q_tuple", [(2, 4), (4, 2, 6), (2, 2, 2, 2)])
+@pytest.mark.parametrize("delta", [0.1, 0.2111111, 1])
+def test_staggered_values_match_a_per_site_loop(q_tuple, delta):
+    # site n (row-major) holds delta (-1)^{n_1 + ... + n_d}; build_vq lowers
+    # the origin to (1 - delta^2/d) delta; the same bits as a loop over sites
+    signs = [-1 if sum(n) % 2 else 1 for n in itertools.product(*map(range, q_tuple))]
+    q = period(q_tuple)
+    dimer = [delta * s for s in signs]
+    vq = [(1.0 - delta**2 / q.d) * delta] + dimer[1:]
+    assert build_dimer(q, delta).values.tolist() == dimer
+    assert build_vq(CounterexampleSpec(q, delta, force=True)).values.tolist() == vq
 
 
 def test_minimal_period_is_full_cell():
