@@ -3,9 +3,11 @@
 Band k (1-based, k = 1 the largest eigenvalue) traces the k-th fiber
 eigenvalue over the reduced phase torus.  Sampled extrema are attained
 values, so they bound each band from the inside; a Lipschitz argument turns
-the grid spacing into an outer enclosure radius (the slack).  Everything
-here is deterministic: reductions use a total order on (value, node index),
-so results do not depend on evaluation order or worker count.
+the grid spacing into an outer enclosure radius (the slack).  BandTable
+holds both ranges and the one rule by which every verdict reads them.
+Everything here is deterministic: reductions use a total order on
+(value, node index), so results do not depend on evaluation order or
+worker count.
 """
 from __future__ import annotations
 
@@ -33,11 +35,10 @@ __all__ = [
     "sample_bands",
     "certified_edges",
     "iter_band_rows",
-    "overlaps",
     "assemble_spectrum",
-    "overlap_after_potential",
     "estimate_cq",
     "min_abs_eigenvalue",
+    "gap_at_zero",
     "check_workers",
 ]
 
@@ -102,11 +103,16 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class BandTable:
-    """Sampled extrema of every band with their locations and enclosure slack.
+    """Sampled extrema of every band with their locations, and the enclosure.
 
-    Row k-1 holds band k.  True edges are certified to lie within
-    [min_values - slack, max_values + slack]; the sampled values themselves
-    are attained, hence inside the true band.
+    Row k-1 holds band k.  Each band has two ranges.  Its inner range,
+    [min_values + rounding, max_values - rounding], lies inside the true
+    band: sampled values are attained up to the rounding.  Its outer range,
+    [min_values - widening, max_values + widening] with widening = slack +
+    rounding, holds the true band.  Every verdict is a sampled reading
+    (a distance, depth, width or overlap between sampled ends) corrected by
+    headroom, which moves each end it compares to its inner or outer range;
+    this class is the one place that does arithmetic on slack and rounding.
     """
 
     q: PeriodVector
@@ -117,6 +123,7 @@ class BandTable:
     argmax: tuple[Phase, ...]
     slack: float
     refined: bool = False
+    rounding: float = 0.0
 
     @property
     def Q(self) -> int:
@@ -139,13 +146,38 @@ class BandTable:
     def theta_max(self, k: int) -> Phase:
         return self.argmax[self._check(k)]
 
+    @property
+    def widening(self) -> float:
+        """How far each outer range end lies outside its sampled end."""
+        return self.slack + self.rounding
+
+    @property
+    def merge_tol(self) -> float:
+        """Two sampled ends closer than this have outer ranges that meet."""
+        return 2.0 * self.widening
+
+    def headroom(self, reading: float, outer: int = 0, inner: int = 0) -> float:
+        """The enclosure rule: a sampled reading less the widening of each of
+        the `outer` outer range ends and the rounding of each of the `inner`
+        inner range ends it compares.  A positive result certifies the claim
+        the reading makes for the true bands."""
+        return reading - outer * self.widening - inner * self.rounding
+
+    @property
+    def overlaps(self) -> tuple[float, ...]:
+        """Sampled overlap of each adjacent pair: max of band k+1 minus min
+        of band k, k = 1..Q-1."""
+        return tuple(
+            float(self.max_values[k + 1] - self.min_values[k]) for k in range(self.Q - 1)
+        )
+
     def deepest(self, E: float) -> tuple[int, float, Phase]:
         """(k, depth, phase) of the band holding E deepest, the one rule for
         where E sits: band k has depth min(max_k - E, E - min_k), the first
         of largest depth wins, and the phase is that of its nearer edge (the
         maximum's when max_k - E <= E - min_k).  A positive depth puts E
-        strictly inside band k (sampled extrema are attained and a band is
-        connected); otherwise -depth is E's distance to the sampled bands."""
+        strictly inside band k's sampled range; otherwise -depth is E's
+        distance to the sampled bands."""
         up = self.max_values - E
         down = E - self.min_values
         k = int(np.argmax(np.minimum(up, down)))
@@ -450,22 +482,15 @@ def iter_band_rows(q: PeriodVector, V: Potential, grid: GridSpec, workers: int =
         yield from held[owner[start:start + block]]
 
 
-def overlaps(table: BandTable) -> tuple[float, ...]:
-    """Per-pair overlap: max of band k+1 minus min of band k, k = 1..Q-1."""
-    return tuple(
-        float(table.max_values[k + 1] - table.min_values[k]) for k in range(table.Q - 1)
-    )
-
-
 def assemble_spectrum(table: BandTable) -> SpectrumReport:
     """Merge band intervals into disjoint spectrum intervals plus gap list.
 
-    Intervals closer than the merge tolerance 2 * slack are merged, the
-    smallest sound choice: two sampled intervals that close could belong to
-    bands that truly meet.
+    Sampled intervals closer than the table's merge tolerance, where their
+    outer ranges meet, are merged: they could belong to bands that truly
+    meet.  A gap is certified when its width keeps positive headroom
+    after both outer ends.
     """
-    slack = table.slack
-    tol = 2.0 * slack
+    tol = table.merge_tol
     spans = sorted(
         (float(lo), float(hi)) for lo, hi in zip(table.min_values, table.max_values)
     )
@@ -479,33 +504,29 @@ def assemble_spectrum(table: BandTable) -> SpectrumReport:
     gaps = tuple(
         Interval(intervals[i].hi, intervals[i + 1].lo) for i in range(len(intervals) - 1)
     )
-    certified = all(g.width > 2.0 * slack for g in gaps)
     return SpectrumReport(
         q=table.q,
         intervals=intervals,
-        overlaps=overlaps(table),
+        overlaps=table.overlaps,
         gaps=gaps,
-        certified=certified,
-        slack=slack,
+        certified=all(table.headroom(g.width, outer=2) > 0.0 for g in gaps),
+        slack=table.slack,
         merge_tol=tol,
         grid=table.grid,
     )
-
-
-def overlap_after_potential(delta: float, v_norm: float) -> float:
-    """Guaranteed overlap after adding a potential of sup norm v_norm."""
-    if v_norm < 0:
-        raise DomainError(f"potential norm must be nonnegative, got {v_norm}")
-    return delta - 2.0 * v_norm
 
 
 def estimate_cq(q: PeriodVector, grid: GridSpec, workers: int = 1) -> CqEstimate:
     """Certified coupling threshold from the free band overlaps.
 
     Computes certified free band edges, takes the per-pair overlaps, and
-    returns (min overlap - 2 slack) / 2 clipped at zero.  A potential with
-    sup norm below the returned value shrinks every counted overlap by at
-    most twice its norm, so those pairs keep overlapping.
+    returns the headroom of the smallest counted overlap after two outer
+    range ends, halved and clipped at zero: (min overlap - 2 widening) / 2.
+    A potential with sup norm below the returned value shrinks every
+    counted overlap by at most twice its norm, so those pairs keep
+    overlapping.  This is the one verdict that is not a plain range
+    reading: the inner ranges alone already bound the true overlap from
+    below, so its slack term is spare.
 
     For all-even periods the middle pair Q/2 overlaps by exactly 0 (the
     bands touch there by symmetry); that pair alone is excluded and
@@ -513,8 +534,7 @@ def estimate_cq(q: PeriodVector, grid: GridSpec, workers: int = 1) -> CqEstimate
     certify a positive threshold the estimate is marked inconclusive.
     """
     table = certified_edges(q, zero_potential(q), grid, workers=workers)
-    deltas = overlaps(table)
-    slack = table.slack
+    deltas = table.overlaps
     touching = q.all_even  # pair Q/2 overlaps by exactly 0 (see CqEstimate)
     excluded = [table.Q // 2] if touching else []
     kept = [d for k, d in enumerate(deltas, start=1) if k not in excluded]
@@ -526,10 +546,10 @@ def estimate_cq(q: PeriodVector, grid: GridSpec, workers: int = 1) -> CqEstimate
             min_overlap=math.inf if not deltas else min(deltas),
             overlaps=deltas,
             excluded_pairs=tuple(excluded),
-            slack=slack,
+            slack=table.slack,
         )
     min_overlap = min(kept)
-    raw = (min_overlap - 2.0 * slack) / 2.0
+    raw = table.headroom(min_overlap, outer=2) / 2.0
     return CqEstimate(
         c_q=max(raw, 0.0),
         touching_at_zero=touching,
@@ -537,7 +557,7 @@ def estimate_cq(q: PeriodVector, grid: GridSpec, workers: int = 1) -> CqEstimate
         min_overlap=min_overlap,
         overlaps=deltas,
         excluded_pairs=tuple(excluded),
-        slack=slack,
+        slack=table.slack,
     )
 
 
@@ -553,3 +573,11 @@ def min_abs_eigenvalue(
     none for a V already swept on this grid (see sample_bands)."""
     _, depth, theta = _sweep(q, V, grid, workers).deepest(0.0)
     return max(0.0, -depth), theta
+
+
+def gap_at_zero(q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1) -> tuple[float, float]:
+    """The distance from 0 to the sampled bands (min_abs_eigenvalue, whose
+    sweep keeps its table on V) and its headroom after one outer range
+    end, a lower bound on the distance from 0 to the spectrum when positive."""
+    margin, _ = min_abs_eigenvalue(q, V, grid, workers=workers)
+    return margin, _sweep(q, V, grid, workers).headroom(margin, outer=1)

@@ -98,13 +98,9 @@ class GapCheck:
 
     delta: float
     margin: float
-    slack: float
+    certified_margin: float
     passes: bool
     inconclusive: bool
-
-    @property
-    def certified_margin(self) -> float:
-        return self.margin - self.slack
 
 
 def _staggered(q: PeriodVector, delta: float) -> np.ndarray:
@@ -173,27 +169,22 @@ def verify_gap_at_zero(
 ) -> GapCheck:
     """Measure the distance from zero to the sampled spectrum.
 
-    margin is min_abs_eigenvalue's distance from 0 to the sampled bands,
-    read off the band extrema: for this potential no band's sampled range
-    holds 0 (the spectrum avoids (-delta, delta - delta^3/d)), so it is the
-    smallest |eigenvalue| over the grid.  Subtracting the Lipschitz slack
-    lower-bounds the true distance.  The check passes when
-    the margin exceeds delta/2 and is inconclusive when the slack eats the
-    headroom (margin - slack <= delta/2), meaning the grid is too coarse to
-    certify the claim.
+    margin and certified_margin are bandedges.gap_at_zero's readings: the
+    distance from 0 to the sampled bands, which for this potential is the
+    smallest |eigenvalue| over the grid (the spectrum avoids
+    (-delta, delta - delta^3/d), so no band's sampled range holds 0), and
+    its headroom after the enclosure, which lower-bounds the true distance.
+    The check passes when the margin exceeds delta/2 and is inconclusive
+    when the certified margin does not (certified_margin <= delta/2),
+    meaning the grid is too coarse to certify the claim.
     """
-    q = spec.q
-    V = build_vq(spec)
-    margin, _ = bandedges.min_abs_eigenvalue(q, V, grid, workers=workers)
-    slack = bandedges.certified_slack(q, grid)
-    passes = margin > spec.delta / 2.0
-    inconclusive = margin - slack <= spec.delta / 2.0
+    margin, certified = bandedges.gap_at_zero(spec.q, build_vq(spec), grid, workers=workers)
     return GapCheck(
         delta=spec.delta,
         margin=margin,
-        slack=slack,
-        passes=passes,
-        inconclusive=inconclusive,
+        certified_margin=certified,
+        passes=margin > spec.delta / 2.0,
+        inconclusive=certified <= spec.delta / 2.0,
     )
 
 

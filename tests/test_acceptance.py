@@ -27,7 +27,6 @@ from latticebands import (
     interior_witness,
     minimal_period,
     neighbor_sum_check,
-    overlaps,
     period,
     phase,
     predict_moves,
@@ -96,7 +95,7 @@ def test_04_zero_energy_dichotomy():
     even = interior_witness(q, 0.0, GridSpec((64, 64)))
     assert even.touching_at_zero
     table = certified_edges(q, zero_potential(q), GridSpec((64, 64)))
-    middle = overlaps(table)[q.Q // 2 - 1]
+    middle = table.overlaps[q.Q // 2 - 1]
     assert abs(middle) <= 2 * table.slack
     print(
         "[acceptance 04] PASS mixed periods hold 0 interior "
@@ -185,12 +184,12 @@ def test_08_overlaps_shrink_at_most_weyl_plus_slack():
         est = estimate_cq(q, grid)
         amp = est.c_q / 2.0
         free_table = certified_edges(q, zero_potential(q), grid)
-        free_overlaps = overlaps(free_table)
+        free_overlaps = free_table.overlaps
         slack = 2.0 * math.pi / (q.q[0] * grid.m[0]) + 2.0 * math.pi / (q.q[1] * grid.m[1])
         for seed in range(20):
             V = random_potential(q, amp, seed=seed)
             table = certified_edges(q, V, grid)
-            for got, free in zip(overlaps(table), free_overlaps):
+            for got, free in zip(table.overlaps, free_overlaps):
                 bound = free - 2.0 * V.sup_norm - 2.0 * slack
                 worst = min(worst, got - bound)
                 assert got >= bound

@@ -28,8 +28,6 @@ from latticebands import (
     iter_band_rows,
     min_abs_eigenvalue,
     minimal_period,
-    overlap_after_potential,
-    overlaps,
     period,
     potential,
     random_potential,
@@ -450,7 +448,7 @@ def test_merge_tolerance_floor():
 def test_overlaps_definition():
     q = period((2, 3))
     table = certified_edges(q, zero_potential(q), GridSpec((64, 64)))
-    got = overlaps(table)
+    got = table.overlaps
     assert len(got) == q.Q - 1
     for k in range(1, q.Q):
         assert got[k - 1] == pytest.approx(
@@ -506,13 +504,6 @@ def test_estimate_cq_inconclusive_on_coarse_grid():
     est = estimate_cq(q, GridSpec((4, 4)))
     assert est.inconclusive
     assert est.c_q == 0.0
-
-
-def test_overlap_after_potential():
-    assert overlap_after_potential(0.5, 0.2) == pytest.approx(0.1)
-    assert overlap_after_potential(0.5, 0.0) == pytest.approx(0.5)
-    with pytest.raises(DomainError):
-        overlap_after_potential(0.5, -0.1)
 
 
 def _deepest_reference(rows, thetas, E):

@@ -19,6 +19,7 @@ from latticebands import (
     period,
     phase,
     potential,
+    sample_bands,
     verify_gap_at_zero,
 )
 
@@ -147,12 +148,16 @@ def test_dimer_oracle_validation():
 
 def test_gap_check_on_fine_grid():
     spec = CounterexampleSpec(period((2, 2)), 0.1)
-    check = verify_gap_at_zero(spec, GridSpec((256, 256)))
+    grid = GridSpec((256, 256))
+    check = verify_gap_at_zero(spec, grid)
+    # the table the gap check's sweep kept on the potential
+    table = sample_bands(spec.q, build_vq(spec), grid)
     assert check.margin == pytest.approx(0.0995, abs=1e-4)
-    assert check.slack == pytest.approx(math.pi / 128, abs=1e-12)
+    assert table.slack == pytest.approx(math.pi / 128, abs=1e-12)
     assert check.passes
     assert not check.inconclusive
-    assert check.certified_margin == pytest.approx(check.margin - check.slack, abs=0.0)
+    # one outer range end: the margin less the slack and the rounding
+    assert check.certified_margin == check.margin - (table.slack + table.rounding)
     assert check.certified_margin > spec.delta / 2.0
 
 
