@@ -22,18 +22,16 @@ from .errors import DomainError
 __all__ = [
     "PeriodVector",
     "FourierIndex",
-    "SiteIndex",
     "Phase",
     "period",
     "enumerate_lambda",
-    "site_from_linear",
     "phase",
 ]
 
 
 def is_integer(x) -> bool:
     """True for Python and numpy integers, False for bools and floats: the one
-    rule for every integer input (periods, offsets, sites, grid counts,
+    rule for every integer input (periods, offsets, grid counts,
     budgets, workers, seeds).  A plain int is answered before the (slower) ABC check."""
     return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
@@ -85,14 +83,6 @@ class FourierIndex:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "l", _integers(self.l, "frequency offsets"))
-
-
-@dataclass(frozen=True)
-class SiteIndex:
-    """A cell site, both as coordinates and as its row-major linear index."""
-
-    n: tuple[int, ...]
-    linear: int
 
 
 @dataclass(frozen=True)
@@ -182,21 +172,6 @@ def _offset(l: tuple[int, ...]) -> FourierIndex:
     index = object.__new__(FourierIndex)
     object.__setattr__(index, "l", l)
     return index
-
-
-def site_from_linear(q: PeriodVector, linear: int) -> SiteIndex:
-    """Decode a row-major linear index back to cell coordinates."""
-    if not is_integer(linear):
-        raise DomainError(f"linear index must be an integer, got {linear!r}")
-    k = int(linear)
-    if not 0 <= k < q.Q:
-        raise DomainError(f"linear index out of range: {k} not in [0, {q.Q})")
-    coords = []
-    rem = k
-    for qi in reversed(q.q):
-        coords.append(rem % qi)
-        rem //= qi
-    return SiteIndex(tuple(reversed(coords)), k)
 
 
 def phase(q: PeriodVector, values: Sequence[float]) -> Phase:

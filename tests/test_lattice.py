@@ -11,7 +11,6 @@ from latticebands.lattice import (
     check_phases,
     enumerate_lambda,
     is_integer,
-    site_from_linear,
 )
 
 
@@ -56,22 +55,6 @@ def test_enumerate_lambda_equals_checked_offsets(q_tuple):
     assert len({hash(m) for m in got}) == q.Q
 
 
-def test_site_roundtrip_exhaustive():
-    q = period((2, 3, 2))
-    for a in range(q.Q):
-        s = site_from_linear(q, a)
-        assert s.linear == a
-        assert s.n == tuple(int(x) for x in np.unravel_index(a, q.q))
-
-
-def test_site_bounds_checked():
-    q = period((2, 3))
-    with pytest.raises(DomainError):
-        site_from_linear(q, 6)
-    with pytest.raises(DomainError):
-        site_from_linear(q, -1)
-
-
 def test_phase_wraps_onto_reduced_torus(rng):
     q = period((2, 3))
     for _ in range(500):
@@ -109,12 +92,9 @@ def test_fourier_index_accepts_integral_values():
     (lambda: period((True, 2)), "periods must be integers"),
     (lambda: period((2.0, 3)), "periods must be integers"),
     (lambda: FourierIndex((False, 1)), "frequency offsets must be integers"),
-    (lambda: site_from_linear(period((2, 3)), 1.0), "linear index must be an integer"),
-    (lambda: site_from_linear(period((2, 3)), True), "linear index must be an integer"),
-    (lambda: site_from_linear(period((2, 3)), 2.7), "linear index must be an integer"),
-], ids=["period-bool", "period-float", "offset-bool", "site-float", "site-bool", "linear-float"])
+], ids=["period-bool", "period-float", "offset-bool"])
 def test_bools_and_integral_floats_are_not_integers(make, message):
-    # each was read as an integer: periods (True, 2) as (1, 2), linear index 2.7 as 2
+    # each was read as an integer: periods (True, 2) as (1, 2)
     with pytest.raises(DomainError, match=message):
         make()
 
