@@ -3,11 +3,9 @@
 Band k (1-based, k = 1 the largest eigenvalue) traces the k-th fiber
 eigenvalue over the reduced phase torus.  Sampled extrema are attained
 values, so they bound each band from the inside; a Lipschitz argument turns
-the grid spacing into an outer enclosure radius (the slack).  BandTable
-holds both ranges and the one rule by which every verdict reads them.
-Everything here is deterministic: reductions use a total order on
-(value, node index), so results do not depend on evaluation order or
-worker count.
+the grid spacing into an outer enclosure radius (the slack); BandTable
+holds both ranges.  Reductions use a total order on (value, node index),
+so results do not depend on evaluation order or worker count.
 """
 from __future__ import annotations
 
@@ -63,19 +61,10 @@ SHRINK = 0.5
 # the slack from this bound covers the whole torus.
 LIPSCHITZ = 4.0 * math.pi
 
-# Rounding.  Every fiber is Hermitian (real symmetric on an
-# inversion-symmetric cell) with ||H|| <= 2d + ||V||_inf, since the bonds
-# of each direction, exp(2 pi i theta_i) S_i + h.c., have norm at most 2.
-# LAPACK's symmetric eigensolvers are backward stable: each computed
-# eigenvalue lies within p(n) eps ||H|| of a true eigenvalue of the matrix
-# they are given (LAPACK Users' Guide, 3rd ed., section 4.7.1), p(n) a
-# modestly growing function of the order n, taken here as Q.  That matrix
-# differs from the exact fiber by the rounding of its phases (at most eps
-# per coordinate, so by LIPSCHITZ at most 4 pi d eps in each eigenvalue)
-# and of its entries, together below 8 eps (2d + ||V||_inf).  So
-# rounding_bound is (Q + 8) eps (2d + ||V||_inf), with eps = 2^-52, twice
-# the unit roundoff.  On free cells (closed-form levels) the largest error
-# seen over grids, refined extrema and random phases was a third of it.
+# Rounding: a computed eigenvalue lies within p(n) eps ||H|| of a true one
+# (LAPACK Users' Guide, section 4.7.1), ||H|| <= 2d + ||V||_inf, and the
+# rounding of phases and entries adds below 8 eps ||H||.  With p(Q) = Q,
+# rounding_bound is (Q + 8) eps (2d + ||V||_inf); see README.md.
 EPS = 2.0**-52
 
 
@@ -121,14 +110,11 @@ class GridSpec:
 class BandTable:
     """Sampled extrema of every band with their locations, and the enclosure.
 
-    Row k-1 holds band k.  Each band has two ranges.  Its inner range,
-    [min_values + rounding, max_values - rounding], lies inside the true
-    band: sampled values are attained up to the rounding.  Its outer range,
-    [min_values - widening, max_values + widening] with widening = slack +
-    rounding, holds the true band.  Every verdict is a sampled reading
-    (a distance, depth, width or overlap between sampled ends) corrected by
-    headroom, which moves each end it compares to its inner or outer range;
-    this class is the one place that does arithmetic on slack and rounding.
+    Row k-1 holds band k.  The inner range [min + rounding, max - rounding]
+    lies inside the true band (sampled values are attained up to rounding);
+    the outer range [min - widening, max + widening] holds it.  Every
+    verdict is a sampled reading corrected by headroom, the one place that
+    does arithmetic on slack and rounding.
     """
 
     q: PeriodVector
@@ -138,8 +124,8 @@ class BandTable:
     argmin: tuple[Phase, ...]
     argmax: tuple[Phase, ...]
     slack: float
+    rounding: float
     refined: bool = False
-    rounding: float = 0.0
 
     @property
     def Q(self) -> int:
@@ -174,9 +160,8 @@ class BandTable:
 
     def headroom(self, reading: float, outer: int = 0, inner: int = 0) -> float:
         """The enclosure rule: a sampled reading less the widening of each of
-        the `outer` outer range ends and the rounding of each of the `inner`
-        inner range ends it compares.  A positive result certifies the claim
-        the reading makes for the true bands."""
+        its `outer` outer range ends and the rounding of each of its `inner`
+        inner range ends.  A positive result certifies it for the true bands."""
         return reading - outer * self.widening - inner * self.rounding
 
     @property
@@ -384,8 +369,8 @@ def _sweep(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, rows: tu
     max_vals.flags.writeable = False
     # theta_i = j_i h_i, the bits of the kernel's grid values
     phases = tuple(Phase(row) for row in coords[np.r_[min_pos, max_pos]] * steps)
-    table = BandTable(q, grid, min_vals, max_vals, phases[:Q], phases[Q:], certified_slack(q, grid),
-                      rounding=rounding_bound(q, V))
+    table = BandTable(q, grid, min_vals, max_vals, phases[:Q], phases[Q:],
+                      certified_slack(q, grid), rounding_bound(q, V))
     V._sweeps[grid.m] = table
     return table
 
@@ -544,12 +529,10 @@ def estimate_cq(q: PeriodVector, grid: GridSpec, workers: int = 1) -> CqEstimate
 
     Computes certified free band edges, takes the per-pair overlaps, and
     returns the headroom of the smallest counted overlap after two outer
-    range ends, halved and clipped at zero: (min overlap - 2 widening) / 2.
-    A potential with sup norm below the returned value shrinks every
-    counted overlap by at most twice its norm, so those pairs keep
-    overlapping.  This is the one verdict that is not a plain range
-    reading: the inner ranges alone already bound the true overlap from
-    below, so its slack term is spare.
+    range ends, halved and clipped at zero.  A potential with sup norm
+    below the returned value shrinks every counted overlap by at most twice
+    its norm, so those pairs keep overlapping.  (Two inner ranges would
+    already bound the overlap; the slack it subtracts is spare.)
 
     For all-even periods the middle pair Q/2 overlaps by exactly 0 (the
     bands touch there by symmetry); that pair alone is excluded and
@@ -561,22 +544,17 @@ def estimate_cq(q: PeriodVector, grid: GridSpec, workers: int = 1) -> CqEstimate
     touching = q.all_even  # pair Q/2 overlaps by exactly 0 (see CqEstimate)
     excluded = [table.Q // 2] if touching else []
     kept = [d for k, d in enumerate(deltas, start=1) if k not in excluded]
-    if not kept:
-        return CqEstimate(
-            c_q=math.inf if not deltas else 0.0,
-            touching_at_zero=touching,
-            inconclusive=bool(deltas),
-            min_overlap=math.inf if not deltas else min(deltas),
-            overlaps=deltas,
-            excluded_pairs=tuple(excluded),
-            slack=table.slack,
-        )
-    min_overlap = min(kept)
-    raw = table.headroom(min_overlap, outer=2) / 2.0
+    if kept:
+        min_overlap = min(kept)
+        raw = table.headroom(min_overlap, outer=2) / 2.0
+        c_q, inconclusive = max(raw, 0.0), raw <= 0.0
+    else:  # no pair counts: Q = 1, or the chiral pair of Q = 2
+        min_overlap = min(deltas, default=math.inf)
+        c_q, inconclusive = (0.0 if deltas else math.inf), bool(deltas)
     return CqEstimate(
-        c_q=max(raw, 0.0),
+        c_q=c_q,
         touching_at_zero=touching,
-        inconclusive=raw <= 0.0,
+        inconclusive=inconclusive,
         min_overlap=min_overlap,
         overlaps=deltas,
         excluded_pairs=tuple(excluded),

@@ -170,13 +170,11 @@ def verify_gap_at_zero(
     """Measure the distance from zero to the sampled spectrum.
 
     margin and certified_margin are bandedges.gap_at_zero's readings: the
-    distance from 0 to the sampled bands, which for this potential is the
-    smallest |eigenvalue| over the grid (the spectrum avoids
-    (-delta, delta - delta^3/d), so no band's sampled range holds 0), and
-    its headroom after the enclosure, which lower-bounds the true distance.
+    distance from 0 to the sampled bands (for this potential the smallest
+    |eigenvalue| over the grid, as the spectrum avoids
+    (-delta, delta - delta^3/d)) and its lower bound on the true distance.
     The check passes when the margin exceeds delta/2 and is inconclusive
-    when the certified margin does not (certified_margin <= delta/2),
-    meaning the grid is too coarse to certify the claim.
+    when the certified margin does not, so the grid is too coarse.
     """
     margin, certified = bandedges.gap_at_zero(spec.q, build_vq(spec), grid, workers=workers)
     return GapCheck(

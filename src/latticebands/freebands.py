@@ -42,13 +42,13 @@ _UNIT_TOL = 1e-9
 class WitnessResult:
     """Certificate that an energy lies strictly inside band `band_index`.
 
-    margin is E's depth in the band's inner range, min(band max - E,
-    E - band min) over the sampled table less the rounding bound (see
-    BandTable.headroom); a positive margin certifies strict interiority
-    because sampled extrema are attained band values up to that rounding.
-    theta_witness is the phase attaining the edge that realizes the margin.  touching_at_zero marks the all-even-period
-    outcome at E = 0, where the middle bands meet in a single point and no
-    interior witness exists.
+    margin is E's depth in the band's inner range: min(band max - E,
+    E - band min) over the sampled table less the rounding.  A positive
+    margin certifies strict interiority because sampled extrema are
+    attained band values up to that rounding.  theta_witness is the phase
+    attaining the edge that realizes the margin.  touching_at_zero marks
+    the all-even-period outcome at E = 0, where the middle bands meet in a
+    single point and no interior witness exists.
     """
 
     band_index: int

@@ -1097,7 +1097,7 @@ def test_every_verdict_reads_the_enclosure_like_the_old_formulas(q_tuple, data, 
     table = bandedges.BandTable(
         q, grid, np.array(lo), np.array(hi),
         tuple(Phase((k, 0.0)) for k in range(q.Q)), tuple(Phase((k, 1.0)) for k in range(q.Q)),
-        slack, refined=True, rounding=rho)
+        slack, rho, refined=True)
 
     report = assemble_spectrum(table)
     merged, gaps, tol, certified = _ref_spectrum(lo, hi, slack, rho)
