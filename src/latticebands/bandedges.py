@@ -113,8 +113,8 @@ class BandTable:
     Row k-1 holds band k.  The inner range [min + rounding, max - rounding]
     lies inside the true band (sampled values are attained up to rounding);
     the outer range [min - widening, max + widening] holds it.  Every
-    verdict is a sampled reading corrected by headroom, the one place that
-    does arithmetic on slack and rounding.
+    verdict is a sampled reading corrected by headroom; this class is the
+    one place that does arithmetic on slack and rounding.
     """
 
     q: PeriodVector
