@@ -335,7 +335,7 @@ def cmd_degeneracy(args) -> int:
         "level": group.level,
         "r": group.r,
         "position_offset": group.position_offset,
-        "members": [list(m.l) for m in group.members],
+        "members": [list(m) for m in group.members],
     }
     report["classification"] = {
         "j_zero": cls.j_zero,
@@ -348,7 +348,7 @@ def cmd_degeneracy(args) -> int:
     report["counted"] = {
         "n_up": counted.n_up,
         "n_down": counted.n_down,
-        "ambiguous": [list(m.l) for m in counted.ambiguous],
+        "ambiguous": [list(m) for m in counted.ambiguous],
     }
     _emit(
         args,

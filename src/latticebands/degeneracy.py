@@ -19,14 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ComputationError, DegenerateBeyondSecondOrder, DomainError
-from .freebands import free_gradient, free_level, second_order_coeff, unit_direction
+from .freebands import _angles, _curvatures, _gradients, _levels, unit_direction
 from .lattice import (
-    FourierIndex,
-    PeriodVector,
-    Phase,
-    check_index,
-    check_phase,
-    enumerate_lambda,
+    PeriodVector, Phase, check_index, check_phase, enumerate_lambda, is_integer, is_real,
 )
 
 __all__ = [
@@ -63,7 +58,7 @@ class DegeneracyGroup:
 
     theta: Phase
     level: float
-    members: tuple[FourierIndex, ...]
+    members: tuple[tuple[int, ...], ...]
     position_offset: int
 
     @property
@@ -75,22 +70,21 @@ class DegeneracyGroup:
 class DirectionClassification:
     """Group members split by first-order behavior along a unit direction.
 
-    j_zero counts members with vanishing gradient, j_plus those moving up to
-    first order, j_minus those moving down, and j_orth those with a nonzero
-    gradient orthogonal to the direction.  labels holds the per-member tag
-    aligned with the group's member order.
+    labels holds the per-member tag, aligned with the group's member order:
+    "zero" for a vanishing gradient, "plus" for a member moving up to first
+    order, "minus" for one moving down, and "orth" for a nonzero gradient
+    orthogonal to the direction.  j_zero, j_plus, j_orth and j_minus count
+    them.
     """
 
     beta: tuple[float, ...]
-    j_zero: int
-    j_plus: int
-    j_orth: int
-    j_minus: int
     labels: tuple[str, ...]
 
-    @property
-    def total(self) -> int:
-        return self.j_zero + self.j_plus + self.j_orth + self.j_minus
+    j_zero = property(lambda self: self.labels.count("zero"))
+    j_plus = property(lambda self: self.labels.count("plus"))
+    j_orth = property(lambda self: self.labels.count("orth"))
+    j_minus = property(lambda self: self.labels.count("minus"))
+    total = property(lambda self: len(self.labels))
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,7 @@ class MoveCounts:
 
     n_up: int
     n_down: int
-    ambiguous: tuple[FourierIndex, ...]
+    ambiguous: tuple[tuple[int, ...], ...]
 
     @property
     def conclusive(self) -> bool:
@@ -147,7 +141,7 @@ def _power_residues(n: int) -> np.ndarray:
 
 
 def _exact_split(
-    q: PeriodVector, th: tuple[float, ...], offsets: tuple[FourierIndex, ...], t: int
+    q: PeriodVector, th: tuple[float, ...], offsets: tuple[tuple[int, ...], ...], t: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Double levels at the rational phase th snaps to and which of them equal
     level t exactly, or None if th does not snap or N > MAX_CYCLOTOMIC_ORDER.
@@ -167,19 +161,19 @@ def _exact_split(
     if n > MAX_CYCLOTOMIC_ORDER:
         return None
     base = np.array([f.numerator * (n // f.denominator) % n for f in fracs])
-    k = (base + np.array([m.l for m in offsets]) * np.array([n // qi for qi in q.q])) % n
+    k = (base + np.array(offsets) * np.array([n // qi for qi in q.q])) % n
     coords = _power_residues(n)[np.concatenate([k, -k % n], axis=1)].sum(axis=1)
     equal = (coords == coords[t]).all(axis=1)
     # A term 2 cos(2 pi k / N) errs by under 2^-47 (a few ulp in the angle and
     # the cosine), a sum of d terms by under d^2 2^-46 (with d - 1 roundings
     # of partial sums below 2d), so a difference errs by under d^2 2^-44.
-    levels = (2.0 * np.cos(2.0 * np.pi * k / n)).sum(axis=1)
+    levels = _levels(2.0 * np.pi * k / n)
     bound = q.d**2 * 2.0**-44
     close = ~equal & (np.abs(levels - levels[t]) <= bound)
     if close.any():
         other = offsets[int(np.argmax(close))]
         raise ComputationError(
-            f"levels of offsets {offsets[t].l} and {other.l} differ but their doubles "
+            f"levels of offsets {offsets[t]} and {other} differ but their doubles "
             f"are within the rounding bound {bound:.1e} at phase {th}"
         )
     if not coords[t].any():  # the target level is exactly 0
@@ -190,7 +184,7 @@ def _exact_split(
 def coincident_group(
     q: PeriodVector,
     theta: Phase | Sequence[float],
-    target_l: FourierIndex | Sequence[int],
+    target_l: Sequence[int],
 ) -> DegeneracyGroup:
     """All frequency offsets whose level matches the target's at this phase.
 
@@ -202,12 +196,12 @@ def coincident_group(
     row-major order and always include the target.
     """
     th = check_phase(q, theta)
-    target = FourierIndex(check_index(q, target_l))
+    target = check_index(q, target_l)
     offsets = enumerate_lambda(q)
     t = offsets.index(target)
     split = _exact_split(q, th, offsets, t)
     if split is None:
-        levels = np.array([free_level(q, th, m) for m in offsets])
+        levels = _levels(_angles(q, th, offsets))
         equal = np.abs(levels - levels[t]) <= GROUP_TOL
         above = levels - levels[t] > GROUP_TOL
     else:
@@ -228,27 +222,14 @@ def classify(
     Every member lands in exactly one bucket, so the counts always sum to r.
     """
     b = unit_direction(beta, q.d)
-    labels = []
-    for member in g.members:
-        grad = free_gradient(q, g.theta, member)
-        if float(np.linalg.norm(grad)) <= ZERO_TOL:
-            labels.append("zero")
-            continue
-        slope = float(b @ grad)
-        if slope > ZERO_TOL:
-            labels.append("plus")
-        elif slope < -ZERO_TOL:
-            labels.append("minus")
-        else:
-            labels.append("orth")
-    return DirectionClassification(
-        beta=tuple(float(x) for x in b),
-        j_zero=labels.count("zero"),
-        j_plus=labels.count("plus"),
-        j_orth=labels.count("orth"),
-        j_minus=labels.count("minus"),
-        labels=tuple(labels),
+    grads = _gradients(_angles(q, g.theta, g.members))
+    slopes = grads @ b
+    zero = np.linalg.norm(grads, axis=1) <= ZERO_TOL
+    labels = tuple(
+        "zero" if z else "plus" if s > ZERO_TOL else "minus" if s < -ZERO_TOL else "orth"
+        for z, s in zip(zero.tolist(), slopes.tolist())
     )
+    return DirectionClassification(beta=tuple(b.tolist()), labels=labels)
 
 
 def count_moves(
@@ -262,24 +243,19 @@ def count_moves(
     A member within |t|^3 of the old level is ambiguous at this step size
     (the cubic remainder could account for its offset); shrink t to resolve.
     """
+    if not is_real(t):
+        raise DomainError(f"step must be a real number, got {t!r}")
     t = float(t)
     if not 0.0 < abs(t) <= MAX_STEP:
         raise DomainError(f"step must satisfy 0 < |t| <= {MAX_STEP}, got {t}")
     b = unit_direction(beta, q.d)
-    shifted = tuple(x + t * bi for x, bi in zip(check_phase(q, g.theta), b))
+    shifted = np.array(check_phase(q, g.theta)) + t * b
+    values = _levels(_angles(q, shifted, g.members))
     guard = abs(t) ** 3
-    n_up = 0
-    n_down = 0
-    ambiguous = []
-    for member in g.members:
-        value = free_level(q, shifted, member)
-        if value > g.level + guard:
-            n_up += 1
-        elif value < g.level - guard:
-            n_down += 1
-        else:
-            ambiguous.append(member)
-    return MoveCounts(n_up, n_down, tuple(ambiguous))
+    up = values > g.level + guard
+    down = values < g.level - guard
+    ambiguous = tuple(m for m, a in zip(g.members, ~(up | down)) if a)
+    return MoveCounts(int(up.sum()), int(down.sum()), ambiguous)
 
 
 def predict_moves(
@@ -301,29 +277,21 @@ def predict_moves(
         If a member with vanishing first-order term also has (numerically)
         vanishing curvature along beta.
     """
-    if sign_of_t not in (1, -1):
+    if not is_integer(sign_of_t) or sign_of_t not in (1, -1):
         raise DomainError(f"sign_of_t must be +1 or -1, got {sign_of_t!r}")
     b = unit_direction(beta, q.d)
     cls = classification if classification is not None else classify(q, g, b)
     if len(cls.labels) != g.r:
         raise DomainError("classification does not match the group")
-    n_up = 0
-    n_down = 0
-    for member, label in zip(g.members, cls.labels):
-        if label in ("plus", "minus"):
-            slope = 1.0 if label == "plus" else -1.0
-            if sign_of_t * slope > 0:
-                n_up += 1
-            else:
-                n_down += 1
-            continue
-        curv = second_order_coeff(q, g.theta, member, b)
-        if abs(curv) <= ZERO_TOL:
-            raise DegenerateBeyondSecondOrder(
-                f"member {member.l} vanishes to second order along {tuple(b)}"
-            )
-        if curv > 0:
-            n_up += 1
-        else:
-            n_down += 1
-    return n_up, n_down
+    labels = np.array(cls.labels)
+    first = (labels == "plus") | (labels == "minus")
+    curv = _curvatures(_angles(q, g.theta, g.members), b)
+    flat = ~first & (np.abs(curv) <= ZERO_TOL)
+    if flat.any():
+        raise DegenerateBeyondSecondOrder(
+            f"member {g.members[int(np.argmax(flat))]} vanishes to second order "
+            f"along {tuple(b.tolist())}"
+        )
+    up = np.where(first, (labels == "plus") == (sign_of_t > 0), curv > 0)
+    n_up = int(up.sum())
+    return n_up, g.r - n_up

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,6 +23,7 @@ from .lattice import (
     check_phases,
     enumerate_lambda,
     is_integer,
+    is_real,
     period,
 )
 
@@ -59,7 +59,7 @@ class Potential:
         p = period(minimal_period(self))
         values = self.values.reshape(self.q.q)[tuple(slice(pi) for pi in p.q)]
         folds = enumerate_lambda(period(qi // pi for qi, pi in zip(self.q.q, p.q)))
-        shifts = np.array([l.l for l in folds]) / np.array(self.q.q)
+        shifts = np.array(folds) / np.array(self.q.q)
         return p, self if p == self.q else potential(p, values), shifts
 
     @functools.cached_property
@@ -86,17 +86,11 @@ class Potential:
         return {}
 
 
-def _is_real(x) -> bool:
-    """True for Python and numpy reals, False for bools: the one rule for
-    every real input (potential values, amplitudes)."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
 def potential(q: PeriodVector, values: Sequence[float]) -> Potential:
     """Validate and freeze a potential given as Q reals in row-major order,
     a sequence or array of real numbers (no bools)."""
     items = values.ravel().tolist() if isinstance(values, np.ndarray) else values
-    bad = [v for v in items if not _is_real(v)]
+    bad = [v for v in items if not is_real(v)]
     if bad:
         raise DomainError(f'potential "values" must be numbers, got {bad[0]!r}')
     arr = np.asarray(values, dtype=float).reshape(-1).copy()
@@ -118,7 +112,7 @@ def random_potential(q: PeriodVector, amplitude: float, seed: int) -> Potential:
     """Uniform random potential rescaled to sup norm exactly `amplitude`.
 
     The seed must be a nonnegative integer."""
-    if not (_is_real(amplitude) and math.isfinite(amplitude) and amplitude >= 0):
+    if not (is_real(amplitude) and math.isfinite(amplitude) and amplitude >= 0):
         raise DomainError(f"amplitude must be finite and nonnegative, got {amplitude!r}")
     if not is_integer(seed) or seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")

@@ -19,13 +19,7 @@ import numpy as np
 from . import bandedges
 from .errors import DomainError
 from .floquet import zero_potential
-from .lattice import (
-    FourierIndex,
-    PeriodVector,
-    Phase,
-    check_index,
-    check_phase,
-)
+from .lattice import PeriodVector, Phase, check_index, check_phase
 
 __all__ = [
     "WitnessResult",
@@ -57,20 +51,39 @@ class WitnessResult:
     touching_at_zero: bool = False
 
 
-def _full_angles(q: PeriodVector, theta, l) -> list[float]:
+def _angles(q: PeriodVector, theta: Phase | Sequence[float], offsets: Sequence) -> np.ndarray:
+    """The (r, d) full-circle angles 2 pi (theta_i + l_i / q_i) of r
+    frequency offsets at one phase: theta is checked once, each offset by
+    check_index.  _levels, _gradients and _curvatures give one result per row."""
     th = check_phase(q, theta)
-    lv = check_index(q, l)
-    return [th[i] + lv[i] / q.q[i] for i in range(q.d)]
+    l = np.array([check_index(q, m) for m in offsets]).reshape(-1, q.d)
+    return 2.0 * math.pi * (np.array(th) + l / np.array(q.q))
 
 
-def free_level(q: PeriodVector, theta: Phase | Sequence[float], l: FourierIndex | Sequence[int]) -> float:
+def _levels(angles: np.ndarray) -> np.ndarray:
+    """Free level of each row, sum_i 2 cos(angle_i), summed left to right."""
+    return sum((2.0 * np.cos(angles)).T)
+
+
+def _gradients(angles: np.ndarray) -> np.ndarray:
+    """Gradient of each row's level: component i is -4 pi sin(angle_i)."""
+    return -4.0 * math.pi * np.sin(angles)
+
+
+def _curvatures(angles: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Curvature of each row's level along the unit direction b:
+    -4 pi^2 sum_i 2 cos(angle_i) b_i^2, summed left to right."""
+    return -4.0 * math.pi**2 * sum((2.0 * np.cos(angles) * b**2).T)
+
+
+def free_level(q: PeriodVector, theta: Phase | Sequence[float], l: Sequence[int]) -> float:
     """Closed-form free level; 1-periodic in each full-circle coordinate."""
-    return sum(2.0 * math.cos(2.0 * math.pi * x) for x in _full_angles(q, theta, l))
+    return float(_levels(_angles(q, theta, (l,)))[0])
 
 
-def free_gradient(q: PeriodVector, theta: Phase | Sequence[float], l: FourierIndex | Sequence[int]) -> np.ndarray:
+def free_gradient(q: PeriodVector, theta: Phase | Sequence[float], l: Sequence[int]) -> np.ndarray:
     """Gradient of the free level: component i is -4 pi sin(2 pi x_i)."""
-    return np.array([-4.0 * math.pi * math.sin(2.0 * math.pi * x) for x in _full_angles(q, theta, l)])
+    return _gradients(_angles(q, theta, (l,)))[0]
 
 
 def _direction(beta: Sequence[float], d: int) -> tuple[np.ndarray, float]:
@@ -109,7 +122,7 @@ def normalize_direction(beta: Sequence[float], d: int) -> np.ndarray:
 def second_order_coeff(
     q: PeriodVector,
     theta: Phase | Sequence[float],
-    l: FourierIndex | Sequence[int],
+    l: Sequence[int],
     beta: Sequence[float],
 ) -> float:
     """Directional curvature of the free level along a unit direction beta.
@@ -118,10 +131,7 @@ def second_order_coeff(
     -4 pi^2 sum_i 2 cos(2 pi x_i) beta_i^2.
     """
     b = unit_direction(beta, q.d)
-    xs = _full_angles(q, theta, l)
-    return float(
-        -4.0 * math.pi**2 * sum(2.0 * math.cos(2.0 * math.pi * x) * bi**2 for x, bi in zip(xs, b))
-    )
+    return float(_curvatures(_angles(q, theta, (l,)), b)[0])
 
 
 def interior_witness(

@@ -21,7 +21,6 @@ from .errors import DomainError
 
 __all__ = [
     "PeriodVector",
-    "FourierIndex",
     "Phase",
     "period",
     "enumerate_lambda",
@@ -34,6 +33,12 @@ def is_integer(x) -> bool:
     rule for every integer input (periods, offsets, grid counts,
     budgets, workers, seeds).  A plain int is answered before the (slower) ABC check."""
     return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
+
+
+def is_real(x) -> bool:
+    """True for Python and numpy reals, False for bools and strings: the one
+    rule for every real input (potential values, amplitudes, steps)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _integers(values, what: str) -> tuple[int, ...]:
@@ -73,16 +78,6 @@ class PeriodVector:
     @property
     def all_even(self) -> bool:
         return all(qi % 2 == 0 for qi in self.q)
-
-
-@dataclass(frozen=True)
-class FourierIndex:
-    """Frequency offset l with 0 <= l_i <= q_i - 1 componentwise."""
-
-    l: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "l", _integers(self.l, "frequency offsets"))
 
 
 @dataclass(frozen=True)
@@ -148,9 +143,9 @@ def check_phase(q: PeriodVector, theta: Phase | Sequence[float]) -> tuple[float,
     return tuple(th[0].tolist())
 
 
-def check_index(q: PeriodVector, l: FourierIndex | Sequence[int]) -> tuple[int, ...]:
-    """Validate componentwise bounds of a frequency offset against q."""
-    vals = l.l if isinstance(l, FourierIndex) else FourierIndex(l).l
+def check_index(q: PeriodVector, l: Sequence[int]) -> tuple[int, ...]:
+    """A frequency offset l, 0 <= l_i < q_i componentwise, as an int tuple."""
+    vals = _integers(l, "frequency offsets")
     if len(vals) != q.d:
         raise DomainError(f"frequency offset has {len(vals)} coordinates, expected {q.d}")
     for i, (li, qi) in enumerate(zip(vals, q.q)):
@@ -159,19 +154,10 @@ def check_index(q: PeriodVector, l: FourierIndex | Sequence[int]) -> tuple[int, 
     return vals
 
 
-def enumerate_lambda(q: PeriodVector) -> tuple[FourierIndex, ...]:
-    """All Q frequency offsets in row-major order (last coordinate fastest).
-
-    The periods of q were checked when it was built, so the offsets are
-    plain ints and skip FourierIndex's entry check."""
-    return tuple(map(_offset, itertools.product(*[range(qi) for qi in q.q])))
-
-
-def _offset(l: tuple[int, ...]) -> FourierIndex:
-    """FourierIndex(l) for a tuple of plain ints, without the entry check."""
-    index = object.__new__(FourierIndex)
-    object.__setattr__(index, "l", l)
-    return index
+def enumerate_lambda(q: PeriodVector) -> tuple[tuple[int, ...], ...]:
+    """All Q frequency offsets as int tuples in row-major order (last
+    coordinate fastest)."""
+    return tuple(itertools.product(*[range(qi) for qi in q.q]))
 
 
 def phase(q: PeriodVector, values: Sequence[float]) -> Phase:

@@ -150,6 +150,19 @@ def test_degeneracy_flat_direction_is_a_computation_error(capsys):
     assert "second order" in err
 
 
+def test_degeneracy_second_order_error_prints_plain_floats(capsys):
+    # the direction was printed as (np.float64(0.7071067811865475), ...)
+    rc, out, err = run(
+        capsys,
+        "degeneracy", "--q", "2,2", "--theta", "0.25,0.25", "--l", "0,0", "--beta", "1,1",
+    )
+    assert (rc, out) == (1, "")
+    assert err == (
+        "error: member (0, 1) vanishes to second order along "
+        "(0.7071067811865475, 0.7071067811865475)\n"
+    )
+
+
 def test_counterexample_certified(capsys):
     rc, out, _ = run(
         capsys,

@@ -1,8 +1,11 @@
 import itertools
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from latticebands import (
     ComputationError,
@@ -18,7 +21,9 @@ from latticebands import (
     period,
     phase,
     predict_moves,
+    second_order_coeff,
 )
+from latticebands.lattice import check_index, check_phase
 
 SQ2 = math.sqrt(2.0)
 
@@ -30,7 +35,7 @@ def test_group_all_levels_collapse():
     assert g.level == 0.0  # exactly: the doubles sum to 2.4e-16
     assert g.r == 4
     assert g.position_offset == 0
-    assert [m.l for m in g.members] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert list(g.members) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_group_critical_configuration():
@@ -41,13 +46,13 @@ def test_group_critical_configuration():
     assert g.level == pytest.approx(0.0, abs=1e-15)
     assert g.r == 1
     assert g.position_offset == 2
-    assert g.members[0].l == (1, 0)
+    assert g.members[0] == (1, 0)
 
     top = coincident_group(q, th, (0, 0))
     assert top.level == pytest.approx(3.0, abs=1e-12)
     assert top.r == 2
     assert top.position_offset == 0
-    assert [m.l for m in top.members] == [(0, 0), (2, 0)]
+    assert list(top.members) == [(0, 0), (2, 0)]
 
     low = coincident_group(q, th, (0, 1))
     assert low.level == pytest.approx(-1.0, abs=1e-12)
@@ -189,7 +194,7 @@ def test_flat_members_are_ambiguous_at_finite_step():
     got = count_moves(q, g, (1.0 / SQ2, 1.0 / SQ2), 1e-3)
     assert not got.conclusive
     assert (got.n_up, got.n_down) == (1, 1)
-    assert [m.l for m in got.ambiguous] == [(0, 1), (1, 0)]
+    assert list(got.ambiguous) == [(0, 1), (1, 0)]
 
 
 def test_count_moves_validates_input():
@@ -203,6 +208,27 @@ def test_count_moves_validates_input():
         count_moves(q, g, (2.0, 0.0), 1e-3)
     with pytest.raises(DomainError):
         predict_moves(q, g, (1.0, 0.0), 0)
+
+
+@pytest.mark.parametrize("sign", [True, -1.0, 1.0, np.float64(1.0), "1"], ids=repr)
+def test_predict_moves_rejects_a_sign_that_is_not_an_integer(sign):
+    # True and 1.0 were read as +1 and gave (2, 2) on this group
+    q = period((2, 2))
+    g = coincident_group(q, phase(q, (0.25, 0.25)), (0, 0))
+    with pytest.raises(DomainError, match="sign_of_t must be"):
+        predict_moves(q, g, (1.0, 0.0), sign)
+    assert predict_moves(q, g, (1.0, 0.0), np.int64(-1)) == (2, 2)
+
+
+@pytest.mark.parametrize("t", ["0.001", True, b"0.001", 1e-3 + 0j, None], ids=repr)
+def test_count_moves_rejects_a_step_that_is_not_real(t):
+    # the string "0.001" was parsed by float() and counted
+    q = period((2, 2))
+    g = coincident_group(q, phase(q, (0.25, 0.25)), (0, 0))
+    with pytest.raises(DomainError, match="step must be a real number"):
+        count_moves(q, g, (1.0, 0.0), t)
+    for real in (np.float32(1e-3), Fraction(1, 1000), np.float64(1e-3)):
+        assert count_moves(q, g, (1.0, 0.0), real) == count_moves(q, g, (1.0, 0.0), 1e-3)
 
 
 def test_prediction_agrees_with_count_randomized(rng):
@@ -259,7 +285,7 @@ def test_exact_grouping_matches_double_reference_exhaustively(q):
     in size, far above 1e-9 plus the rounding of a double level.
     """
     q = period(q)
-    offsets = np.array([m.l for m in enumerate_lambda(q)])
+    offsets = np.array(enumerate_lambda(q))
     for k in itertools.product(*[range(2 * qi) for qi in q.q]):
         th = tuple(ki / (2 * qi) for ki, qi in zip(k, q.q))
         full = np.array(th) + offsets / np.array(q.q)
@@ -267,7 +293,7 @@ def test_exact_grouping_matches_double_reference_exhaustively(q):
         for t, target in enumerate(offsets):
             g = coincident_group(q, th, tuple(target))
             near = np.abs(levels - levels[t]) <= 1e-9
-            assert [m.l for m in g.members] == [tuple(l) for l in offsets[near]]
+            assert list(g.members) == [tuple(l) for l in offsets[near]]
             assert g.position_offset == np.count_nonzero(levels - levels[t] > 1e-9)
             assert abs(g.level - levels[t]) <= 1e-14
             if abs(levels[t]) <= 1e-9:  # exactly 0 by the bound above; its double
@@ -291,7 +317,7 @@ def test_phase_above_the_cyclotomic_cap_groups_within_tolerance(monkeypatch):
     for t, target in enumerate(enumerate_lambda(q)):
         g = coincident_group(q, th, target)
         near = np.abs(levels - levels[t]) <= degeneracy.GROUP_TOL
-        assert [m.l for m in g.members] == [m.l for m, n in zip(enumerate_lambda(q), near) if n]
+        assert list(g.members) == [m for m, n in zip(enumerate_lambda(q), near) if n]
         assert g.position_offset == np.count_nonzero(levels - levels[t] > degeneracy.GROUP_TOL)
         assert g.level == levels[t]
 
@@ -305,3 +331,166 @@ def test_levels_the_rounding_bound_cannot_order_raise(monkeypatch):
     monkeypatch.setattr(degeneracy, "_power_residues", lambda n: real(n) + np.arange(n)[:, None])
     with pytest.raises(ComputationError, match=r"offsets \(0, 2\) and \(1, 1\)"):
         coincident_group(period((4, 4)), (0.0, 0.0), (0, 2))
+
+
+# The closed form member by member, as a loop over offsets: the reference
+# for the batched arrays that the package reads.
+
+def _ref_angles(q, theta, l):
+    th = check_phase(q, theta)
+    lv = check_index(q, l)
+    return [th[i] + lv[i] / q.q[i] for i in range(q.d)]
+
+
+def _ref_level(q, theta, l):
+    return sum(2.0 * math.cos(2.0 * math.pi * x) for x in _ref_angles(q, theta, l))
+
+
+def _ref_gradient(q, theta, l):
+    return np.array([-4.0 * math.pi * math.sin(2.0 * math.pi * x) for x in _ref_angles(q, theta, l)])
+
+
+def _ref_curvature(q, theta, l, b):
+    xs = _ref_angles(q, theta, l)
+    return float(-4.0 * math.pi**2 * sum(2.0 * math.cos(2.0 * math.pi * x) * bi**2 for x, bi in zip(xs, b)))
+
+
+def _ref_split(q, th, offsets, t):
+    """Levels at the snapped rational phase, one loop per member, and which
+    equal the target's in cyclotomic integers; None off the exact path."""
+    fracs = [degeneracy._as_fraction(x) for x in th]
+    if None in fracs:
+        return None
+    n = math.lcm(*q.q, *(f.denominator for f in fracs))
+    if n > degeneracy.MAX_CYCLOTOMIC_ORDER:
+        return None
+    base = [f.numerator * (n // f.denominator) % n for f in fracs]
+    ks = [[(b + li * (n // qi)) % n for b, li, qi in zip(base, l, q.q)] for l in offsets]
+    residues = degeneracy._power_residues(n)
+    coords = [sum(residues[k] + residues[-k % n] for k in row) for row in ks]
+    equal = [bool((c == coords[t]).all()) for c in coords]
+    levels = [sum(2.0 * math.cos(2.0 * math.pi * k / n) for k in row) for row in ks]
+    if not coords[t].any():
+        levels = [0.0 if e else v for v, e in zip(levels, equal)]
+    return levels, equal
+
+
+def _ref_group(q, th, target):
+    offsets = list(itertools.product(*[range(qi) for qi in q.q]))
+    t = offsets.index(target)
+    split = _ref_split(q, th, offsets, t)
+    if split is None:
+        levels = [_ref_level(q, th, m) for m in offsets]
+        equal = [abs(v - levels[t]) <= degeneracy.GROUP_TOL for v in levels]
+        above = sum(v - levels[t] > degeneracy.GROUP_TOL for v in levels)
+    else:
+        levels, equal = split
+        above = sum(not e and v > levels[t] for v, e in zip(levels, equal))
+    return [m for m, e in zip(offsets, equal) if e], float(levels[t]), above
+
+
+def _ref_labels(q, th, members, b):
+    labels = []
+    for m in members:
+        grad = _ref_gradient(q, th, m)
+        if float(np.linalg.norm(grad)) <= degeneracy.ZERO_TOL:
+            labels.append("zero")
+            continue
+        slope = float(b @ grad)
+        if slope > degeneracy.ZERO_TOL:
+            labels.append("plus")
+        elif slope < -degeneracy.ZERO_TOL:
+            labels.append("minus")
+        else:
+            labels.append("orth")
+    return labels
+
+
+def _ref_predict(q, th, members, labels, b, sign):
+    """(up, down), or ("flat", member) for the first member that vanishes to
+    second order."""
+    up = down = 0
+    for m, label in zip(members, labels):
+        if label in ("plus", "minus"):
+            if sign * (1.0 if label == "plus" else -1.0) > 0:
+                up += 1
+            else:
+                down += 1
+            continue
+        curv = _ref_curvature(q, th, m, b)
+        if abs(curv) <= degeneracy.ZERO_TOL:
+            return "flat", m
+        if curv > 0:
+            up += 1
+        else:
+            down += 1
+    return up, down
+
+
+def _ref_count(q, th, members, level, b, t):
+    shifted = tuple(x + t * bi for x, bi in zip(th, b))
+    guard = abs(t) ** 3
+    up = down = 0
+    ambiguous = []
+    for m in members:
+        value = _ref_level(q, shifted, m)
+        if value > level + guard:
+            up += 1
+        elif value < level - guard:
+            down += 1
+        else:
+            ambiguous.append(m)
+    return up, down, ambiguous
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@st.composite
+def _cases(draw):
+    """A 2-D or 3-D cell with q_i <= 6, a target offset, a phase whose
+    coordinates each snap to k/(2 q_i) or are generic, a unit direction and
+    a step of size 5e-4 to 1e-2 of either sign."""
+    d = draw(st.integers(2, 3))
+    q = tuple(draw(st.integers(1, 6)) for _ in range(d))
+    target = tuple(draw(st.integers(0, qi - 1)) for qi in q)
+    theta = tuple(
+        draw(st.integers(0, 2 * qi - 1)) / (2 * qi) if draw(st.booleans())
+        else draw(st.floats(0.0, 1.0, exclude_max=True))
+        for qi in q
+    )
+    raw = np.array([draw(st.sampled_from((0.0, 1.0, -1.0)) | st.floats(-1.0, 1.0)) for _ in q])
+    assume(np.linalg.norm(raw) > 0.1)
+    t = draw(st.sampled_from((1.0, -1.0))) * draw(st.floats(5e-4, 1e-2))
+    return period(q), theta, target, raw / np.linalg.norm(raw), t
+
+
+@settings(max_examples=300)
+@given(_cases())
+def test_batched_closed_form_matches_the_member_loop(case):
+    q, th, target, b, t = case
+    for m in enumerate_lambda(q):
+        assert _bits(free_level(q, th, m)) == _bits(_ref_level(q, th, m))
+        assert _bits(free_gradient(q, th, m)) == _bits(_ref_gradient(q, th, m))
+        assert _bits(second_order_coeff(q, th, m, b)) == _bits(_ref_curvature(q, th, m, b))
+    g = coincident_group(q, th, target)
+    members, level, above = _ref_group(q, th, target)
+    assert list(g.members) == members
+    assert _bits(g.level) == _bits(level)
+    assert g.position_offset == above
+    cls = classify(q, g, b)
+    labels = _ref_labels(q, th, members, b)
+    assert list(cls.labels) == labels
+    assert (cls.j_zero, cls.j_plus, cls.j_orth, cls.j_minus, cls.total) == (
+        labels.count("zero"), labels.count("plus"), labels.count("orth"),
+        labels.count("minus"), len(labels),
+    )
+    want = _ref_predict(q, th, members, labels, b, 1 if t > 0 else -1)
+    if want[0] == "flat":
+        with pytest.raises(DegenerateBeyondSecondOrder, match=rf"member {re.escape(str(want[1]))} "):
+            predict_moves(q, g, b, 1 if t > 0 else -1, cls)
+    else:
+        assert predict_moves(q, g, b, 1 if t > 0 else -1, cls) == want
+    got = count_moves(q, g, b, t)
+    assert (got.n_up, got.n_down, list(got.ambiguous)) == _ref_count(q, th, members, level, b, t)

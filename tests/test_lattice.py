@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from latticebands import DomainError, period, phase
+from latticebands import DomainError, free_level, period, phase
 from latticebands.lattice import (
-    FourierIndex,
     Phase,
+    check_index,
     check_phase,
     check_phases,
     enumerate_lambda,
@@ -39,19 +39,19 @@ def test_period_rejects_a_non_iterable(values):
 
 def test_enumerate_lambda_row_major():
     q = period((2, 3))
-    ls = [m.l for m in enumerate_lambda(q)]
+    ls = list(enumerate_lambda(q))
     assert ls == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
 
 @pytest.mark.parametrize("q_tuple", [(1, 1), (2, 3), (3, 1, 2), (np.int64(2), np.int32(2))])
 def test_enumerate_lambda_equals_checked_offsets(q_tuple):
-    # the offsets skip FourierIndex's entry check; they must be the same
-    # values, of the same types, in the same order as checked ones
+    # the offsets skip check_index; they must be the same values, of the
+    # same types, in the same order as checked ones
     q = period(q_tuple)
     got = enumerate_lambda(q)
-    want = tuple(FourierIndex(l) for l in np.ndindex(*q.q))
+    want = tuple(check_index(q, l) for l in np.ndindex(*q.q))
     assert got == want
-    assert all(type(m) is FourierIndex and all(type(x) is int for x in m.l) for m in got)
+    assert all(type(m) is tuple and all(type(x) is int for x in m) for m in got)
     assert len({hash(m) for m in got}) == q.Q
 
 
@@ -74,24 +74,33 @@ def test_phase_rejects_non_finite_coordinates(x):
         phase(period((3, 2)), (x, 0.0))
 
 
+# a Fourier index (frequency offset) is a tuple of ints, read by check_index
+# wherever an offset enters, the closed-form levels included
 @pytest.mark.parametrize("l", [(0.5, 0), (1, math.nan), (math.inf, 1), ("1", 0), None])
 def test_fourier_index_rejects_non_integral_offsets(l):
-    with pytest.raises(DomainError, match="frequency offsets must be integers"):
-        FourierIndex(l)
+    q = period((2, 3))
+    for read in (lambda: check_index(q, l), lambda: free_level(q, (0.1, 0.0), l)):
+        with pytest.raises(DomainError, match="frequency offsets must be integers"):
+            read()
 
 
 def test_fourier_index_accepts_integral_values():
-    l = FourierIndex((np.int64(1), np.int32(2))).l
+    q = period((2, 3))
+    l = check_index(q, (np.int64(1), np.int32(2)))
     assert l == (1, 2) and all(type(x) is int for x in l)
-    assert FourierIndex(iter([0, 1])).l == (0, 1)
+    assert check_index(q, iter([0, 1])) == (0, 1)
+    assert free_level(q, (0.1, 0.0), (np.int64(1), np.int32(2))) == free_level(q, (0.1, 0.0), (1, 2))
+    assert free_level(q, (0.1, 0.0), iter([0, 1])) == free_level(q, (0.1, 0.0), (0, 1))
     with pytest.raises(DomainError, match="frequency offsets must be integers"):
-        FourierIndex((1.0, 0))
+        check_index(q, (1.0, 0))
+    with pytest.raises(DomainError, match="frequency offsets must be integers"):
+        free_level(q, (0.1, 0.0), (1.0, 0))
 
 
 @pytest.mark.parametrize("make,message", [
     (lambda: period((True, 2)), "periods must be integers"),
     (lambda: period((2.0, 3)), "periods must be integers"),
-    (lambda: FourierIndex((False, 1)), "frequency offsets must be integers"),
+    (lambda: check_index(period((2, 2)), (False, 1)), "frequency offsets must be integers"),
 ], ids=["period-bool", "period-float", "offset-bool"])
 def test_bools_and_integral_floats_are_not_integers(make, message):
     # each was read as an integer: periods (True, 2) as (1, 2)

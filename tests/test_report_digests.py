@@ -1,10 +1,11 @@
-"""tools/report_digests.py runs on the README's commands: one stable sha256
-per command, which covers the files the command writes."""
+"""tools/report_digests.py runs on the README's commands and its own
+degeneracy commands: one stable sha256 per command, which covers the files
+the command writes."""
 import importlib.util
 import os
 import pathlib
 
-from latticebands import cli
+from latticebands import cli, degeneracy
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -30,3 +31,17 @@ def test_report_digests_of_two_readme_commands(tmp_path, monkeypatch):
     write = cli._write_csv
     monkeypatch.setattr(cli, "_write_csv", lambda fh, *args: (write(fh, *args), fh.write("\n")))
     assert tool.digest(bands) != first[0]
+
+
+def test_report_digests_of_the_degeneracy_commands(tmp_path, monkeypatch, capsys):
+    # each reaches the path its comment names: the exit codes tell them
+    # apart, and the first phase snaps to no fraction, so it groups within
+    # GROUP_TOL
+    tool = _tool()
+    assert degeneracy._as_fraction(0.1234) is None
+    monkeypatch.chdir(tmp_path)
+    assert [cli.main(argv) for argv in tool.DEGENERACY_COMMANDS] == [0, 3, 1]
+    capsys.readouterr()
+    first = [tool.digest(argv) for argv in tool.DEGENERACY_COMMANDS]
+    assert first == [tool.digest(argv) for argv in tool.DEGENERACY_COMMANDS]
+    assert len(set(first)) == 3 and os.listdir(tmp_path) == []

@@ -2,8 +2,9 @@
 stderr and every file it writes.
 
 The commands are every case of seeds 1-3 of the four benchmark workloads
-(generated by bench/workloads.py) and the commands of the README's
-"Command line" block.  Each runs in-process through latticebands.cli.main,
+(generated by bench/workloads.py), the commands of the README's "Command
+line" block and DEGENERACY_COMMANDS, which reach degeneracy paths that no
+workload does.  Each runs in-process through latticebands.cli.main,
 in an empty temporary working directory that is removed afterwards, so
 relative output paths (the workloads' CSV files, the README's bands.csv)
 are the same on every run.  Two trees print the same lines exactly when
@@ -30,6 +31,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
+# The tolerance path (exit 0), a count that contradicts the prediction
+# (exit 3) and a group degenerate to second order (exit 1).
+DEGENERACY_COMMANDS = (
+    ["degeneracy", "--q", "3,2", "--theta", "0.1234,0.05", "--l", "0,0", "--beta", "1,0"],
+    ["degeneracy", "--q", "1,1", "--theta", "2e-11,0", "--l", "0,0", "--beta=-1,0", "--t", "1e-3"],
+    ["degeneracy", "--q", "2,2", "--theta", "0.25,0.25", "--l", "0,0", "--beta", "1,1"],
+)
 
 
 def readme_commands() -> list[list[str]]:
@@ -86,7 +94,11 @@ def digest(argv: list[str]) -> str:
 
 
 def main() -> int:
-    commands = workload_commands() + [("README: " + " ".join(argv), argv) for argv in readme_commands()]
+    commands = (
+        workload_commands()
+        + [("README: " + " ".join(argv), argv) for argv in readme_commands()]
+        + [(" ".join(argv), argv) for argv in DEGENERACY_COMMANDS]
+    )
     for label, argv in commands:
         print(f"{digest(argv)}  {label}", flush=True)
     return 0
