@@ -279,15 +279,28 @@ def _layout(m: tuple[int, ...], owner: bool = False):
     self-mirrored nodes.  They are held through a sweep, so they take the
     smallest unsigned type that holds m_i - 1.  With owner, also the (N,)
     row-major array of the position in that list of min(j, mirror(j)) for
-    every node j."""
+    every node j.
+
+    The first axis i with j_i != -j_i mod m_i decides j <= mirror(j), so
+    the list is built from the last axis up: the representatives of m[i:]
+    are those of m[i+1:] behind j_i = 0, every node of m[i+1:] behind
+    0 < j_i < m_i / 2, and those of m[i+1:] again behind j_i = m_i / 2
+    when m_i is even."""
+    dtype = np.min_scalar_type(max(m) - 1)
+    coords = np.arange(m[-1] // 2 + 1, dtype=dtype)[:, None]
+    for i in range(len(m) - 2, -1, -1):
+        rest = m[i + 1:]
+        mid = np.indices(((m[i] - 1) // 2,) + rest, dtype=dtype).reshape(len(rest) + 1, -1).T
+        mid[:, 0] += 1
+        ends = [np.hstack([np.full((len(coords), 1), j, dtype=dtype), coords])
+                for j in ((0, m[i] // 2) if m[i] % 2 == 0 else (0,))]
+        coords = np.concatenate(ends[:1] + [mid] + ends[1:])
+    if not owner:
+        return coords
     nodes = np.arange(math.prod(m)).reshape(m)
     strides = [math.prod(m[i + 1:]) for i in range(len(m))]
     mirror = sum(np.ix_(*[-np.arange(mi) % mi * s for mi, s in zip(m, strides)]))
-    keep = nodes <= mirror
-    coords = np.argwhere(keep).astype(np.min_scalar_type(max(m) - 1))
-    if not owner:
-        return coords
-    return coords, (np.cumsum(keep) - 1)[np.minimum(nodes, mirror)].ravel()
+    return coords, (np.cumsum(nodes <= mirror) - 1)[np.minimum(nodes, mirror)].ravel()
 
 
 def check_workers(workers: int) -> None:
@@ -368,7 +381,7 @@ def _sweep(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, rows: tu
     min_vals.flags.writeable = False
     max_vals.flags.writeable = False
     # theta_i = j_i h_i, the bits of the kernel's grid values
-    phases = tuple(Phase(row) for row in coords[np.r_[min_pos, max_pos]] * steps)
+    phases = tuple(map(Phase, map(tuple, (coords[np.concatenate([min_pos, max_pos])] * steps).tolist())))
     table = BandTable(q, grid, min_vals, max_vals, phases[:Q], phases[Q:],
                       certified_slack(q, grid), rounding_bound(q, V))
     V._sweeps[grid.m] = table
@@ -416,57 +429,68 @@ def certified_edges(q: PeriodVector, V: Potential, grid: GridSpec, workers: int 
     1/q_i per coordinate).  The slack is inherited from the grid;
     refinement only moves sampled extrema outward (toward the true edges),
     never loosens the enclosure.
+
+    A step (round, axis) costs one eigenvalues_sorted_desc call on the
+    distinct rows of its 4Q candidates, and one more on the - candidates
+    of the extrema that moved on +, if any: the candidates are written
+    into one array kept for the whole refinement, the distinct rows are
+    found by their bytes, and the extrema compare sign-folded values.
     """
     table = sample_bands(q, V, grid, workers=workers)
     Q = q.Q
     # Row e < Q holds the minimum of band e + 1, row Q + e its maximum;
-    # sense turns both into minimization.
-    best = np.concatenate([table.min_values, table.max_values])
-    th = np.array([p.theta for p in table.argmin + table.argmax])
+    # sense turns both into minimization, so score = sense * value (a sign
+    # flip, exact) is what every step compares.
     sense = np.repeat([1.0, -1.0], Q)
+    score = sense * np.concatenate([table.min_values, table.max_values])
+    th = np.array([p.theta for p in table.argmin + table.argmax])
     bands = np.arange(2 * Q) % Q
     cand_bands = np.concatenate([bands, bands])
+    cand_sense = np.concatenate([sense, sense])
     row_key = np.dtype((np.void, th.itemsize * q.d))
+    # The + and - candidates of every extremum, rows [plus; minus] of one
+    # array written in place each step; signed[:, i] holds +h_i and -h_i.
+    cand = np.empty((4 * Q, q.d))
+    halves = cand.reshape(2, 2 * Q, q.d)
+    plus, minus = halves
+    signed = np.array([grid.steps(q)]) * np.array([[1.0], [-1.0]])
 
-    def probe(cand, cols):
+    def probe(rows, cols):
         # Extrema often probe the same phase: solve each distinct row once
-        # (rows compared byte for byte, solved in np.unique's byte order;
-        # a set and a sort cost a third of np.unique on so few rows) and
-        # gather each row's band value.
-        keys = cand.view(row_key).ravel().tolist()
-        rows = sorted(set(keys))
-        rank = {k: r for r, k in enumerate(rows)}
-        distinct = np.frombuffer(b"".join(rows)).reshape(-1, q.d)
-        return floquet.eigenvalues_sorted_desc(q, V, distinct)[[rank[k] for k in keys], cols]
+        # (rows compared byte for byte, in order of first appearance) and
+        # gather each row's band value, signed as its score.
+        rank = {}
+        at = [rank.setdefault(k, len(rank)) for k in rows.view(row_key).ravel().tolist()]
+        distinct = np.frombuffer(b"".join(rank)).reshape(-1, q.d)
+        return floquet.eigenvalues_sorted_desc(q, V, distinct)[at, cols]
 
-    steps = list(grid.steps(q))
     for _ in range(REFINE_ROUNDS):
         for i in range(q.d):
             wrap = 1.0 / q.q[i]
-            # One solve of every + and - candidate, rows [plus; minus] of
-            # one array.  An extremum that moves on + probes - from its new
-            # phase, in one follow-up solve of those rows only; the others
-            # keep their - values.
-            cand = np.concatenate([th, th])
-            cand[:2 * Q, i] = (th[:, i] + steps[i]) % wrap
-            cand[2 * Q:, i] = (th[:, i] - steps[i]) % wrap
-            plus, minus = cand[:2 * Q], cand[2 * Q:]
-            v = probe(cand, cand_bands)
-            v_plus, v_minus = v[:2 * Q], v[2 * Q:]
-            moved = sense * v_plus < sense * best
+            # One solve of every + and - candidate.  An extremum that moves
+            # on + probes - from its new phase, in one follow-up solve of
+            # those rows only; the others keep their - values.
+            halves[:] = th
+            column = halves[:, :, i]
+            np.add(th[:, i], signed[:, i, None], out=column)
+            np.remainder(column, wrap, out=column)
+            s = cand_sense * probe(cand, cand_bands)
+            s_plus, s_minus = s[:2 * Q], s[2 * Q:]
+            moved = s_plus < score
             if moved.any():
                 th[moved] = plus[moved]
-                best[moved] = v_plus[moved]
+                score[moved] = s_plus[moved]
                 again = th[moved]
-                again[:, i] = (again[:, i] - steps[i]) % wrap
+                again[:, i] = (again[:, i] + signed[1, i]) % wrap
                 minus[moved] = again
-                v_minus[moved] = probe(again, bands[moved])
-            better = sense * v_minus < sense * best
+                s_minus[moved] = sense[moved] * probe(again, bands[moved])
+            better = s_minus < score
             if better.any():
                 th[better] = minus[better]
-                best[better] = v_minus[better]
-        steps = [s * SHRINK for s in steps]
-    phases = tuple(Phase(row) for row in th)
+                score[better] = s_minus[better]
+        signed *= SHRINK
+    phases = tuple(map(Phase, map(tuple, th.tolist())))
+    best = sense * score
     best.flags.writeable = False
     return replace(table, grid=grid, min_values=best[:Q], max_values=best[Q:],
                    argmin=phases[:Q], argmax=phases[Q:], refined=True)

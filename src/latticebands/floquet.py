@@ -60,7 +60,7 @@ class Potential:
         values = self.values.reshape(self.q.q)[tuple(slice(pi) for pi in p.q)]
         folds = enumerate_lambda(period(qi // pi for qi, pi in zip(self.q.q, p.q)))
         shifts = np.array(folds) / np.array(self.q.q)
-        return p, self if p == self.q else potential(p, values), shifts
+        return p, self if p == self.q else Potential(p, _frozen(values.reshape(-1).copy())), shifts
 
     @functools.cached_property
     def _site_fiber(self) -> tuple[np.ndarray, list]:
@@ -105,7 +105,7 @@ def potential(q: PeriodVector, values: Sequence[float]) -> Potential:
 
 
 def zero_potential(q: PeriodVector) -> Potential:
-    return potential(q, np.zeros(q.Q))
+    return Potential(q, _frozen(np.zeros(q.Q)))
 
 
 def random_potential(q: PeriodVector, amplitude: float, seed: int) -> Potential:
@@ -258,20 +258,24 @@ def _stack(fiber: tuple[np.ndarray, list], n: int, tables, index: np.ndarray | N
 
     Coordinate i of the phases is f(tables[i]) for each function f: with
     index, the rows index[:, i] of it, raveled (see _fiber_eigenvalues).
-    A term with f np.conj takes the conjugate of the previous term's values
-    instead.  The stack is built flat, (n, P*P): each group's multiple of f
-    is added to one column view per position, in the order of the table,
-    so every entry is rounded as in the dense sum."""
+    A term with f np.conj conjugates the previous term's values, in place:
+    they are a new array, read by nothing else.  The stack is built flat,
+    (n, P*P): each group's multiple of f is added to one column view per
+    position, in the order of the table, so every entry is rounded as in
+    the dense sum."""
     H0, parts = fiber
     M = np.empty((n, H0.size), dtype=H0.dtype)
     M[:] = H0
+    if index is not None:  # every term's rows, gathered into one array
+        rows = np.empty((len(index), n // len(index)), dtype=H0.dtype)
     for i, terms in enumerate(parts):
         for f, groups in terms:
             if f is np.conj:
-                t = f(t)
-            else:
+                t = np.conj(t, out=t)
+            elif index is None:
                 t = f(tables[i])
-                t = (t if index is None else t[index[:, i]]).ravel()
+            else:
+                t = f(tables[i]).take(index[:, i], axis=0, out=rows).ravel()
             for w, positions in groups:
                 wt = t if w == 1 else w * t
                 for k in positions:
@@ -314,26 +318,38 @@ def _fiber_eigenvalues(q: PeriodVector, V: Potential, axes, index: np.ndarray | 
         0 <= l_i < q_i / p_i,
 
     so the n fibers of size Q become n K fibers of size P = Q/K at kappa =
-    theta + l/q, built by _stack from V._fiber and merged per phase.  When
-    p = q, kappa = theta + 0 and the merge only re-sorts sorted rows.
-    Coordinate i of kappa is one table, axes[i][:, None] + l_i/q_i, which
-    each function of V._fiber is taken of and then gathered from, so every
-    value keeps its bits whichever form the phases come in.  Without an
-    index a complex stack is made by the public assemble, so a wrapper of
-    it sees every complex probe stack (from V._fiber itself, the minimal
-    cell's site table); the threaded sweep passes an index and calls no
-    public name from a worker thread.
+    theta + l/q, built by _stack from V._fiber and merged per phase by one
+    sort; when p = q, K = 1 and the solver's rows are already merged.  The
+    sweep folds each axis into one table, axes[i][:, None] + l_i/q_i, which
+    each function of V._fiber is taken of and then gathered from; a probe
+    folds its phases into one (n K, d) array, row r K + k holding theta_r +
+    l_k/q, which each function is taken of once.  Both add l_i/q_i to the
+    same bits, so every value keeps its bits whichever form the phases come
+    in.  Without an index a complex stack is made by the public assemble,
+    so a wrapper of it sees every complex probe stack (from V._fiber
+    itself, the minimal cell's site table); the threaded sweep passes an
+    index and calls no public name from a worker thread.
     """
     p, Vp, shifts = V._cell
     fiber = V._fiber
-    n = len(axes[0]) if index is None else len(index)
-    tables = [a[:, None] + s for a, s in zip(axes, shifts.T)]
-    if index is None and np.iscomplexobj(fiber[0]):
-        M = assemble(p, Vp, np.stack([t.ravel() for t in tables], axis=1))
+    K = len(shifts)
+    if index is None:
+        n = len(axes[0])
+        # the transpose of a C-ordered (d, n K) table, so the stack reads
+        # each coordinate's row contiguously
+        kappa = (np.asarray(axes)[:, :, None] + shifts.T[:, None]).reshape(q.d, n * K).T
+        if fiber[0].dtype == complex:
+            M = assemble(p, Vp, kappa)
+        else:
+            M = _stack(fiber, n * K, kappa.T)
     else:
-        M = _stack(fiber, n * len(shifts), tables, index)
+        n = len(index)
+        M = _stack(fiber, n * K, [a[:, None] + s for a, s in zip(axes, shifts.T)], index)
     vals = _eigenvalues_desc(M, axes, index).reshape(n, q.Q)
-    return np.sort(vals, axis=1)[:, ::-1]
+    if K > 1:
+        vals.sort(axis=1)  # vals is a new array: the solver's, or a copy
+        vals = vals[:, ::-1]
+    return vals
 
 
 def check_periods(q: PeriodVector, V: Potential) -> None:
@@ -400,7 +416,7 @@ def eigenvalues_sorted_desc(
     """
     check_periods(q, V)
     th, single = check_phases(q, theta)
-    out = _fiber_eigenvalues(q, V, th.T).copy()
+    out = _fiber_eigenvalues(q, V, th.T)
     out.flags.writeable = False
     return out[0] if single else out
 
@@ -418,8 +434,8 @@ def minimal_period(V: Potential) -> tuple[int, ...]:
     arr = V.values.reshape(V.q.q)
     result = []
     for axis, qi in enumerate(V.q.q):
-        for p in _divisors(qi):
-            if np.array_equal(arr, np.roll(arr, p, axis=axis)):
-                result.append(p)
-                break
+        # For p | q_i the shift reproduces V iff V(n) == V(n - p b_i) for
+        # n_i >= p: the wrapped sites then follow, since == is transitive.
+        rows = np.moveaxis(arr, axis, 0)
+        result.append(next(p for p in _divisors(qi) if np.array_equal(rows[p:], rows[:qi - p])))
     return tuple(result)

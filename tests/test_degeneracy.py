@@ -231,6 +231,21 @@ def test_count_moves_rejects_a_step_that_is_not_real(t):
         assert count_moves(q, g, (1.0, 0.0), real) == count_moves(q, g, (1.0, 0.0), 1e-3)
 
 
+def test_predict_moves_rejects_a_classification_along_another_direction():
+    # classify's labels along (1, 0) were read as those along (-1, 0) and
+    # gave (0, 1), against the count and the prediction without them
+    q = period((2, 2))
+    g = coincident_group(q, phase(q, (0.1, 0.2)), (0, 0))
+    beta = (-1.0, 0.0)
+    assert predict_moves(q, g, beta, 1) == (1, 0)
+    counted = count_moves(q, g, beta, 1e-3)
+    assert (counted.n_up, counted.n_down) == (1, 0)
+    with pytest.raises(DomainError, match=re.escape(
+            "classification is along (1.0, 0.0), not along the direction (-1.0, 0.0)")):
+        predict_moves(q, g, beta, 1, classify(q, g, (1.0, 0.0)))
+    assert predict_moves(q, g, beta, 1, classify(q, g, np.array(beta))) == (1, 0)
+
+
 def test_prediction_agrees_with_count_randomized(rng):
     # generic phases give singleton groups with a nonzero slope; prediction
     # and finite count must then agree for both step signs
