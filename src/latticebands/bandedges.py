@@ -381,7 +381,7 @@ def _sweep(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, rows: tu
     min_vals.flags.writeable = False
     max_vals.flags.writeable = False
     # theta_i = j_i h_i, the bits of the kernel's grid values
-    phases = tuple(map(Phase, map(tuple, (coords[np.concatenate([min_pos, max_pos])] * steps).tolist())))
+    phases = tuple(map(Phase, (coords[np.concatenate([min_pos, max_pos])] * steps).tolist()))
     table = BandTable(q, grid, min_vals, max_vals, phases[:Q], phases[Q:],
                       certified_slack(q, grid), rounding_bound(q, V))
     V._sweeps[grid.m] = table
@@ -489,7 +489,7 @@ def certified_edges(q: PeriodVector, V: Potential, grid: GridSpec, workers: int 
                 th[better] = minus[better]
                 score[better] = s_minus[better]
         signed *= SHRINK
-    phases = tuple(map(Phase, map(tuple, th.tolist())))
+    phases = tuple(map(Phase, th.tolist()))
     best = sense * score
     best.flags.writeable = False
     return replace(table, grid=grid, min_values=best[:Q], max_values=best[Q:],

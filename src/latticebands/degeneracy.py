@@ -271,13 +271,10 @@ def predict_moves(
     first-order term vanishes move with the sign of the directional
     curvature, regardless of the sign of the step.
 
-    A classification passed in must be classify's for this group and beta.
-
     Raises
     ------
     DomainError
-        If a classification passed in has another member count or another
-        direction than beta.
+        If a classification passed in is not one of this group along beta.
     DegenerateBeyondSecondOrder
         If a member with vanishing first-order term also has (numerically)
         vanishing curvature along beta.
@@ -289,9 +286,7 @@ def predict_moves(
     if len(cls.labels) != g.r:
         raise DomainError("classification does not match the group")
     if cls.beta != tuple(b.tolist()):
-        raise DomainError(
-            f"classification is along {cls.beta}, not along the direction {tuple(b.tolist())}"
-        )
+        raise DomainError(f"classification is along {cls.beta}, not along the direction {tuple(b.tolist())}")
     labels = np.array(cls.labels)
     first = (labels == "plus") | (labels == "minus")
     curv = _curvatures(_angles(q, g.theta, g.members), b)

@@ -100,10 +100,9 @@ def _direction(beta: Sequence[float], d: int) -> tuple[np.ndarray, float]:
 def unit_direction(beta: Sequence[float], d: int) -> np.ndarray:
     """beta as an array, checked to have d finite coordinates and unit norm.
 
-    A contiguous float64 (d,) array of coordinates within [-2, 2] (so
-    finite, with squares that cannot overflow) whose norm, taken as
-    np.linalg.norm takes it, is within the tolerance is returned as it is;
-    every other input, and every rejection, takes the full check."""
+    A contiguous float64 (d,) array with coordinates in [-2, 2] (finite,
+    and no square overflows) and np.linalg.norm's norm within the tolerance
+    is returned as it is; any other input takes the full check."""
     if (type(beta) is np.ndarray and beta.dtype == np.float64 and beta.shape == (d,)
             and beta.flags.c_contiguous and all(abs(x) <= 2.0 for x in beta.tolist())
             and abs(math.sqrt(beta.dot(beta)) - 1.0) <= _UNIT_TOL):
