@@ -279,28 +279,15 @@ def _layout(m: tuple[int, ...], owner: bool = False):
     self-mirrored nodes.  They are held through a sweep, so they take the
     smallest unsigned type that holds m_i - 1.  With owner, also the (N,)
     row-major array of the position in that list of min(j, mirror(j)) for
-    every node j.
-
-    The first axis i with j_i != -j_i mod m_i decides j <= mirror(j), so
-    the list is built from the last axis up: the representatives of m[i:]
-    are those of m[i+1:] behind j_i = 0, every node of m[i+1:] behind
-    0 < j_i < m_i / 2, and those of m[i+1:] again behind j_i = m_i / 2
-    when m_i is even."""
-    dtype = np.min_scalar_type(max(m) - 1)
-    coords = np.arange(m[-1] // 2 + 1, dtype=dtype)[:, None]
-    for i in range(len(m) - 2, -1, -1):
-        rest = m[i + 1:]
-        mid = np.indices(((m[i] - 1) // 2,) + rest, dtype=dtype).reshape(len(rest) + 1, -1).T
-        mid[:, 0] += 1
-        ends = [np.hstack([np.full((len(coords), 1), j, dtype=dtype), coords])
-                for j in ((0, m[i] // 2) if m[i] % 2 == 0 else (0,))]
-        coords = np.concatenate(ends[:1] + [mid] + ends[1:])
-    if not owner:
-        return coords
+    every node j."""
     nodes = np.arange(math.prod(m)).reshape(m)
     strides = [math.prod(m[i + 1:]) for i in range(len(m))]
     mirror = sum(np.ix_(*[-np.arange(mi) % mi * s for mi, s in zip(m, strides)]))
-    return coords, (np.cumsum(nodes <= mirror) - 1)[np.minimum(nodes, mirror)].ravel()
+    keep = nodes <= mirror
+    coords = np.argwhere(keep).astype(np.min_scalar_type(max(m) - 1))
+    if not owner:
+        return coords
+    return coords, (np.cumsum(keep) - 1)[np.minimum(nodes, mirror)].ravel()
 
 
 def check_workers(workers: int) -> None:

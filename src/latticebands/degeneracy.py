@@ -222,7 +222,12 @@ def classify(
     Every member lands in exactly one bucket, so the counts always sum to r.
     """
     b = unit_direction(beta, q.d)
-    grads = _gradients(_angles(q, g.theta, g.members))
+    return _classify(_angles(q, g.theta, g.members), b)
+
+
+def _classify(angles: np.ndarray, b: np.ndarray) -> DirectionClassification:
+    """classify on the members' angles and a checked unit direction b."""
+    grads = _gradients(angles)
     slopes = grads @ b
     zero = np.linalg.norm(grads, axis=1) <= ZERO_TOL
     labels = tuple(
@@ -282,14 +287,15 @@ def predict_moves(
     if not is_integer(sign_of_t) or sign_of_t not in (1, -1):
         raise DomainError(f"sign_of_t must be +1 or -1, got {sign_of_t!r}")
     b = unit_direction(beta, q.d)
-    cls = classification if classification is not None else classify(q, g, b)
+    angles = _angles(q, g.theta, g.members)
+    cls = classification if classification is not None else _classify(angles, b)
     if len(cls.labels) != g.r:
         raise DomainError("classification does not match the group")
     if cls.beta != tuple(b.tolist()):
         raise DomainError(f"classification is along {cls.beta}, not along the direction {tuple(b.tolist())}")
     labels = np.array(cls.labels)
     first = (labels == "plus") | (labels == "minus")
-    curv = _curvatures(_angles(q, g.theta, g.members), b)
+    curv = _curvatures(angles, b)
     flat = ~first & (np.abs(curv) <= ZERO_TOL)
     if flat.any():
         raise DegenerateBeyondSecondOrder(

@@ -98,15 +98,7 @@ def _direction(beta: Sequence[float], d: int) -> tuple[np.ndarray, float]:
 
 
 def unit_direction(beta: Sequence[float], d: int) -> np.ndarray:
-    """beta as an array, checked to have d finite coordinates and unit norm.
-
-    A contiguous float64 (d,) array with coordinates in [-2, 2] (finite,
-    and no square overflows) and np.linalg.norm's norm within the tolerance
-    is returned as it is; any other input takes the full check."""
-    if (type(beta) is np.ndarray and beta.dtype == np.float64 and beta.shape == (d,)
-            and beta.flags.c_contiguous and all(abs(x) <= 2.0 for x in beta.tolist())
-            and abs(math.sqrt(beta.dot(beta)) - 1.0) <= _UNIT_TOL):
-        return beta
+    """beta as an array, checked to have d finite coordinates and unit norm."""
     b, norm = _direction(beta, d)
     if abs(norm - 1.0) > _UNIT_TOL:
         raise DomainError(f"direction must be a unit vector, got norm {norm}")

@@ -144,11 +144,7 @@ def check_phase(q: PeriodVector, theta: Phase | Sequence[float]) -> tuple[float,
 
 
 def check_index(q: PeriodVector, l: Sequence[int]) -> tuple[int, ...]:
-    """A frequency offset l, 0 <= l_i < q_i componentwise, as an int tuple.
-    A tuple of d in-range Python ints is returned as it is."""
-    if (type(l) is tuple and len(l) == q.d
-            and all(type(li) is int and 0 <= li < qi for li, qi in zip(l, q.q))):
-        return l
+    """A frequency offset l, 0 <= l_i < q_i componentwise, as an int tuple."""
     vals = _integers(l, "frequency offsets")
     if len(vals) != q.d:
         raise DomainError(f"frequency offset has {len(vals)} coordinates, expected {q.d}")

@@ -117,37 +117,6 @@ def test_direction_must_be_finite(beta):
         second_order_coeff(period((2, 2)), (0.0, 0.0), (0, 0), beta)
 
 
-def test_unit_direction_takes_a_canonical_array_as_it_is():
-    # a contiguous float64 d-array of unit norm is returned as it is; every
-    # other input, and every rejection, takes the full check and its message
-    b = normalize_direction((0.3, -1.0), 2)
-    assert unit_direction(b, 2) is b
-    strided = np.array([0.6, 9.0, 0.8])[::2]
-    assert unit_direction(strided, 2).tobytes() == np.array([0.6, 0.8]).tobytes()
-    assert unit_direction([0.6, 0.8], 2).tobytes() == np.array([0.6, 0.8]).tobytes()
-    for beta, message in [
-        (np.array([math.nan, 1.0]), r"direction coordinates must be finite, got \[nan, 1.0\]"),
-        (np.array([math.inf, 0.0]), "direction coordinates must be finite"),
-        (np.array([1e200, 1e200]), "direction must be a unit vector, got norm inf"),
-        (np.array([1.0, 1.0]), "direction must be a unit vector, got norm 1.4142135623730951"),
-        (np.array([1.0, 0.0, 0.0]), "direction has 3 coordinates, expected 2"),
-    ]:
-        with pytest.raises(DomainError, match=message):
-            unit_direction(beta, 2)
-    # the accepted norms are np.linalg.norm's, to the last bit of the tolerance
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        v = rng.normal(size=3)
-        v = v / np.linalg.norm(v) * (1.0 + rng.choice([-1.0, 1.0]) * rng.uniform(0.9e-9, 1.1e-9))
-        full = abs(float(np.linalg.norm(v)) - 1.0) <= 1e-9
-        try:
-            unit_direction(v, 3)
-            accepted = True
-        except DomainError:
-            accepted = False
-        assert accepted == full
-
-
 def test_normalize_direction_divides_by_the_norm():
     # below 2^-511 the norm's squares underflow: 1e-300 gives norm 0 and
     # 1e-160 a norm 5.6e-6 too small, so those are rescaled by max |b_i| first

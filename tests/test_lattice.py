@@ -97,23 +97,6 @@ def test_fourier_index_accepts_integral_values():
         free_level(q, (0.1, 0.0), (1.0, 0))
 
 
-def test_check_index_takes_an_int_tuple_as_it_is():
-    # a tuple of d in-range Python ints is returned as it is; anything else
-    # takes the full check, with its messages
-    q = period((2, 3))
-    l = (1, 2)
-    assert check_index(q, l) is l
-    for bad, message in [
-        ((1, 3), r"offset component 1 out of range: 3 not in \[0, 3\)"),
-        ((-1, 0), r"offset component 0 out of range: -1 not in \[0, 2\)"),
-        ((1,), "frequency offset has 1 coordinates, expected 2"),
-        ((1, 2, 0), "frequency offset has 3 coordinates, expected 2"),
-        ((True, 1), "frequency offsets must be integers"),
-    ]:
-        with pytest.raises(DomainError, match=message):
-            check_index(q, bad)
-
-
 @pytest.mark.parametrize("make,message", [
     (lambda: period((True, 2)), "periods must be integers"),
     (lambda: period((2.0, 3)), "periods must be integers"),

@@ -1,20 +1,20 @@
 """Alternating parent/change runs of the benchmark, summarized per metric.
 
     python3 tools/bench_pairs.py --parent PATH --change PATH --label NAME \
-        [--workloads W,W] [--seeds 4-13] [--seconds 24] [--claim W:METRIC] \
-        [--description TEXT] [--out DIR]
+        [--workloads W,W] [--seeds 4-13] [--claim W:METRIC] [--description TEXT]
 
 For each workload and seed it runs
 
     python3 bench/run.py --workload W --seed S --seconds SECONDS
 
-once in each checkout (the working directory is the checkout, so each side
+with SECONDS the run_seconds of the change checkout's BENCHMARK.json, once
+in each checkout (the working directory is the checkout, so each side
 imports its own src/), the parent first on even seeds and the change first
 on odd ones.  It reads the metrics from the last line of each run's stdout,
 prints per workload and end-to-end metric the medians, quartiles and pair
-wins, and writes BENCH_<label>.json to --out (default: the repository
-holding this file).  The end-to-end metric names, and which way is better,
-come from BENCHMARK.json of the change checkout.
+wins, and writes BENCH_<label>.json to the repository holding this file.
+The end-to-end metric names, and which way is better, also come from
+BENCHMARK.json of the change checkout.
 
 A pair is won by the side with the better value; ties count for neither.
 Quartiles are numpy percentiles 25 and 75.  With --claim W:METRIC the file
@@ -117,14 +117,13 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--workloads", default=None, help="comma separated; default: every workload")
     parser.add_argument("--seeds", default="4-13")
-    parser.add_argument("--seconds", type=float, default=24.0)
     parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims a gain on")
     parser.add_argument("--description", default="")
-    parser.add_argument("--out", type=Path, default=ROOT)
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     names = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
     seeds = parse_seeds(args.seeds)
     checkouts = {"parent": args.parent, "change": args.change}
@@ -134,7 +133,7 @@ def main(argv=None) -> int:
         runs = {"parent": [], "change": []}
         for seed in seeds:
             for side in order(seed):
-                runs[side].append(run_once(checkouts[side], name, seed, args.seconds))
+                runs[side].append(run_once(checkouts[side], name, seed, seconds))
                 print(f"{name} seed {seed} {side} done", file=sys.stderr, flush=True)
         workloads[name] = {
             metric: summarize([r[metric] for r in runs["parent"]], [r[metric] for r in runs["change"]], better)
@@ -150,7 +149,7 @@ def main(argv=None) -> int:
     record = {
         "label": args.label,
         "description": args.description,
-        "command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g}",
+        "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds:g}",
         "protocol": (f"{len(seeds)} alternating pairs per workload, seeds {args.seeds}, parent first "
                      "on even seeds; each side runs bench/run.py of its own checkout; quartiles are "
                      "numpy percentiles 25 and 75; a pair is won by the side with the better value, "
@@ -169,7 +168,7 @@ def main(argv=None) -> int:
                            "parent_iqr": summary["parent_iqr"], "change_wins": summary["change_wins"],
                            "pairs": summary["pairs"]}
         print(f"claim {args.claim}: {'met' if record['claim']['met'] else 'not met'}")
-    path = args.out / f"BENCH_{args.label}.json"
+    path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {path}")
     return 0
