@@ -266,16 +266,13 @@ def _stack(fiber: tuple[np.ndarray, list], n: int, tables, index: np.ndarray | N
     H0, parts = fiber
     M = np.empty((n, H0.size), dtype=H0.dtype)
     M[:] = H0
-    if index is not None:  # every term's rows, gathered into one array
-        rows = np.empty((len(index), n // len(index)), dtype=H0.dtype)
     for i, terms in enumerate(parts):
         for f, groups in terms:
             if f is np.conj:
                 t = np.conj(t, out=t)
-            elif index is None:
-                t = f(tables[i])
             else:
-                t = f(tables[i]).take(index[:, i], axis=0, out=rows).ravel()
+                t = f(tables[i])
+                t = (t if index is None else t.take(index[:, i], axis=0)).ravel()
             for w, positions in groups:
                 wt = t if w == 1 else w * t
                 for k in positions:
