@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from . import floquet
 from .floquet import Potential, zero_potential
-from .lattice import PeriodVector, Phase, is_integer
+from .lattice import PeriodVector, is_integer
 
 __all__ = [
     "GridSpec",
@@ -118,11 +118,10 @@ class BandTable:
     """
 
     q: PeriodVector
-    grid: GridSpec
     min_values: np.ndarray
     max_values: np.ndarray
-    argmin: tuple[Phase, ...]
-    argmax: tuple[Phase, ...]
+    argmin: tuple[tuple[float, ...], ...]
+    argmax: tuple[tuple[float, ...], ...]
     slack: float
     rounding: float
     refined: bool = False
@@ -142,10 +141,10 @@ class BandTable:
     def band_max(self, k: int) -> float:
         return float(self.max_values[self._check(k)])
 
-    def theta_min(self, k: int) -> Phase:
+    def theta_min(self, k: int) -> tuple[float, ...]:
         return self.argmin[self._check(k)]
 
-    def theta_max(self, k: int) -> Phase:
+    def theta_max(self, k: int) -> tuple[float, ...]:
         return self.argmax[self._check(k)]
 
     @property
@@ -172,7 +171,7 @@ class BandTable:
             float(self.max_values[k + 1] - self.min_values[k]) for k in range(self.Q - 1)
         )
 
-    def deepest(self, E: float) -> tuple[int, float, Phase]:
+    def deepest(self, E: float) -> tuple[int, float, tuple[float, ...]]:
         """(k, depth, phase) of the band holding E deepest, the one rule for
         where E sits: band k has depth min(max_k - E, E - min_k), the first
         of largest depth wins, and the phase is that of its nearer edge (the
@@ -202,16 +201,12 @@ class Interval:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
-    """Merged band intervals with the overlap table and gap certification."""
+    """Merged band intervals and gaps, and whether every gap is certified;
+    the slack, merge tolerance and overlaps are those of the BandTable."""
 
-    q: PeriodVector
     intervals: tuple[Interval, ...]
-    overlaps: tuple[float, ...]
     gaps: tuple[Interval, ...]
     certified: bool
-    slack: float
-    merge_tol: float
-    grid: GridSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,11 +328,9 @@ def _sweep(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, rows: tu
     attaining the value, found as a position in the list of representatives.
 
     The table is kept on V by sample counts (Potential._sweeps), so a later
-    sweep of the same V and m solves nothing; a grid that differs only in
-    its budget has the same nodes and values, and gets the kept table, which
-    names the first grid.  rows, from the row pass, is the layout's
-    coordinates and an (R, Q) array that receives every representative's
-    row; it is always solved."""
+    sweep of the same V and m solves nothing.  rows, from the row pass, is
+    the layout's coordinates and an (R, Q) array that receives every
+    representative's row; it is always solved."""
     floquet.check_periods(q, V)
     steps = grid.steps(q)  # validates dimension match
     check_workers(workers)
@@ -368,8 +361,8 @@ def _sweep(q: PeriodVector, V: Potential, grid: GridSpec, workers: int, rows: tu
     min_vals.flags.writeable = False
     max_vals.flags.writeable = False
     # theta_i = j_i h_i, the bits of the kernel's grid values
-    phases = tuple(map(Phase, (coords[np.concatenate([min_pos, max_pos])] * steps).tolist()))
-    table = BandTable(q, grid, min_vals, max_vals, phases[:Q], phases[Q:],
+    phases = tuple(map(tuple, (coords[np.concatenate([min_pos, max_pos])] * steps).tolist()))
+    table = BandTable(q, min_vals, max_vals, phases[:Q], phases[Q:],
                       certified_slack(q, grid), rounding_bound(q, V))
     V._sweeps[grid.m] = table
     return table
@@ -398,9 +391,9 @@ def sample_bands(q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1
     Returns
     -------
     BandTable
-        Extrema, their phases (lexicographically smallest on ties; the
-        smallest node attaining a value is a representative), and the
-        Lipschitz slack for this grid.
+        Extrema, their phases as tuples of d Python floats
+        (lexicographically smallest on ties; the smallest node attaining a
+        value is a representative), and the Lipschitz slack for this grid.
     """
     return _sweep(q, V, grid, workers)
 
@@ -430,7 +423,7 @@ def certified_edges(q: PeriodVector, V: Potential, grid: GridSpec, workers: int 
     # flip, exact) is what every step compares.
     sense = np.repeat([1.0, -1.0], Q)
     score = sense * np.concatenate([table.min_values, table.max_values])
-    th = np.array([p.theta for p in table.argmin + table.argmax])
+    th = np.array(table.argmin + table.argmax)
     bands = np.arange(2 * Q) % Q
     cand_bands = np.concatenate([bands, bands])
     cand_sense = np.concatenate([sense, sense])
@@ -476,10 +469,10 @@ def certified_edges(q: PeriodVector, V: Potential, grid: GridSpec, workers: int 
                 th[better] = minus[better]
                 score[better] = s_minus[better]
         signed *= SHRINK
-    phases = tuple(map(Phase, th.tolist()))
+    phases = tuple(map(tuple, th.tolist()))
     best = sense * score
     best.flags.writeable = False
-    return replace(table, grid=grid, min_values=best[:Q], max_values=best[Q:],
+    return replace(table, min_values=best[:Q], max_values=best[Q:],
                    argmin=phases[:Q], argmax=phases[Q:], refined=True)
 
 
@@ -524,14 +517,9 @@ def assemble_spectrum(table: BandTable) -> SpectrumReport:
         Interval(intervals[i].hi, intervals[i + 1].lo) for i in range(len(intervals) - 1)
     )
     return SpectrumReport(
-        q=table.q,
         intervals=intervals,
-        overlaps=table.overlaps,
         gaps=gaps,
         certified=all(table.headroom(g.width, outer=2) > 0.0 for g in gaps),
-        slack=table.slack,
-        merge_tol=tol,
-        grid=table.grid,
     )
 
 
@@ -575,7 +563,7 @@ def estimate_cq(q: PeriodVector, grid: GridSpec, workers: int = 1) -> CqEstimate
 
 def min_abs_eigenvalue(
     q: PeriodVector, V: Potential, grid: GridSpec, workers: int = 1
-) -> tuple[float, Phase]:
+) -> tuple[float, tuple[float, ...]]:
     """Distance from 0 to the sampled bands, max(0, -depth), with the phase
     of the nearer edge of the deepest band at E = 0 (BandTable.deepest).
 

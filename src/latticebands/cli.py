@@ -179,8 +179,8 @@ def cmd_bands(args) -> int:
                 "band": k,
                 "min": table.band_min(k),
                 "max": table.band_max(k),
-                "theta_min": list(table.theta_min(k).theta),
-                "theta_max": list(table.theta_max(k).theta),
+                "theta_min": list(table.theta_min(k)),
+                "theta_max": list(table.theta_max(k)),
             }
             for k in range(1, table.Q + 1)
         ]
@@ -245,15 +245,15 @@ def cmd_spectrum(args) -> int:
     report_obj = bandedges.assemble_spectrum(table)
     report = _base_config(args, q, grid)
     report["potential"] = pinfo
-    report["slack"] = report_obj.slack
-    report["merge_tol"] = report_obj.merge_tol
+    report["slack"] = table.slack
+    report["merge_tol"] = table.merge_tol
     report["certified"] = report_obj.certified
     report["intervals"] = _interval_dicts(report_obj.intervals)
     report["gaps"] = _gap_dicts(report_obj.gaps)
-    report["overlaps"] = list(report_obj.overlaps)
+    report["overlaps"] = list(table.overlaps)
     lines = [
         f"spectrum: {len(report_obj.intervals)} interval(s), "
-        f"certified={report_obj.certified}, slack={report_obj.slack:.6g}"
+        f"certified={report_obj.certified}, slack={table.slack:.6g}"
     ]
     lines += [f"  [{iv.lo:.9g}, {iv.hi:.9g}]" for iv in report_obj.intervals]
     _emit(args, report, lines)
@@ -270,7 +270,7 @@ def cmd_witness(args) -> int:
     report["energy"] = args.energy
     report["band_index"] = result.band_index
     report["margin"] = result.margin
-    report["theta_witness"] = list(result.theta_witness.theta)
+    report["theta_witness"] = list(result.theta_witness)
     report["touching_at_zero"] = result.touching_at_zero
     if result.touching_at_zero:
         outcome = "touching_at_zero"
@@ -327,7 +327,7 @@ def cmd_degeneracy(args) -> int:
     predicted = degeneracy.predict_moves(q, group, beta, sign, cls)
     counted = degeneracy.count_moves(q, group, beta, args.t)
     report = _base_config(args, q, None)
-    report["theta"] = list(theta.theta)
+    report["theta"] = list(theta)
     report["target_l"] = list(target)
     report["beta"] = [float(b) for b in beta]
     report["t"] = args.t

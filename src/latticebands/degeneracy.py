@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ComputationError, DegenerateBeyondSecondOrder, DomainError
 from .freebands import _angles, _curvatures, _gradients, _levels, unit_direction
 from .lattice import (
-    PeriodVector, Phase, check_index, check_phase, enumerate_lambda, is_integer, is_real,
+    PeriodVector, check_index, check_phase, enumerate_lambda, is_integer, is_real,
 )
 
 __all__ = [
@@ -56,7 +56,7 @@ class DegeneracyGroup:
     position_offset + 1 .. position_offset + r.
     """
 
-    theta: Phase
+    theta: tuple[float, ...]
     level: float
     members: tuple[tuple[int, ...], ...]
     position_offset: int
@@ -183,7 +183,7 @@ def _exact_split(
 
 def coincident_group(
     q: PeriodVector,
-    theta: Phase | Sequence[float],
+    theta: Sequence[float],
     target_l: Sequence[int],
 ) -> DegeneracyGroup:
     """All frequency offsets whose level matches the target's at this phase.
@@ -208,8 +208,7 @@ def coincident_group(
         levels, equal = split
         above = ~equal & (levels > levels[t])
     members = tuple(m for m, eq in zip(offsets, equal) if eq)
-    phase_obj = theta if isinstance(theta, Phase) else Phase(th)
-    return DegeneracyGroup(phase_obj, float(levels[t]), members, int(above.sum()))
+    return DegeneracyGroup(th, float(levels[t]), members, int(above.sum()))
 
 
 def classify(

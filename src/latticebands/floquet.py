@@ -19,7 +19,6 @@ import numpy as np
 from .errors import ComputationError, ConfigurationError, DomainError
 from .lattice import (
     PeriodVector,
-    Phase,
     check_phases,
     enumerate_lambda,
     is_integer,
@@ -355,7 +354,7 @@ def check_periods(q: PeriodVector, V: Potential) -> None:
         raise DomainError(f"potential periods {V.q.q} do not match {q.q}")
 
 
-def assemble(q: PeriodVector, V: Potential, theta: Phase | Sequence[float] | np.ndarray) -> np.ndarray:
+def assemble(q: PeriodVector, V: Potential, theta: Sequence[float] | np.ndarray) -> np.ndarray:
     """Assemble the Q x Q Hermitian fiber matrix at one reduced phase, or a stack.
 
     Parameters
@@ -364,7 +363,7 @@ def assemble(q: PeriodVector, V: Potential, theta: Phase | Sequence[float] | np.
         Componentwise periods.
     V : Potential
         On-site potential over the cell; must match q.
-    theta : Phase, sequence of float, or (n, d) array-like
+    theta : sequence of float, or (n, d) array-like
         Reduced phase, coordinate i taken modulo 1/q_i; an (n, d) array or
         a nested list of n d-vectors gives n phases, one per row.
 
@@ -392,7 +391,7 @@ def assemble(q: PeriodVector, V: Potential, theta: Phase | Sequence[float] | np.
 
 
 def eigenvalues_sorted_desc(
-    q: PeriodVector, V: Potential, theta: Phase | Sequence[float] | np.ndarray
+    q: PeriodVector, V: Potential, theta: Sequence[float] | np.ndarray
 ) -> np.ndarray:
     """Fiber eigenvalues at one phase, sorted non-increasing, as a read-only array.
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import bandedges
 from .errors import DomainError
 from .floquet import zero_potential
-from .lattice import PeriodVector, Phase, check_index, check_phase
+from .lattice import PeriodVector, check_index, check_phase
 
 __all__ = [
     "WitnessResult",
@@ -46,12 +46,12 @@ class WitnessResult:
     """
 
     band_index: int
-    theta_witness: Phase
+    theta_witness: tuple[float, ...]
     margin: float
     touching_at_zero: bool = False
 
 
-def _angles(q: PeriodVector, theta: Phase | Sequence[float], offsets: Sequence) -> np.ndarray:
+def _angles(q: PeriodVector, theta: Sequence[float], offsets: Sequence) -> np.ndarray:
     """The (r, d) full-circle angles 2 pi (theta_i + l_i / q_i) of r
     frequency offsets at one phase: theta is checked once, each offset by
     check_index.  _levels, _gradients and _curvatures give one result per row."""
@@ -76,12 +76,12 @@ def _curvatures(angles: np.ndarray, b: np.ndarray) -> np.ndarray:
     return -4.0 * math.pi**2 * sum((2.0 * np.cos(angles) * b**2).T)
 
 
-def free_level(q: PeriodVector, theta: Phase | Sequence[float], l: Sequence[int]) -> float:
+def free_level(q: PeriodVector, theta: Sequence[float], l: Sequence[int]) -> float:
     """Closed-form free level; 1-periodic in each full-circle coordinate."""
     return float(_levels(_angles(q, theta, (l,)))[0])
 
 
-def free_gradient(q: PeriodVector, theta: Phase | Sequence[float], l: Sequence[int]) -> np.ndarray:
+def free_gradient(q: PeriodVector, theta: Sequence[float], l: Sequence[int]) -> np.ndarray:
     """Gradient of the free level: component i is -4 pi sin(2 pi x_i)."""
     return _gradients(_angles(q, theta, (l,)))[0]
 
@@ -121,7 +121,7 @@ def normalize_direction(beta: Sequence[float], d: int) -> np.ndarray:
 
 def second_order_coeff(
     q: PeriodVector,
-    theta: Phase | Sequence[float],
+    theta: Sequence[float],
     l: Sequence[int],
     beta: Sequence[float],
 ) -> float:

@@ -21,7 +21,6 @@ from .errors import DomainError
 
 __all__ = [
     "PeriodVector",
-    "Phase",
     "period",
     "enumerate_lambda",
     "phase",
@@ -80,30 +79,13 @@ class PeriodVector:
         return all(qi % 2 == 0 for qi in self.q)
 
 
-@dataclass(frozen=True)
-class Phase:
-    """A point on the reduced phase torus, coordinate i in [0, 1/q_i).
-
-    Construct through :func:`phase` so wraparound is handled in one place.
-    """
-
-    theta: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", tuple(float(x) for x in self.theta))
-
-
 def period(values: Iterable[int]) -> PeriodVector:
     """Build a :class:`PeriodVector` from any integer iterable."""
-    try:
-        values = tuple(values)
-    except TypeError:
-        raise DomainError(f"periods must be an iterable of integers, got {values!r}") from None
     return PeriodVector(values)
 
 
 def check_phases(q: PeriodVector, theta) -> tuple[np.ndarray, bool]:
-    """The one phase parser: a Phase, a d-vector or an (n, d) stack of them as
+    """The one phase parser: a d-vector or an (n, d) stack of them as
     an (n, d) float array of finite coordinates, d = q.d, and whether it was
     a single phase (n = 1) rather than a stack.  A float64 (n, d) ndarray,
     as every probe and its folded phases are, is returned as it is once
@@ -111,8 +93,6 @@ def check_phases(q: PeriodVector, theta) -> tuple[np.ndarray, bool]:
     if type(theta) is np.ndarray and theta.dtype == np.float64 and theta.shape[1:] == (q.d,):
         if np.isfinite(theta).all():
             return theta, False
-    if isinstance(theta, Phase):
-        theta = theta.theta
     try:
         th = np.asarray(theta, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -130,13 +110,12 @@ def check_phases(q: PeriodVector, theta) -> tuple[np.ndarray, bool]:
     return th, single
 
 
-def check_phase(q: PeriodVector, theta: Phase | Sequence[float]) -> tuple[float, ...]:
-    """One phase argument's coordinates, read by check_phases; a stack is
-    rejected.  A Phase or a tuple of d finite Python floats is taken as it is."""
-    t = theta.theta if isinstance(theta, Phase) else theta
-    if (type(t) is tuple and len(t) == q.d and all(type(x) is float for x in t)
-            and all(map(math.isfinite, t))):
-        return t
+def check_phase(q: PeriodVector, theta: Sequence[float]) -> tuple[float, ...]:
+    """One phase argument as a tuple of d Python floats, read by check_phases;
+    a stack is rejected.  Such a tuple of finite floats is taken as it is."""
+    if (type(theta) is tuple and len(theta) == q.d and all(type(x) is float for x in theta)
+            and all(map(math.isfinite, theta))):
+        return theta
     th, single = check_phases(q, theta)
     if not single:
         raise DomainError(f"expected one phase, got a stack of shape {th.shape}")
@@ -160,8 +139,8 @@ def enumerate_lambda(q: PeriodVector) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product(*[range(qi) for qi in q.q]))
 
 
-def phase(q: PeriodVector, values: Sequence[float]) -> Phase:
-    """Wrap arbitrary real coordinates onto the reduced torus."""
+def phase(q: PeriodVector, values: Sequence[float]) -> tuple[float, ...]:
+    """Wrap arbitrary real coordinates onto the reduced torus as d Python floats."""
     vals = check_phase(q, values)
     out = []
     for v, qi in zip(vals, q.q):
@@ -170,4 +149,4 @@ def phase(q: PeriodVector, values: Sequence[float]) -> Phase:
         if t >= w:  # guard against rounding at the seam
             t -= w
         out.append(t)
-    return Phase(tuple(out))
+    return tuple(out)

@@ -66,8 +66,8 @@ def ref_level_single(q, theta, l):
 
 
 def grid_thetas(q, m):
-    """Phase of every grid node in row-major order, node j_i at j_i / (q_i m_i):
-    the order of the rows of iter_band_rows."""
+    """Phase of every grid node, a tuple of d floats, in row-major order, node
+    j_i at j_i / (q_i m_i): the order of the rows of iter_band_rows."""
     steps = [1.0 / (qi * mi) for qi, mi in zip(q, m)]
     return [tuple(j * h for j, h in zip(js, steps)) for js in itertools.product(*[range(mi) for mi in m])]
 

@@ -66,7 +66,7 @@ def test_02_fiber_spectrum_matches_closed_form():
         q = period(q_tuple)
         th = phase(q, tuple(float(x) for x in rng.uniform(0, 1, size=q.d)))
         vals = eigenvalues_sorted_desc(q, zero_potential(q), th)
-        ref = ref_levels(q_tuple, th.theta)
+        ref = ref_levels(q_tuple, th)
         worst = max(worst, float(np.max(np.abs(vals - ref))))
     assert worst <= 1e-9
     print(f"[acceptance 02] PASS closed-form equivalence, worst deviation {worst:.2e}")

@@ -17,7 +17,6 @@ from latticebands import (
     DomainError,
     GridSpec,
     Interval,
-    Phase,
     assemble_spectrum,
     build_dimer,
     build_vq,
@@ -201,7 +200,7 @@ def sequential_refinement(q, V, grid, log=None):
         for k in range(1, q.Q + 1):
             theta0 = table.theta_max(k) if maximize else table.theta_min(k)
             best = table.band_max(k) if maximize else table.band_min(k)
-            th = list(theta0.theta)
+            th = list(theta0)
             steps = list(grid.steps(q))
             for r in range(bandedges.REFINE_ROUNDS):
                 for i in range(q.d):
@@ -246,7 +245,7 @@ def test_batched_refinement_matches_sequential_reference(q_tuple, m, free):
     assert any(moved for entries in log.values() for _, _, moved, _ in entries)
     table = certified_edges(q, V, grid)
     got = [
-        (float(v).hex(), tuple(x.hex() for x in th.theta))
+        (float(v).hex(), tuple(x.hex() for x in th))
         for v, th in zip(
             np.concatenate([table.min_values, table.max_values]), table.argmin + table.argmax
         )
@@ -286,7 +285,7 @@ def test_argmin_is_first_node_attaining_the_minimum():
     assert table.band_min(2) == pytest.approx(0.0, abs=1e-12)
     for theta, vals in zip(grid_thetas(q.q, grid.m), iter_band_rows(q, zero_potential(q), grid)):
         if vals[1] == table.band_min(2):
-            assert theta == table.theta_min(2).theta
+            assert theta == table.theta_min(2)
             break
     else:
         pytest.fail("reported minimum never attained on the grid")
@@ -445,7 +444,7 @@ def test_merge_tolerance_floor():
         split = dataclasses.replace(table, min_values=np.array([1.0 + gap, 0.0]),
                                     max_values=np.array([2.0 + gap, 1.0]))
         report = assemble_spectrum(split)
-        assert report.merge_tol == 2 * w
+        assert split.merge_tol == 2 * w
         assert len(report.intervals) == n
         assert report.certified
 
@@ -541,7 +540,7 @@ def test_min_abs_eigenvalue_finds_zero_crossing():
     value, theta = min_abs_eigenvalue(q, zero_potential(q), grid)
     rows = np.array(list(iter_band_rows(q, zero_potential(q), grid)))
     assert value == 0.0 and math.copysign(1.0, value) == 1.0
-    assert (value, theta.theta) == _distance_reference(rows, grid_thetas(q.q, grid.m))
+    assert (value, theta) == _distance_reference(rows, grid_thetas(q.q, grid.m))
 
 
 def test_min_abs_eigenvalue_with_gap():
@@ -820,8 +819,8 @@ def test_half_grid_sweep_matches_full_grid_reference(kind):
         for k in range(q.Q):
             for want, got in ((table.min_values[k], table.argmin[k]), (table.max_values[k], table.argmax[k])):
                 first = int(np.flatnonzero(rows[:, k] == want)[0])
-                assert tuple(thetas[first]) == got.theta
-        assert (value, theta.theta) == _distance_reference(rows, thetas)
+                assert tuple(thetas[first]) == got
+        assert (value, theta) == _distance_reference(rows, thetas)
         # the distance to the sampled bands is 0 when a sampled range holds
         # 0, and the smallest |E| otherwise
         holds_zero = bool(np.any((rows.min(axis=0) <= 0.0) & (rows.max(axis=0) >= 0.0)))
@@ -887,11 +886,35 @@ def test_one_potential_on_two_grids_matches_a_fresh_potential_per_grid():
             assert min_abs_eigenvalue(q, shared, grid) == min_abs_eigenvalue(q, random_potential(q, 0.4, seed=21), grid)
     assert sorted(shared._sweeps) == [(8, 8), (12, 9)]
     # the kept table is the one every sweep returns, also to a grid that
-    # differs only in its budget; the refined table names the caller's grid
+    # differs only in its budget
     other = GridSpec((8, 8), budget=64)
     kept = shared._sweeps[(8, 8)]
-    assert sample_bands(q, shared, other) is kept and kept.grid == grids[1]
-    assert certified_edges(q, shared, other).grid is other
+    assert sample_bands(q, shared, other) is kept
+
+
+def test_every_returned_phase_is_a_tuple_of_python_floats():
+    from latticebands import coincident_group, interior_witness, phase
+
+    def is_phase(theta, d):
+        return type(theta) is tuple and len(theta) == d and all(type(x) is float for x in theta)
+
+    grid = GridSpec((8, 8))
+    # free, real-form (an inversion-symmetric cell) and complex cells
+    cells = [
+        (period((2, 3)), zero_potential(period((2, 3)))),
+        (period((2, 2)), build_vq(CounterexampleSpec(period((2, 2)), 0.2))),
+        (period((2, 3)), random_potential(period((2, 3)), 0.5, seed=3)),
+    ]
+    for q, V in cells:
+        for table in (sample_bands(q, V, grid), certified_edges(q, V, grid)):
+            assert all(is_phase(theta, q.d) for theta in table.argmin + table.argmax)
+            assert is_phase(table.deepest(0.3)[2], q.d)
+        assert is_phase(min_abs_eigenvalue(q, V, grid)[1], q.d)
+    q = period((2, 3))
+    assert is_phase(interior_witness(q, 0.5, grid).theta_witness, q.d)
+    for theta in ((0, 0.25), [np.float64(0.1), 0]):
+        assert is_phase(coincident_group(q, theta, (0, 0)).theta, q.d)
+    assert is_phase(phase(q, (1, np.float32(0.7))), q.d)
 
 
 @pytest.mark.parametrize("q_tuple", [(3, 2), (2, 2)])
@@ -946,10 +969,10 @@ def test_layout_and_sweeps_match_a_brute_force_decode(m, q_tuple, kind):
             assert table.min_values.tobytes() == ref.min(axis=0).tobytes()
             assert table.max_values.tobytes() == ref.max(axis=0).tobytes()
             for k in range(q.Q):
-                assert table.argmin[k].theta == tuple(thetas[np.flatnonzero(ref[:, k] == ref[:, k].min())[0]])
-                assert table.argmax[k].theta == tuple(thetas[np.flatnonzero(ref[:, k] == ref[:, k].max())[0]])
+                assert table.argmin[k] == tuple(thetas[np.flatnonzero(ref[:, k] == ref[:, k].min())[0]])
+                assert table.argmax[k] == tuple(thetas[np.flatnonzero(ref[:, k] == ref[:, k].max())[0]])
             value, theta = min_abs_eigenvalue(q, build(q), grid, workers=workers)
-            assert (value, theta.theta) == _distance_reference(ref, thetas)
+            assert (value, theta) == _distance_reference(ref, thetas)
             held = np.empty((len(coords), q.Q))
             bandedges._sweep(q, build(q), grid, workers, (coords, held))
             assert held[owner].tobytes() == ref.tobytes()
@@ -1095,16 +1118,16 @@ def test_every_verdict_reads_the_enclosure_like_the_old_formulas(q_tuple, data, 
     hi = [max(p) for p in ends]
     grid = GridSpec((4, 4))
     table = bandedges.BandTable(
-        q, grid, np.array(lo), np.array(hi),
-        tuple(Phase((k, 0.0)) for k in range(q.Q)), tuple(Phase((k, 1.0)) for k in range(q.Q)),
+        q, np.array(lo), np.array(hi),
+        tuple((float(k), 0.0) for k in range(q.Q)), tuple((float(k), 1.0) for k in range(q.Q)),
         slack, rho, refined=True)
 
     report = assemble_spectrum(table)
     merged, gaps, tol, certified = _ref_spectrum(lo, hi, slack, rho)
     assert [(iv.lo, iv.hi) for iv in report.intervals] == merged
     assert [(g.lo, g.hi) for g in report.gaps] == gaps
-    assert report.merge_tol == tol and report.certified == certified
-    assert list(report.overlaps) == [hi[k + 1] - lo[k] for k in range(q.Q - 1)]
+    assert table.merge_tol == tol and report.certified == certified
+    assert list(table.overlaps) == [hi[k + 1] - lo[k] for k in range(q.Q - 1)]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bandedges, "_sweep", lambda *args: table)
@@ -1126,7 +1149,7 @@ def test_every_verdict_reads_the_enclosure_like_the_old_formulas(q_tuple, data, 
         else:
             k, depth, edge = _ref_deepest(lo, hi, E)
             assert (res.band_index, res.margin) == (k + 1, depth - rho)
-            assert res.theta_witness == Phase((k, 0.0 if edge == "min" else 1.0))
+            assert res.theta_witness == (float(k), 0.0 if edge == "min" else 1.0)
         # c_q: the smallest counted overlap less two outer range ends, halved
         est = estimate_cq(q, grid)
         c_q, inconclusive, deltas = _ref_cq(lo, hi, slack, rho, q.all_even)

@@ -117,6 +117,22 @@ def test_neighbor_sums_catch_a_perturbed_entry():
     assert (1, 1) in sites or (0, 1) in sites or (1, 0) in sites
 
 
+def test_neighbor_sum_tolerance_scales_with_the_coupling():
+    # at a forced coupling the sums round by more than an absolute 1e-15
+    spec = CounterexampleSpec(period((2, 2)), 2.8, force=True)
+    report = neighbor_sum_check(build_vq(spec), spec.delta)
+    assert report.ok and report.failures == ()
+    # yet the bound, 4 ulps of delta + delta^3/d, still sees a 1e-12 move
+    spec = CounterexampleSpec(period((2, 2)), 0.2)
+    vals = build_vq(spec).values.copy()
+    vals[1] += 1e-12  # site (0, 1), an odd one
+    report = neighbor_sum_check(potential(spec.q, vals), spec.delta)
+    assert not report.ok
+    # the four sums that hold site (0, 1), wrapping around the 2 x 2 cell
+    assert sorted((site, axis) for site, axis, _, _ in report.failures) == [
+        ((0, 0), 1), ((0, 1), 0), ((0, 1), 1), ((1, 1), 0)]
+
+
 def test_staggered_fiber_matches_oracle(rng):
     q = period((2, 2))
     delta = 0.3

@@ -22,7 +22,7 @@ from latticebands import (
     zero_potential,
 )
 
-from latticebands.lattice import Phase, check_phase
+from latticebands.lattice import check_phase
 from latticebands.floquet import _eigenvalues_desc, _fiber_eigenvalues, _fiber_parts, _stack
 
 from conftest import inversion_symmetric, ref_fiber, ref_levels, random_periods
@@ -126,7 +126,7 @@ def test_trace_equals_sum_of_potential(rng):
         # hopping is traceless unless some q_i = 1 adds 2 cos terms
         diag_hop = sum(
             2.0 * math.cos(2.0 * math.pi * qi * t) * (q.Q if qi == 1 else 0)
-            for qi, t in zip(q.q, th.theta)
+            for qi, t in zip(q.q, th)
         )
         assert np.trace(M).real == pytest.approx(np.sum(V.values) + diag_hop, abs=1e-9)
         assert abs(np.trace(M).imag) < 1e-12
@@ -139,7 +139,7 @@ def test_matches_loop_reference(rng):
         V = random_potential(q, 0.9, seed=int(rng.integers(1 << 30)))
         th = tuple(float(x) for x in rng.uniform(0, 1, size=q.d))
         got = eigenvalues_sorted_desc(q, V, phase(q, th))
-        ref = np.sort(np.linalg.eigvalsh(ref_fiber(q_tuple, V.values, phase(q, th).theta)))[::-1]
+        ref = np.sort(np.linalg.eigvalsh(ref_fiber(q_tuple, V.values, phase(q, th))))[::-1]
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
@@ -149,7 +149,7 @@ def test_matches_closed_form_free_levels(rng):
         q = period(q_tuple)
         th = phase(q, tuple(float(x) for x in rng.uniform(0, 1, size=q.d)))
         got = eigenvalues_sorted_desc(q, zero_potential(q), th)
-        np.testing.assert_allclose(got, ref_levels(q_tuple, th.theta), atol=1e-9)
+        np.testing.assert_allclose(got, ref_levels(q_tuple, th), atol=1e-9)
 
 
 def test_eigenvalues_sorted_and_bounded(rng):
@@ -378,7 +378,7 @@ def _potential_cases():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_phase_raises_domain_error(name, q, V, bad):
     stack = np.array([[0.0, 0.0], [0.1, bad], [0.2, 0.1]])
-    for theta in ((0.1, bad), Phase((bad, 0.0)), stack, stack.tolist()):
+    for theta in ((0.1, bad), (bad, 0.0), stack, stack.tolist()):
         with pytest.raises(DomainError, match="finite"):
             assemble(q, V, theta)
         with pytest.raises(DomainError, match="finite"):
@@ -387,7 +387,7 @@ def test_non_finite_phase_raises_domain_error(name, q, V, bad):
 
 @pytest.mark.parametrize("theta,message", [
     ((math.nan, 0.0), "phase coordinates must be finite, got [nan, 0.0]"),
-    (Phase((0.1, -math.inf)), "phase coordinates must be finite, got [0.1, -inf]"),
+    ((0.1, -math.inf), "phase coordinates must be finite, got [0.1, -inf]"),
     ((0.1, 0.1, 0.1), "phase has 3 coordinates, expected 2"),
     ([[0.0, 0.0], [0.1, 0.1]], "expected one phase, got a stack of shape (2, 2)"),
 ], ids=["nan", "inf", "dimension", "stack"])

@@ -3,8 +3,10 @@ stderr and every file it writes.
 
 The commands are every case of seeds 1-3 of the four benchmark workloads
 (generated by bench/workloads.py), the commands of the README's "Command
-line" block and DEGENERACY_COMMANDS, which reach degeneracy paths that no
-workload does.  Each runs in-process through latticebands.cli.main,
+line" block, DEGENERACY_COMMANDS, which reach degeneracy paths that no
+workload does, and TEXT_COMMANDS, which print the human-readable lines
+and the CSV on stdout that every other command replaces by --json or
+--out.  Each runs in-process through latticebands.cli.main,
 in an empty temporary working directory that is removed afterwards, so
 relative output paths (the workloads' CSV files, the README's bands.csv)
 are the same on every run.  Two trees print the same lines exactly when
@@ -37,6 +39,18 @@ DEGENERACY_COMMANDS = (
     ["degeneracy", "--q", "3,2", "--theta", "0.1234,0.05", "--l", "0,0", "--beta", "1,0"],
     ["degeneracy", "--q", "1,1", "--theta", "2e-11,0", "--l", "0,0", "--beta=-1,0", "--t", "1e-3"],
     ["degeneracy", "--q", "2,2", "--theta", "0.25,0.25", "--l", "0,0", "--beta", "1,1"],
+)
+# Each command that prints a summary line without --json (spectrum with two
+# intervals and with one), bands' JSON without --out, and bands' CSV on
+# stdout.
+TEXT_COMMANDS = (
+    ["spectrum", "--q", "2,2", "--potential", "vq", "--delta", "0.1", "--grid", "64,64"],
+    ["spectrum", "--q", "2,3", "--potential", "random", "--delta", "0.3", "--grid", "16,16"],
+    ["witness", "--q", "2,3", "--energy", "0.5", "--grid", "32,32"],
+    ["cq", "--q", "3,3", "--grid", "32,32"],
+    ["counterexample", "--q", "2,2", "--delta", "0.1", "--grid", "64,64"],
+    ["bands", "--q", "2,2", "--potential", "dimer", "--delta", "0.2", "--grid", "8,8", "--json"],
+    ["bands", "--q", "2,3", "--potential", "random", "--delta", "0.4", "--grid", "6,5"],
 )
 
 
@@ -97,7 +111,7 @@ def main() -> int:
     commands = (
         workload_commands()
         + [("README: " + " ".join(argv), argv) for argv in readme_commands()]
-        + [(" ".join(argv), argv) for argv in DEGENERACY_COMMANDS]
+        + [(" ".join(argv), argv) for argv in DEGENERACY_COMMANDS + TEXT_COMMANDS]
     )
     for label, argv in commands:
         print(f"{digest(argv)}  {label}", flush=True)
