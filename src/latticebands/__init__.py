@@ -21,7 +21,6 @@ from .lattice import *
 _LAZY = {
     "counterexample": (
         "DELTA_MAX_DEFAULT",
-        "CounterexampleSpec",
         "NeighborSumReport",
         "GapCheck",
         "build_vq",

@@ -109,8 +109,7 @@ def _resolve_potential(args, q: PeriodVector) -> tuple[Potential, dict]:
 
         if name == "dimer":
             return counterexample.build_dimer(q, args.delta), info
-        spec = counterexample.CounterexampleSpec(q, args.delta)
-        return counterexample.build_vq(spec), info
+        return counterexample.build_vq(q, args.delta), info
     if args.delta is not None:
         raise ConfigurationError(f"--delta does not apply to --potential {name}")
     if name == "zero":
@@ -324,7 +323,7 @@ def cmd_degeneracy(args) -> int:
     group = degeneracy.coincident_group(q, theta, target)
     cls = degeneracy.classify(q, group, beta)
     sign = 1 if args.t > 0 else -1
-    predicted = degeneracy.predict_moves(q, group, beta, sign, cls)
+    predicted = degeneracy.predict_moves(q, group, beta, sign)
     counted = degeneracy.count_moves(q, group, beta, args.t)
     report = _base_config(args, q, None)
     report["theta"] = list(theta)
@@ -371,14 +370,13 @@ def cmd_counterexample(args) -> int:
     if args.delta is None:
         raise ConfigurationError("counterexample requires --delta")
     grid = _resolve_grid(args, q)
-    spec = counterexample.CounterexampleSpec(q, args.delta, force=args.force)
-    V = counterexample.build_vq(spec)
-    check = counterexample.neighbor_sum_check(V, spec.delta)
-    gap = counterexample.verify_gap_at_zero(spec, grid, workers=args.workers)
+    V = counterexample.build_vq(q, args.delta, force=args.force)
+    check = counterexample.neighbor_sum_check(V, args.delta)
+    gap = counterexample.verify_gap_at_zero(V, args.delta, grid, workers=args.workers)
     table = bandedges.certified_edges(q, V, grid, workers=args.workers)
     spectrum = bandedges.assemble_spectrum(table)
     report = _base_config(args, q, grid)
-    report["delta"] = spec.delta
+    report["delta"] = args.delta
     report["neighbor_check"] = {
         "ok": check.ok,
         "pure_dimer": check.pure_dimer,
@@ -394,7 +392,7 @@ def cmd_counterexample(args) -> int:
     report["intervals"] = _interval_dicts(spectrum.intervals)
     report["gaps"] = _gap_dicts(spectrum.gaps)
     lines = [
-        f"counterexample: delta={spec.delta} intervals={len(spectrum.intervals)} "
+        f"counterexample: delta={args.delta} intervals={len(spectrum.intervals)} "
         f"gap_margin={gap.margin:.6g} (certified {gap.certified_margin:.6g})"
     ]
     _emit(args, report, lines)

@@ -6,10 +6,13 @@ zero symmetrically.  The potential built here perturbs that pattern at one
 site per cell so its minimal period is exactly q while keeping the gap:
 the operator norm of the defect is cubic in the coupling, far smaller than
 the linear-size gap the staggered part opens.
+
+build_vq(q, delta) builds it.  neighbor_sum_check and verify_gap_at_zero
+read the potential they are given, so a caller that builds it once hands
+that one object to every check, and they share the sweep kept on it.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +25,6 @@ from .lattice import PeriodVector
 
 __all__ = [
     "DELTA_MAX_DEFAULT",
-    "CounterexampleSpec",
     "NeighborSumReport",
     "GapCheck",
     "build_vq",
@@ -33,45 +35,6 @@ __all__ = [
 ]
 
 DELTA_MAX_DEFAULT = 0.25
-
-
-@dataclass(frozen=True)
-class CounterexampleSpec:
-    """Parameters of the gap-opening potential.
-
-    The construction requires every period even: with any odd period the
-    staggered pattern is not q-periodic and, more to the point, small
-    potentials provably cannot open a gap.  Couplings above
-    DELTA_MAX_DEFAULT are rejected unless force is set, since the gap
-    argument is perturbative.
-    """
-
-    q: PeriodVector
-    delta: float
-    force: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.q.all_even:
-            raise DomainError(
-                f"every period must be even for the gap construction, got {self.q.q}; "
-                "with an odd period small potentials keep the spectrum gapless"
-            )
-        if not self.delta > 0:
-            raise DomainError(f"coupling must be positive, got {self.delta}")
-        if self.delta > DELTA_MAX_DEFAULT and not self.force:
-            raise DomainError(
-                f"coupling {self.delta} exceeds {DELTA_MAX_DEFAULT}; "
-                "pass force=True to build anyway"
-            )
-
-    @functools.cached_property
-    def _vq(self) -> Potential:
-        """The potential of build_vq, built once per spec, so every sweep of
-        it shares the BandTable kept on the Potential."""
-        q, delta = self.q, self.delta
-        values = _staggered(q, delta)
-        values[0] = (1.0 - delta**2 / q.d) * delta
-        return potential(q, values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,25 +68,50 @@ def _staggered(q: PeriodVector, delta: float) -> np.ndarray:
     return delta * (1.0 - 2.0 * (np.indices(q.q).sum(0) % 2)).ravel()
 
 
-def build_vq(spec: CounterexampleSpec) -> Potential:
+def _check_coupling(delta: float) -> None:
+    """Reject a coupling that is not positive (NaN included)."""
+    if not delta > 0:
+        raise DomainError(f"coupling must be positive, got {delta}")
+
+
+def _check_construction(q: PeriodVector, delta: float) -> None:
+    """The preconditions of build_vq and build_dimer.
+
+    Every period must be even: with an odd period the staggered pattern is
+    not q-periodic and, more to the point, small potentials provably cannot
+    open a gap.  The coupling must be positive.
+    """
+    if not q.all_even:
+        raise DomainError(
+            f"every period must be even for the gap construction, got {q.q}; "
+            "with an odd period small potentials keep the spectrum gapless"
+        )
+    _check_coupling(delta)
+
+
+def build_vq(q: PeriodVector, delta: float, force: bool = False) -> Potential:
     """Staggered potential with a marked origin, sup norm exactly delta.
 
     V(n) = (1 - delta^2/d) delta at the origin of each cell and
     delta (-1)^{n_1 + ... + n_d} elsewhere.  The origin defect breaks every
-    proper sub-period, so the minimal period is exactly q.  Each spec
-    instance gives one Potential object, whatever the number of calls.
+    proper sub-period, so the minimal period is exactly q.  Couplings above
+    DELTA_MAX_DEFAULT are rejected unless force is set, since the gap
+    argument is perturbative.
     """
-    return spec._vq
+    _check_construction(q, delta)
+    if delta > DELTA_MAX_DEFAULT and not force:
+        raise DomainError(
+            f"coupling {delta} exceeds DELTA_MAX_DEFAULT = {DELTA_MAX_DEFAULT}; "
+            "force=True (counterexample --force) builds anyway"
+        )
+    values = _staggered(q, delta)
+    values[0] = (1.0 - delta**2 / q.d) * delta
+    return potential(q, values)
 
 
 def build_dimer(q: PeriodVector, delta: float) -> Potential:
     """Plain staggered potential delta (-1)^{n_1 + ... + n_d} stored over q."""
-    if not q.all_even:
-        raise DomainError(
-            f"staggered pattern needs even periods to be q-periodic, got {q.q}"
-        )
-    if not delta > 0:
-        raise DomainError(f"coupling must be positive, got {delta}")
+    _check_construction(q, delta)
     return potential(q, _staggered(q, delta))
 
 
@@ -135,6 +123,7 @@ def neighbor_sum_check(V: Potential, delta: float) -> NeighborSumReport:
     origin or at origin - b_i) and zero otherwise, to within the rounding
     bound 4 * 2^-52 * (delta + delta^3/d).
     """
+    _check_coupling(delta)
     q = V.q
     expected = -(delta**3) / q.d
     # 4 ulps of the largest value summed: a correct construction rounds by
@@ -163,26 +152,23 @@ def neighbor_sum_check(V: Potential, delta: float) -> NeighborSumReport:
     )
 
 
-def verify_gap_at_zero(
-    spec: CounterexampleSpec,
-    grid: bandedges.GridSpec,
-    workers: int = 1,
-) -> GapCheck:
-    """Measure the distance from zero to the sampled spectrum.
+def verify_gap_at_zero(V: Potential, delta: float, grid: bandedges.GridSpec, workers: int = 1) -> GapCheck:
+    """Measure the distance from zero to the sampled spectrum of V.
 
     margin and certified_margin are bandedges.gap_at_zero's readings: the
-    distance from 0 to the sampled bands (for this potential the smallest
-    |eigenvalue| over the grid, as the spectrum avoids
+    distance from 0 to the sampled bands (the smallest |eigenvalue| over
+    the grid when the bands avoid 0, as build_vq(q, delta)'s avoid
     (-delta, delta - delta^3/d)) and its lower bound on the true distance.
     The check passes when the margin exceeds delta/2 and is inconclusive
     when the certified margin does not, so the grid is too coarse.
     """
-    margin, certified = bandedges.gap_at_zero(spec.q, build_vq(spec), grid, workers=workers)
+    _check_coupling(delta)
+    margin, certified = bandedges.gap_at_zero(V.q, V, grid, workers=workers)
     return GapCheck(
         margin=margin,
         certified_margin=certified,
-        passes=margin > spec.delta / 2.0,
-        inconclusive=certified <= spec.delta / 2.0,
+        passes=margin > delta / 2.0,
+        inconclusive=certified <= delta / 2.0,
     )
 
 
@@ -195,8 +181,7 @@ def dimer_oracle_spectrum(d: int, delta: float) -> tuple[bandedges.Interval, ban
     """
     if d < 1:
         raise DomainError(f"need d >= 1, got {d}")
-    if not delta > 0:
-        raise DomainError(f"coupling must be positive, got {delta}")
+    _check_coupling(delta)
     hi = math.sqrt(4.0 * d * d + delta * delta)
     return (
         bandedges.Interval(-hi, -delta),

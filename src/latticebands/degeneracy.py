@@ -267,7 +267,6 @@ def predict_moves(
     g: DegeneracyGroup,
     beta: Sequence[float],
     sign_of_t: int,
-    classification: DirectionClassification | None = None,
 ) -> tuple[int, int]:
     """Predicted (up, down) split for an infinitesimal step of the given sign.
 
@@ -277,8 +276,6 @@ def predict_moves(
 
     Raises
     ------
-    DomainError
-        If a classification passed in is not one of this group along beta.
     DegenerateBeyondSecondOrder
         If a member with vanishing first-order term also has (numerically)
         vanishing curvature along beta.
@@ -287,12 +284,7 @@ def predict_moves(
         raise DomainError(f"sign_of_t must be +1 or -1, got {sign_of_t!r}")
     b = unit_direction(beta, q.d)
     angles = _angles(q, g.theta, g.members)
-    cls = classification if classification is not None else _classify(angles, b)
-    if len(cls.labels) != g.r:
-        raise DomainError("classification does not match the group")
-    if cls.beta != tuple(b.tolist()):
-        raise DomainError(f"classification is along {cls.beta}, not along the direction {tuple(b.tolist())}")
-    labels = np.array(cls.labels)
+    labels = np.array(_classify(angles, b).labels)
     first = (labels == "plus") | (labels == "minus")
     curv = _curvatures(angles, b)
     flat = ~first & (np.abs(curv) <= ZERO_TOL)

@@ -13,7 +13,6 @@ import pytest
 
 from latticebands import (
     GridSpec,
-    CounterexampleSpec,
     assemble_spectrum,
     build_dimer,
     build_vq,
@@ -106,10 +105,9 @@ def test_04_zero_energy_dichotomy():
 
 def test_05_counterexample_opens_a_certified_gap():
     q = period((2, 2))
-    spec = CounterexampleSpec(q, 0.1)
-    V = build_vq(spec)
+    V = build_vq(q, 0.1)
     assert minimal_period(V) == (2, 2)
-    check = neighbor_sum_check(V, spec.delta)
+    check = neighbor_sum_check(V, 0.1)
     assert check.ok and check.failures == ()
 
     grid = GridSpec((256, 256))
@@ -121,9 +119,9 @@ def test_05_counterexample_opens_a_certified_gap():
     assert gap.lo <= 0.0 <= gap.hi
     assert gap.width / 2.0 >= 0.05
 
-    gap_check = verify_gap_at_zero(spec, grid)
+    gap_check = verify_gap_at_zero(V, 0.1, grid)
     assert gap_check.passes and not gap_check.inconclusive
-    assert gap_check.certified_margin > spec.delta / 2.0
+    assert gap_check.certified_margin > 0.1 / 2.0
     print(
         "[acceptance 05] PASS gap-opening potential: two certified intervals, "
         f"gap half-width {gap.width / 2.0:.4f} >= 0.05"

@@ -13,7 +13,6 @@ from latticebands import (
     LIPSCHITZ,
     ComputationError,
     ConfigurationError,
-    CounterexampleSpec,
     DomainError,
     GridSpec,
     Interval,
@@ -720,7 +719,7 @@ def test_table_sweep_equals_node_phase_solve_bit_for_bit(monkeypatch, kind, m):
     # the nodes' grid coordinates; the reference solves the node phases
     # j_i h_i through the kernel's probe path
     q = period((4, 4) if len(m) == 2 else (2, 4, 2))
-    build = POTENTIALS.get(kind, lambda q: build_vq(CounterexampleSpec(q, 0.15)))
+    build = POTENTIALS.get(kind, lambda q: build_vq(q, 0.15))
     if kind == "symmetric":  # a centre off the origin and an odd p_1
         q, build = period((3, 4) if len(m) == 2 else (3, 4, 2)), _symmetric_potential
     V = build(q)
@@ -794,7 +793,7 @@ def _random_case(rng, kind):
     V = {
         "free": zero_potential,
         "dimer": lambda q: build_dimer(q, 0.2),
-        "vq": lambda q: build_vq(CounterexampleSpec(q, 0.15)),
+        "vq": lambda q: build_vq(q, 0.15),
         "random": lambda q: random_potential(q, 0.5, seed=int(rng.integers(1 << 30))),
     }[kind](q)
     # odd and even sample counts, so some axes have no self-mirrored node
@@ -902,7 +901,7 @@ def test_every_returned_phase_is_a_tuple_of_python_floats():
     # free, real-form (an inversion-symmetric cell) and complex cells
     cells = [
         (period((2, 3)), zero_potential(period((2, 3)))),
-        (period((2, 2)), build_vq(CounterexampleSpec(period((2, 2)), 0.2))),
+        (period((2, 2)), build_vq(period((2, 2)), 0.2)),
         (period((2, 3)), random_potential(period((2, 3)), 0.5, seed=3)),
     ]
     for q, V in cells:
@@ -992,7 +991,7 @@ def test_gap_margin_is_the_smallest_abs_level_of_every_grid_node(cell, delta, ki
     # is the smallest |E| over every grid node, bit for bit
     q_tuple, m = cell
     q, grid = period(q_tuple), GridSpec(m)
-    build = (lambda: build_dimer(q, delta)) if kind == "dimer" else (lambda: build_vq(CounterexampleSpec(q, delta)))
+    build = (lambda: build_dimer(q, delta)) if kind == "dimer" else (lambda: build_vq(q, delta))
     nodes = np.arange(grid.n_nodes)
     thetas = np.array(grid_thetas(q.q, m))
     ref = eigenvalues_sorted_desc(q, build(), thetas[np.minimum(nodes, _brute_mirror(m))])
@@ -1001,8 +1000,8 @@ def test_gap_margin_is_the_smallest_abs_level_of_every_grid_node(cell, delta, ki
         value, _ = min_abs_eigenvalue(q, build(), grid, workers=workers)
         assert value == np.abs(ref).min()
         assert abs(value - np.abs(own).min()) <= 1e-12
-        if kind == "vq":  # a fresh spec, whose potential is not yet swept
-            assert verify_gap_at_zero(CounterexampleSpec(q, delta), grid, workers=workers).margin == value
+        # a fresh potential, not yet swept
+        assert verify_gap_at_zero(build(), delta, grid, workers=workers).margin == value
 
 
 @pytest.mark.parametrize("q_tuple,kind,m,node", [
@@ -1137,11 +1136,10 @@ def test_every_verdict_reads_the_enclosure_like_the_old_formulas(q_tuple, data, 
         k, depth, _ = _ref_deepest(lo, hi, 0.0)
         margin = max(0.0, -depth)
         assert bandedges.gap_at_zero(q, zero_potential(q), grid) == (margin, margin - (slack + rho))
-        if q.all_even:
-            check = counterexample.verify_gap_at_zero(CounterexampleSpec(q, delta), grid)
-            assert (check.margin, check.certified_margin) == (margin, margin - (slack + rho))
-            assert check.passes == (margin > delta / 2.0)
-            assert check.inconclusive == (margin - (slack + rho) <= delta / 2.0)
+        check = counterexample.verify_gap_at_zero(zero_potential(q), delta, grid)
+        assert (check.margin, check.certified_margin) == (margin, margin - (slack + rho))
+        assert check.passes == (margin > delta / 2.0)
+        assert check.inconclusive == (margin - (slack + rho) <= delta / 2.0)
         # the witness: the deepest band, its depth less one inner range end
         res = freebands.interior_witness(q, E, grid)
         if E == 0.0 and q.all_even:

@@ -215,6 +215,20 @@ def test_counterexample_odd_period_rejected(capsys):
     assert "even" in err
 
 
+def test_coupling_cap_error_names_the_flag_that_lifts_it(capsys):
+    # the message named only the keyword force=True, which no flag spells
+    args = ("counterexample", "--q", "2,2", "--delta", "0.3", "--grid", "8,8")
+    rc, _, err = run(capsys, *args)
+    assert rc == 2 and "--force" in err
+    rc, _, _ = run(capsys, *args, "--force")
+    assert rc == 3  # built, and inconclusive on this coarse grid
+    # spectrum and bands keep the cap: no flag of theirs lifts it
+    for command in ("spectrum", "bands"):
+        rc, _, err = run(capsys, command, "--q", "2,2", "--potential", "vq",
+                         "--delta", "0.3", "--grid", "8,8")
+        assert rc == 2 and "DELTA_MAX_DEFAULT" in err
+
+
 def test_config_errors_exit_2(capsys, tmp_path):
     rc, _, err = run(capsys, "spectrum", "--q", "2,oops")
     assert rc == 2

@@ -159,7 +159,7 @@ def test_count_matches_prediction_mixed_group():
     g = coincident_group(q, phase(q, (1.0 / 6.0, 0.0)), (0, 0))
     cls = classify(q, g, (1.0, 0.0))
     assert (cls.j_plus, cls.j_minus) == (1, 1)
-    assert predict_moves(q, g, (1.0, 0.0), 1, cls) == (1, 1)
+    assert predict_moves(q, g, (1.0, 0.0), 1) == (1, 1)
     got = count_moves(q, g, (1.0, 0.0), 1e-3)
     assert got.conclusive and (got.n_up, got.n_down) == (1, 1)
 
@@ -171,9 +171,8 @@ def test_count_matches_prediction_mixed_group():
 def test_first_order_members_follow_step_sign():
     q = period((2, 2))
     g = coincident_group(q, phase(q, (0.25, 0.25)), (0, 0))
-    cls = classify(q, g, (1.0, 0.0))
-    assert predict_moves(q, g, (1.0, 0.0), 1, cls) == (2, 2)
-    assert predict_moves(q, g, (1.0, 0.0), -1, cls) == (2, 2)
+    assert predict_moves(q, g, (1.0, 0.0), 1) == (2, 2)
+    assert predict_moves(q, g, (1.0, 0.0), -1) == (2, 2)
     for t in (5e-3, -5e-3):
         got = count_moves(q, g, (1.0, 0.0), t)
         assert got.conclusive and (got.n_up, got.n_down) == (2, 2)
@@ -232,18 +231,17 @@ def test_count_moves_rejects_a_step_that_is_not_real(t):
 
 
 def test_predict_moves_rejects_a_classification_along_another_direction():
-    # classify's labels along (1, 0) were read as those along (-1, 0) and
-    # gave (0, 1), against the count and the prediction without them
+    # classify's labels along (1, 0), once passed in, were read as those
+    # along (-1, 0) and gave (0, 1); predict_moves now classifies along the
+    # direction it is given and takes no classification
     q = period((2, 2))
     g = coincident_group(q, phase(q, (0.1, 0.2)), (0, 0))
     beta = (-1.0, 0.0)
     assert predict_moves(q, g, beta, 1) == (1, 0)
     counted = count_moves(q, g, beta, 1e-3)
     assert (counted.n_up, counted.n_down) == (1, 0)
-    with pytest.raises(DomainError, match=re.escape(
-            "classification is along (1.0, 0.0), not along the direction (-1.0, 0.0)")):
+    with pytest.raises(TypeError):
         predict_moves(q, g, beta, 1, classify(q, g, (1.0, 0.0)))
-    assert predict_moves(q, g, beta, 1, classify(q, g, np.array(beta))) == (1, 0)
 
 
 def test_prediction_agrees_with_count_randomized(rng):
@@ -504,8 +502,8 @@ def test_batched_closed_form_matches_the_member_loop(case):
     want = _ref_predict(q, th, members, labels, b, 1 if t > 0 else -1)
     if want[0] == "flat":
         with pytest.raises(DegenerateBeyondSecondOrder, match=rf"member {re.escape(str(want[1]))} "):
-            predict_moves(q, g, b, 1 if t > 0 else -1, cls)
+            predict_moves(q, g, b, 1 if t > 0 else -1)
     else:
-        assert predict_moves(q, g, b, 1 if t > 0 else -1, cls) == want
+        assert predict_moves(q, g, b, 1 if t > 0 else -1) == want
     got = count_moves(q, g, b, t)
     assert (got.n_up, got.n_down, list(got.ambiguous)) == _ref_count(q, th, members, level, b, t)

@@ -10,7 +10,6 @@ from latticebands import (
     assemble,
     build_dimer,
     build_vq,
-    CounterexampleSpec,
     eigenvalues_sorted_desc,
     load_potential,
     minimal_period,
@@ -365,7 +364,7 @@ def test_minimal_period_examples():
     assert minimal_period(build_dimer(q44, 0.2)) == (2, 2)
     # the marked origin breaks every proper sub-period
     q24 = period((2, 4))
-    V = build_vq(CounterexampleSpec(q24, 0.1))
+    V = build_vq(q24, 0.1)
     assert minimal_period(V) == (2, 4)
 
 

@@ -1,6 +1,6 @@
 """tools/report_digests.py runs on the README's commands and its own
-degeneracy commands: one stable sha256 per command, which covers the files
-the command writes."""
+degeneracy and error commands: one stable sha256 per command, which covers
+the files the command writes."""
 import importlib.util
 import os
 import pathlib
@@ -44,4 +44,22 @@ def test_report_digests_of_the_degeneracy_commands(tmp_path, monkeypatch, capsys
     capsys.readouterr()
     first = [tool.digest(argv) for argv in tool.DEGENERACY_COMMANDS]
     assert first == [tool.digest(argv) for argv in tool.DEGENERACY_COMMANDS]
+    assert len(set(first)) == 3 and os.listdir(tmp_path) == []
+
+
+def test_report_digests_of_the_error_commands(tmp_path, monkeypatch, capsys):
+    # each is a configuration error of the gap construction: exit 2, an
+    # error line on stderr and no file written
+    tool = _tool()
+    monkeypatch.chdir(tmp_path)
+    for argv in tool.ERROR_COMMANDS:
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+    assert os.listdir(tmp_path) == []
+    first = [tool.digest(argv) for argv in tool.ERROR_COMMANDS]
+    assert first == [tool.digest(argv) for argv in tool.ERROR_COMMANDS]
+    # dimer and counterexample share the odd-period message, counterexample
+    # and vq the cap's
+    assert first[0] == first[1] and first[2] == first[3]
     assert len(set(first)) == 3 and os.listdir(tmp_path) == []

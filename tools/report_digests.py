@@ -4,9 +4,10 @@ stderr and every file it writes.
 The commands are every case of seeds 1-3 of the four benchmark workloads
 (generated by bench/workloads.py), the commands of the README's "Command
 line" block, DEGENERACY_COMMANDS, which reach degeneracy paths that no
-workload does, and TEXT_COMMANDS, which print the human-readable lines
+workload does, TEXT_COMMANDS, which print the human-readable lines
 and the CSV on stdout that every other command replaces by --json or
---out.  Each runs in-process through latticebands.cli.main,
+--out, and ERROR_COMMANDS, which the gap construction rejects with exit
+2.  Each runs in-process through latticebands.cli.main,
 in an empty temporary working directory that is removed afterwards, so
 relative output paths (the workloads' CSV files, the README's bands.csv)
 are the same on every run.  Two trees print the same lines exactly when
@@ -51,6 +52,16 @@ TEXT_COMMANDS = (
     ["counterexample", "--q", "2,2", "--delta", "0.1", "--grid", "64,64"],
     ["bands", "--q", "2,2", "--potential", "dimer", "--delta", "0.2", "--grid", "8,8", "--json"],
     ["bands", "--q", "2,3", "--potential", "random", "--delta", "0.4", "--grid", "6,5"],
+)
+
+# An odd period for dimer and for counterexample, a coupling above the cap
+# for counterexample and for vq, and a coupling that is not positive.
+ERROR_COMMANDS = (
+    ["spectrum", "--q", "2,3", "--potential", "dimer", "--delta", "0.1", "--grid", "8,8"],
+    ["counterexample", "--q", "2,3", "--delta", "0.1", "--grid", "8,8"],
+    ["counterexample", "--q", "2,2", "--delta", "0.3", "--grid", "8,8"],
+    ["spectrum", "--q", "2,2", "--potential", "vq", "--delta", "0.3", "--grid", "8,8"],
+    ["spectrum", "--q", "2,2", "--potential", "vq", "--delta", "0", "--grid", "8,8"],
 )
 
 
@@ -111,7 +122,7 @@ def main() -> int:
     commands = (
         workload_commands()
         + [("README: " + " ".join(argv), argv) for argv in readme_commands()]
-        + [(" ".join(argv), argv) for argv in DEGENERACY_COMMANDS + TEXT_COMMANDS]
+        + [(" ".join(argv), argv) for argv in DEGENERACY_COMMANDS + TEXT_COMMANDS + ERROR_COMMANDS]
     )
     for label, argv in commands:
         print(f"{digest(argv)}  {label}", flush=True)
